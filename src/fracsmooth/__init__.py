@@ -8,16 +8,16 @@ from .errors import (ConfigError, DegenerateCurveError, ExactHedgeError,
                      FracsmoothError, QuadratureError, SimulationError)
 from .model import MarketModel, PathBatch, child_seed, simulate_euler, simulate_gbm
 from .timenets import TimeNet, make_theta_net
-from .payoffs import Payoff, PriceSurface, delta, gamma, payoff_eval, price
+from .payoffs import Payoff, delta, gamma, payoff_eval, price
 from .chaos import (ChaosExpansion, besov_criterion, d12_norm,
                     decay_from_chaos, exp_call_expansion, indicator_expansion,
                     project)
 from .hedging import (L2ErrorEstimate, TrackingErrorSample, l2_tracking_error,
                       tracking_error_process, tracking_error_terminal,
                       z_regularity)
-from .smoothness import (DecayCurve, ThetaEstimate, b22_integral,
-                         conditional_l2_decay, estimate_theta_sup,
-                         integral_criteria_verdicts, growth_criteria_exponents)
+from .smoothness import (DecayCurve, ThetaEstimate, conditional_l2_decay,
+                         estimate_theta_sup, integral_criteria_verdicts,
+                         growth_criteria_exponents)
 from .weaklimit import (ClockSample, apply_A_operator, clock_A, fractional_D,
                         ks_distance, lp_bound_curve, mixed_normal_sample)
 from .ratefit import RateFit, SweepResult, fit_rate, fit_summary, sweep
@@ -28,13 +28,13 @@ __all__ = [
     "DegenerateCurveError", "ExactHedgeError",
     "MarketModel", "PathBatch", "child_seed", "simulate_gbm", "simulate_euler",
     "TimeNet", "make_theta_net",
-    "Payoff", "PriceSurface", "payoff_eval", "price", "delta", "gamma",
+    "Payoff", "payoff_eval", "price", "delta", "gamma",
     "ChaosExpansion", "project", "indicator_expansion", "exp_call_expansion",
     "d12_norm", "besov_criterion", "decay_from_chaos",
     "TrackingErrorSample", "L2ErrorEstimate", "tracking_error_terminal",
     "tracking_error_process", "l2_tracking_error", "z_regularity",
     "DecayCurve", "ThetaEstimate", "conditional_l2_decay",
-    "estimate_theta_sup", "b22_integral", "integral_criteria_verdicts",
+    "estimate_theta_sup", "integral_criteria_verdicts",
     "growth_criteria_exponents",
     "ClockSample", "clock_A", "mixed_normal_sample", "ks_distance",
     "apply_A_operator", "fractional_D", "lp_bound_curve",

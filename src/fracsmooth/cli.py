@@ -20,7 +20,8 @@ from . import payoffs as po
 from . import ratefit as rf
 from . import smoothness as sm
 from . import weaklimit as wl
-from .errors import ConfigError, FracsmoothError, QuadratureError, SimulationError
+from .errors import (ConfigError, DegenerateCurveError, ExactHedgeError,
+                     QuadratureError, SimulationError)
 from .model import MarketModel, child_seed
 from .timenets import make_theta_net
 
@@ -179,13 +180,12 @@ def cmd_smoothness(cfg: ExperimentConfig) -> None:
     model = _model(cfg)
     p = _payoff(cfg)
     grid = sm.default_t_grid(model, cfg.get_int("depth", "20"))
-    curve = sm.conditional_l2_decay(p, model, grid)
-    grad = sm.grad_growth_curve(p, model, grid)
-    hess = sm.hessian_growth_curve(p, model, grid)
+    c = sm._criteria_curves(p, model, grid)
+    curve = c["decay"]
     fh, w = _writer(cfg.get("out"), cfg)
     with fh:
         w.writerow(["t", "T_minus_t", "decay", "grad_sq", "hess_sq"])
-        for t, d, g, h in zip(grid, curve.D, grad, hess):
+        for t, d, g, h in zip(grid, curve.D, c["grad"], c["hess"]):
             w.writerow([repr(float(t)), repr(float(model.T - t)),
                         repr(float(d)), repr(float(g)), repr(float(h))])
     est = sm.estimate_theta_sup(curve)
@@ -311,8 +311,8 @@ def main(argv=None) -> int:
     except (QuadratureError, SimulationError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
-    except FracsmoothError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DegenerateCurveError, ExactHedgeError) as exc:
+        print(f"error: degenerate: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -72,34 +72,49 @@ def _log_range(model: MarketModel) -> tuple[float, float]:
     return lo, hi
 
 
-def _value_fn(p: Payoff, model: MarketModel, t: float, which: str):
-    """Vectorized s -> price/delta evaluator at a fixed time.
+class _Tables(dict):
+    """t -> vectorized s -> price or delta evaluator, for one (payoff, model).
 
     Closed-form payoffs and chaos series evaluate directly; the graded
-    quadrature of the power-Holder payoff is tabulated once on a log-price
-    grid refined around the strike and then linearly interpolated.
+    quadrature of the power-Holder payoff is tabulated once per t on a
+    log-price grid refined around the strike and linearly interpolated.
+    Nested nets share their nodes bit for bit, so one instance reused
+    across nets or quadrature times tabulates each time only once.
     """
-    f = po.price if which == "price" else po.delta
-    if p.kind != "power_holder":
-        return lambda s: f(p, model, t, s)
-    v = model.sigma * math.sqrt(max(model.T - t, 1e-12))
-    lo, hi = _log_range(model)
-    lk = math.log(p.strike)
-    u = np.arange(-16.0, 16.0 + 1e-9, 1.0 / 16.0)
-    x = np.unique(np.concatenate([
-        np.clip(lk + v * u, lo, hi),
-        np.linspace(lo, hi, 512),
-    ]))
-    vals = f(p, model, t, np.exp(x))
-    return lambda s: np.interp(np.log(s), x, vals)
+
+    def __init__(self, p: Payoff, model: MarketModel, which: str = "delta"):
+        super().__init__()
+        self.p, self.model, self.which = p, model, which
+
+    def __missing__(self, t: float):
+        p, model = self.p, self.model
+        f = po.price if self.which == "price" else po.delta
+        if p.kind != "power_holder":
+            fn = lambda s: f(p, model, t, s)
+        else:
+            v = model.sigma * math.sqrt(max(model.T - t, 1e-12))
+            lo, hi = _log_range(model)
+            lk = math.log(p.strike)
+            u = np.arange(-16.0, 16.0 + 1e-9, 1.0 / 16.0)
+            x = np.unique(np.concatenate([
+                np.clip(lk + v * u, lo, hi),
+                np.linspace(lo, hi, 512),
+            ]))
+            vals = f(p, model, t, np.exp(x))
+            fn = lambda s: np.interp(np.log(s), x, vals)
+        self[t] = fn
+        return fn
 
 
 def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
-         measure: str, eval_times, threads: int) -> TrackingErrorSample:
+         measure: str, eval_times, threads: int,
+         deltas: _Tables | None = None) -> TrackingErrorSample:
     if abs(net.T - model.T) > 1e-12:
         raise ConfigError("net maturity must match the model maturity")
     if m < 1:
         raise ConfigError("path count m must be >= 1")
+    if deltas is None:
+        deltas = _Tables(p, model)
     drift = model.drift(measure)
     sigma = model.sigma
 
@@ -116,13 +131,14 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
 
     h0 = po.price(p, model, 0.0, model.s0)
     # risk-neutral delta evaluators at every net rebalancing time
+    prices = _Tables(p, model, "price")
     dfns = {}
     pfns = {}
     for j in range(nt - 1):          # the last node T never needs a delta
         if is_node[j]:
-            dfns[j] = _value_fn(p, model, grid[j], "delta")
+            dfns[j] = deltas[grid[j]]
         if is_eval[j]:
-            pfns[j] = _value_fn(p, model, grid[j], "price")
+            pfns[j] = prices[grid[j]]
 
     terminal = np.empty(m)
     proc = np.empty((m, ev.size)) if ev.size else None
@@ -172,11 +188,15 @@ def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
 
 def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
                       seed: int, measure: str = "martingale",
-                      threads: int = 1) -> L2ErrorEstimate:
-    """|| C_T ||_{L2} with the standard error of the mean square."""
+                      threads: int = 1, *,
+                      _deltas: _Tables | None = None) -> L2ErrorEstimate:
+    """|| C_T ||_{L2} with the standard error of the mean square.
+
+    ``_deltas`` is private: ``ratefit.sweep`` shares one across its nets.
+    """
     if m < 2:
         raise ConfigError("need m >= 2 paths for a standard error")
-    sample = _run(p, model, net, m, seed, measure, None, threads)
+    sample = _run(p, model, net, m, seed, measure, None, threads, _deltas)
     sq = sample.terminal_errors ** 2
     msq = float(sq.mean())
     se = float(sq.std(ddof=1)) / math.sqrt(m)
@@ -229,25 +249,20 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
     gx, gw = np.polynomial.legendre.leggauss(t_quad_order)
     xi, wi = gauss_normal_nodes(inner_order)
 
-    dfn_cache: dict[float, object] = {}
-
-    def dfn(t):
-        if t not in dfn_cache:
-            dfn_cache[t] = _value_fn(p, model, t, "delta")
-        return dfn_cache[t]
+    dfn = _Tables(p, model)
 
     def law(t):
         return x0 - 0.5 * sigma * sigma * t, sigma * math.sqrt(t)
 
     def g_of(t):
         if t == 0.0:
-            d0 = float(np.asarray(dfn(0.0)(np.array([model.s0])))[0])
+            d0 = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
             return (sigma * model.s0 * d0) ** 2
         mean, std = law(t)
         x, w = lognormal_grid(mean, std, features=_grid_features(p, model, t),
                               tail_depth=32)
         s = np.exp(x)
-        d = np.asarray(dfn(t)(s))
+        d = np.asarray(dfn[t](s))
         return sigma * sigma * float(w @ (s * s * d * d))
 
     def cross(s_t, t):
@@ -256,9 +271,9 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
         x, w = lognormal_grid(mean, std, features=_grid_features(p, model, t),
                               tail_depth=32)
         st = np.exp(x)
-        d_t = np.asarray(dfn(t)(st))
+        d_t = np.asarray(dfn[t](st))
         if s_t == 0.0:
-            d_s = float(np.asarray(dfn(0.0)(np.array([model.s0])))[0])
+            d_s = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
             inner = np.full_like(x, d_s)
         else:
             r = s_t / t
@@ -266,7 +281,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
                                                             + 0.5 * sigma * sigma * t)
             v_in = sigma * math.sqrt(s_t * (t - s_t) / t)
             xs = mu_rows[:, None] + v_in * xi[None, :]
-            inner = np.asarray(dfn(s_t)(np.exp(xs))) @ wi
+            inner = np.asarray(dfn[s_t](np.exp(xs))) @ wi
         return sigma * sigma * float(w @ (st * st * d_t * inner))
 
     total = 0.0

@@ -117,6 +117,8 @@ def map_blocks(fn, m: int, threads: int = 1, block: int = BLOCK_PATHS) -> list:
     The block layout never depends on ``threads``, so any parallel run
     reproduces the serial result bit for bit.
     """
+    if threads < 1:
+        raise ConfigError("thread count must be >= 1")
     spans = [(s, min(block, m - s)) for s in range(0, m, block)]
     if threads <= 1 or len(spans) == 1:
         return [fn(s, c) for s, c in spans]

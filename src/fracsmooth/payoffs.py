@@ -3,8 +3,17 @@
 Call, put, binary and affine payoffs have Black-Scholes closed forms.
 Power-Holder payoffs ``(s - K)_+**theta`` and chaos payoffs (a Hermite
 series in the normalized terminal log-price of the unit GBM) are priced
-by Gauss-Hermite quadrature against the lognormal transition kernel;
-their Greeks differentiate the kernel, not the payoff.
+by quadrature against the lognormal transition kernel; their Greeks
+differentiate the kernel, not the payoff.
+
+One valuation engine, ``_valuate``, returns any of price, E[h^2 | S_t],
+delta, gamma and the conditional variance at one time for an array of
+spots; ``price``, ``delta``, ``gamma``, ``second_moment`` and
+``conditional_variance`` are thin callers.  For the power-Holder payoff
+it builds one Gaussian kernel matrix per panel rule (Gauss-Legendre
+orders 8 and 12 on panels graded toward the kink), reads every requested
+quantity off it, and checks each against its own tolerance by comparing
+the two rules.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ from .quadrature import Feature, gauss_normal_nodes
 
 __all__ = [
     "Payoff",
-    "PriceSurface",
     "payoff_eval",
     "price",
     "delta",
@@ -37,6 +45,9 @@ _TAU_FLOOR = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _CLOSED_FORM = frozenset({"call", "put", "binary", "affine"})
 _KINDS = frozenset({"call", "put", "binary", "power_holder", "affine", "chaos"})
+#: default (rtol, atol) of each quadrature-computed quantity
+_TOLS = {"price": (1e-6, 1e-10), "m2": (1e-6, 1e-10),
+         "delta": (1e-5, 1e-9), "gamma": (1e-4, 1e-8)}
 
 
 @dataclass(frozen=True)
@@ -116,8 +127,8 @@ def payoff_eval(p: Payoff, s):
 
 
 def _tau(model: MarketModel, t: float, greek: bool) -> float:
-    if t < 0.0 or t > model.T:
-        raise ConfigError("valuation time t must lie in [0, T]")
+    if not 0.0 <= t <= model.T:
+        raise ConfigError("valuation time t must be finite and lie in [0, T]")
     if greek and t >= model.T:
         raise ConfigError("Greeks are not defined at t = T")
     return max(model.T - t, _TAU_FLOOR)
@@ -133,28 +144,67 @@ def _phi(x):
     return np.exp(-0.5 * np.asarray(x) ** 2) / _SQRT_2PI
 
 
-def _quad_values(model: MarketModel, tau: float, s: np.ndarray, h, order: int):
-    """h evaluated on kernel nodes: returns (values, z) of shape (ns, order)."""
-    z, w = gauss_normal_nodes(order)
-    v = model.sigma * math.sqrt(tau)
-    st = s[:, None] * np.exp(v * z[None, :] - 0.5 * v * v)
-    return np.asarray(h(st)), z, w, v
+def _valuate(p: Payoff, model: MarketModel, t: float, s, want, *,
+             order: int = 201, tols=None) -> dict[str, np.ndarray]:
+    """The valuation engine: the quantities named in ``want`` at (t, s).
+
+    Quantities are ``price``, ``m2`` (E[h(S_T)^2 | S_t = s]), ``delta``,
+    ``gamma`` and ``var`` (the conditional variance); each comes back as
+    an array shaped like ``np.atleast_1d(s)``.  Every quadrature result is
+    checked against its own ``(rtol, atol)``, from ``tols`` or ``_TOLS``.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s <= 0.0):
+        raise ConfigError("price argument s must be > 0")
+    want = set(want)
+    tau = _tau(model, t, greek=bool(want & {"delta", "gamma"}))
+    exact_var = "var" in want and p.kind == "binary" and t < model.T
+    need = want - {"var"}
+    if "var" in want and not exact_var:
+        need |= {"m2", "price"}
+    tols = {q: (tols or {}).get(q, _TOLS[q]) for q in need}
+    if t >= model.T and not p.closed_form:
+        h = payoff_eval(p, s)
+        out = {"price": h, "m2": h ** 2}
+    elif p.closed_form:
+        out = {q: _closed_form(p, model, tau, s, q) for q in need}
+    elif p.kind == "power_holder":
+        out = _kinked(p, model, tau, s, tols)
+    else:
+        out = _chaos(p, model, tau, s, tols, order)
+    if exact_var:
+        _, _, d2 = _d12(model, tau, s, p.strike)
+        out["var"] = ndtr(d2) * ndtr(-d2)
+    elif "var" in want:
+        out["var"] = np.maximum(out["m2"] - out["price"] * out["price"], 0.0)
+    return out
 
 
-def _quad_converged(model, tau, s, h, weight_fn, order, rtol, atol):
-    vals = []
-    for n in (order, 2 * order + 1):
-        hv, z, w, v = _quad_values(model, tau, s, h, n)
-        vals.append(hv @ (w * weight_fn(z, v)))
-    a, b = vals
-    scale = np.maximum(np.abs(b), 1.0)
-    if np.any(np.abs(a - b) > atol + rtol * scale):
-        raise QuadratureError(
-            "lognormal-kernel quadrature did not converge under node doubling")
-    return b
+def _one(p, model, t, s, q, order, tol=None):
+    out = _valuate(p, model, t, s, (q,), order=order,
+                   tols={q: tol} if tol else None)[q]
+    return out if np.ndim(s) else float(out[0])
+
+
+def _converged(q: str, a, b, tol, what: str) -> None:
+    rtol, atol = tol
+    if np.any(np.abs(a - b) > atol + rtol * np.maximum(np.abs(b), 1.0)):
+        raise QuadratureError(f"{what} did not converge for the {q}")
+
+
+def _kernel_weights(kern, zz, v: float, q: str):
+    """Kernel weights of price/m2, delta and gamma (before the 1/s^k v)."""
+    if q == "delta":
+        return kern * zz
+    if q == "gamma":
+        return kern * ((zz * zz - 1.0) / v - zz)
+    return kern
 
 
 _kink_panel_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+#: spots per block while building kernel weights (~270 kB temporaries)
+_KERNEL_ROWS = 16
 
 
 def _kink_panels(y_max: float, n_gl: int, depth: int = 48):
@@ -181,65 +231,59 @@ def _kink_panels(y_max: float, n_gl: int, depth: int = 48):
     return _kink_panel_cache[key]
 
 
-def _kinked_quad(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
-                 which: str, n_gl: int, square: bool = False) -> np.ndarray:
-    """Kernel quadrature for payoffs with a kink at the strike.
+def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
+            tols: dict) -> dict[str, np.ndarray]:
+    """Kernel quadrature of every quantity in ``tols`` for a kinked payoff.
 
-    Works in y = ln(S_T/K)/v where the kink sits at y = 0 for every spot;
-    spots whose kink lies far outside the Gaussian kernel's support use a
-    plain Gauss-Hermite rule instead.
+    Works in y = ln(S_T/K)/v, where the kink sits at y = 0 for every
+    spot.  Each panel rule (n_gl 8 and 12) builds one Gaussian kernel
+    matrix and reads all quantities off it; the two rules must agree
+    within each quantity's tolerance.  Spots whose kink lies far outside
+    the kernel's support use one plain Gauss-Hermite rule instead.
     """
     v = model.sigma * math.sqrt(tau)
     K = p.strike
     d2 = (np.log(s / K) - 0.5 * v * v) / v
-    out = np.empty_like(s)
     near = np.abs(d2) <= 8.0
-
     h = _payoff_fn(p)
-    if square:
-        g = lambda st: h(st) ** 2
-    else:
-        g = h
+    scale = {"delta": s * v, "gamma": s * s * v}
+    out = {q: np.empty_like(s) for q in tols}
 
-    if np.any(near):
-        y, wq = _kink_panels(8.0 + 12.0, n_gl)
-        gy = np.asarray(g(K * np.exp(v * y)))
-        zz = y[None, :] - d2[near, None]
-        kern = np.exp(-0.5 * zz * zz) / _SQRT_2PI
-        if which == "price":
-            wz = kern
-        elif which == "delta":
-            wz = kern * zz
-        else:
-            wz = kern * ((zz * zz - 1.0) / v - zz)
-        out[near] = wz @ (wq * gy)
-    if np.any(~near):
+    if not np.all(near):
         far = ~near
         z, w = gauss_normal_nodes(201)
-        st = s[far, None] * np.exp(v * z[None, :] - 0.5 * v * v)
-        gv = np.asarray(g(st))
-        if which == "price":
-            wz = np.broadcast_to(w, gv.shape)
-        elif which == "delta":
-            wz = w * z[None, :]
-        else:
-            wz = w * ((z * z - 1.0) / v - z)[None, :]
-        out[far] = (gv * wz).sum(axis=1)
-    if which == "delta":
-        out /= s * v
-    elif which == "gamma":
-        out /= s * s * v
+        hv = np.asarray(h(s[far, None] * np.exp(v * z[None, :] - 0.5 * v * v)))
+        for q in tols:
+            g = hv ** 2 if q == "m2" else hv
+            out[q][far] = (g * _kernel_weights(w, z[None, :], v, q)).sum(axis=1)
+            if q in scale:
+                out[q][far] /= scale[q][far]
+    if np.any(near):
+        dn = d2[near]
+        kind = {q: "price" if q == "m2" else q for q in tols}
+        rules = []
+        for n_gl in (8, 12):
+            y, wq = _kink_panels(8.0 + 12.0, n_gl)
+            hy = np.asarray(h(K * np.exp(v * y)))
+            # weights are built in blocks of spots, so the elementwise
+            # temporaries stay in cache; each product below still runs on
+            # the whole matrix, so no result depends on the block size
+            wts = {k: np.empty((dn.size, y.size)) for k in kind.values()}
+            for a in range(0, dn.size, _KERNEL_ROWS):
+                zz = y[None, :] - dn[a:a + _KERNEL_ROWS, None]
+                kern = np.exp(-0.5 * zz * zz) / _SQRT_2PI
+                for k, wk in wts.items():
+                    wk[a:a + _KERNEL_ROWS] = _kernel_weights(kern, zz, v, k)
+            vals = {}
+            for q in tols:
+                r = wts[kind[q]] @ (wq * (hy ** 2 if q == "m2" else hy))
+                vals[q] = r / scale[q][near] if q in scale else r
+            rules.append(vals)
+        for q, tol in tols.items():
+            _converged(q, rules[0][q], rules[1][q], tol,
+                       "graded kernel quadrature under refinement")
+            out[q][near] = rules[1][q]
     return out
-
-
-def _kinked_converged(p, model, tau, s, which, rtol, atol, square=False):
-    a = _kinked_quad(p, model, tau, s, which, n_gl=8, square=square)
-    b = _kinked_quad(p, model, tau, s, which, n_gl=12, square=square)
-    scale = np.maximum(np.abs(b), 1.0)
-    if np.any(np.abs(a - b) > atol + rtol * scale):
-        raise QuadratureError(
-            "graded kernel quadrature did not converge under refinement")
-    return b
 
 
 def _payoff_fn(p: Payoff):
@@ -250,7 +294,7 @@ def _payoff_fn(p: Payoff):
     return lambda st: hermite_series(alpha, np.log(st) + 0.5)
 
 
-def _chaos_closed(p, model, tau, s, which):
+def _chaos_closed(p, model, tau, s):
     """Closed-form chaos price/Greeks via Q_k = E[H_k(N(m, v^2))].
 
     Q satisfies Q_{k+1} = (m Q_k + (v^2-1) sqrt(k) Q_{k-1}) / sqrt(k+1),
@@ -277,69 +321,80 @@ def _chaos_closed(p, model, tau, s, which):
         f = f + a * q
         f1 = f1 + a * math.sqrt(k + 1) * q_prev
         f2 = f2 + a * math.sqrt((k + 1) * k) * q_pp
-    if which == "price":
-        return f
-    if which == "delta":
-        return f1 / s
-    return (f2 - f1) / (s * s)
+    return {"price": f, "delta": f1 / s, "gamma": (f2 - f1) / (s * s)}
 
 
-def _dispatch(p, model, t, s, which, order, rtol, atol):
-    s_in = s
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s <= 0.0):
-        raise ConfigError("price argument s must be > 0")
-    tau = _tau(model, t, greek=(which != "price"))
-    if which == "price" and t >= model.T and not p.closed_form:
-        out = payoff_eval(p, s)
-    elif p.closed_form:
-        out = _closed_form(p, model, tau, s, which)
-    elif p.kind == "power_holder":
-        out = _kinked_converged(p, model, tau, s, which, rtol, atol)
-    elif p.kind == "chaos" and model.sigma ** 2 * tau <= 1.0:
-        out = _chaos_closed(p, model, tau, s, which)
-    else:
-        h = _payoff_fn(p)
-        if which == "price":
-            weight = lambda z, v: np.ones_like(z)
-            post = lambda r, v: r
-        elif which == "delta":
-            weight = lambda z, v: z
-            post = lambda r, v: r / (s * v)
-        else:
-            weight = lambda z, v: (z * z - 1.0) / v - z
-            post = lambda r, v: r / (s * s * v)
-        v = model.sigma * math.sqrt(tau)
-        raw = _quad_converged(model, tau, s, h, weight, order, rtol, atol)
-        out = post(raw, v)
-    return out if np.ndim(s_in) else float(out[0])
+def _quad_values(model: MarketModel, tau: float, s: np.ndarray, h, order: int):
+    """h on Gauss-Hermite kernel nodes: (values of shape (ns, order), z, w, v)."""
+    z, w = gauss_normal_nodes(order)
+    v = model.sigma * math.sqrt(tau)
+    st = s[:, None] * np.exp(v * z[None, :] - 0.5 * v * v)
+    return np.asarray(h(st)), z, w, v
 
 
-def _closed_form(p, model, tau, s, which):
+def _chaos(p, model, tau, s, tols, order):
+    """Chaos-payoff quantities: the closed form while sigma^2 tau <= 1,
+    else Gauss-Hermite checked under node doubling (E[h^2] unchecked)."""
+    h = _payoff_fn(p)
+    out = {}
+    if "m2" in tols:
+        hv, z, w, v = _quad_values(model, tau, s, lambda st: h(st) ** 2, order)
+        out["m2"] = hv @ w
+    rest = {q: tol for q, tol in tols.items() if q != "m2"}
+    if not rest:
+        return out
+    if model.sigma ** 2 * tau <= 1.0:
+        closed = _chaos_closed(p, model, tau, s)
+        return {**out, **{q: closed[q] for q in rest}}
+    raw = []
+    for n in (order, 2 * order + 1):
+        hv, z, w, v = _quad_values(model, tau, s, h, n)
+        raw.append({q: hv @ (w * _kernel_weights(np.ones_like(z), z, v, q))
+                    for q in rest})
+    scale = {"delta": s * v, "gamma": s * s * v}
+    for q, tol in rest.items():
+        _converged(q, raw[0][q], raw[1][q], tol,
+                   "lognormal-kernel quadrature under node doubling")
+        out[q] = raw[1][q] / scale[q] if q in scale else raw[1][q]
+    return out
+
+
+def _closed_form(p, model, tau, s, q):
     if p.kind == "affine":
-        if which == "price":
+        if q == "price":
             return p.c0 + p.c1 * s
-        if which == "delta":
+        if q == "delta":
             return np.full_like(s, p.c1)
+        if q == "m2":
+            ev2 = math.exp((model.sigma ** 2) * tau)
+            return p.c0 ** 2 + 2.0 * p.c0 * p.c1 * s + p.c1 ** 2 * s * s * ev2
         return np.zeros_like(s)
     v, d1, d2 = _d12(model, tau, s, p.strike)
     K = p.strike
     if p.kind == "call":
-        if which == "price":
+        if q == "price":
             return s * ndtr(d1) - K * ndtr(d2)
-        if which == "delta":
+        if q == "delta":
             return ndtr(d1)
+        if q == "m2":
+            m2 = (s * s * math.exp(v * v) * ndtr(d1 + v)
+                  - 2.0 * K * s * ndtr(d1) + K * K * ndtr(d2))
+            return np.maximum(m2, 0.0)
         return _phi(d1) / (s * v)
     if p.kind == "put":
-        if which == "price":
+        if q == "price":
             return K * ndtr(-d2) - s * ndtr(-d1)
-        if which == "delta":
+        if q == "delta":
             return ndtr(d1) - 1.0
+        if q == "m2":
+            m2 = (K * K * ndtr(-d2) - 2.0 * K * s * ndtr(-d1)
+                  + s * s * math.exp(v * v) * ndtr(-(d1 + v)))
+            return np.maximum(m2, 0.0)
         return _phi(d1) / (s * v)
-    # binary
-    if which == "price":
+    # binary: h^2 = h
+    if q in ("price", "m2"):
         return ndtr(d2)
-    if which == "delta":
+    if q == "delta":
         return _phi(d2) / (s * v)
     return -_phi(d2) * d1 / (s * s * v * v)
 
@@ -347,73 +402,31 @@ def _closed_form(p, model, tau, s, which):
 def price(p: Payoff, model: MarketModel, t: float, s, *,
           order: int = 201, rtol: float = 1e-6, atol: float = 1e-10):
     """H(t, s) = E[h(S_T) | S_t = s] under the martingale measure."""
-    return _dispatch(p, model, t, s, "price", order, rtol, atol)
+    return _one(p, model, t, s, "price", order, (rtol, atol))
 
 
 def delta(p: Payoff, model: MarketModel, t: float, s, *,
           order: int = 201, rtol: float = 1e-5, atol: float = 1e-9):
     """dH/ds, for t strictly before maturity."""
-    return _dispatch(p, model, t, s, "delta", order, rtol, atol)
+    return _one(p, model, t, s, "delta", order, (rtol, atol))
 
 
 def gamma(p: Payoff, model: MarketModel, t: float, s, *,
           order: int = 201, rtol: float = 1e-4, atol: float = 1e-8):
     """d^2 H / ds^2, for t strictly before maturity."""
-    return _dispatch(p, model, t, s, "gamma", order, rtol, atol)
+    return _one(p, model, t, s, "gamma", order, (rtol, atol))
 
 
 def second_moment(p: Payoff, model: MarketModel, t: float, s, *,
                   order: int = 201):
     """E[h(S_T)^2 | S_t = s]; closed form where the payoff has one."""
-    s_in = s
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s <= 0.0):
-        raise ConfigError("price argument s must be > 0")
-    tau = _tau(model, t, greek=False)
-    if t >= model.T and not p.closed_form:
-        out = payoff_eval(p, s) ** 2
-    elif p.kind == "binary":
-        _, _, d2 = _d12(model, tau, s, p.strike)
-        out = ndtr(d2)
-    elif p.kind == "affine":
-        ev2 = math.exp((model.sigma ** 2) * tau)
-        out = p.c0 ** 2 + 2.0 * p.c0 * p.c1 * s + p.c1 ** 2 * s * s * ev2
-    elif p.kind in ("call", "put"):
-        v, d1, d2 = _d12(model, tau, s, p.strike)
-        d3 = d1 + v
-        K = p.strike
-        ev2 = math.exp(v * v)
-        if p.kind == "call":
-            out = s * s * ev2 * ndtr(d3) - 2.0 * K * s * ndtr(d1) + K * K * ndtr(d2)
-        else:
-            out = K * K * ndtr(-d2) - 2.0 * K * s * ndtr(-d1) + s * s * ev2 * ndtr(-d3)
-        out = np.maximum(out, 0.0)
-    elif p.kind == "power_holder":
-        out = _kinked_converged(p, model, tau, s, "price", 1e-6, 1e-10,
-                                square=True)
-    else:
-        h = _payoff_fn(p)
-        h2 = lambda st: h(st) ** 2
-        hv, z, w, v = _quad_values(model, tau, s, h2, order)
-        out = hv @ w
-    return out if np.ndim(s_in) else float(out[0])
+    return _one(p, model, t, s, "m2", order)
 
 
 def conditional_variance(p: Payoff, model: MarketModel, t: float, s, *,
                          order: int = 201):
     """Var(h(S_T) | S_t = s); exact p(1-p) form for the binary."""
-    s_in = s
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    tau = _tau(model, t, greek=False)
-    if p.kind == "binary" and t < model.T:
-        _, _, d2 = _d12(model, tau, s, p.strike)
-        pr = ndtr(d2)
-        out = pr * ndtr(-d2)
-    else:
-        m2 = np.atleast_1d(np.asarray(second_moment(p, model, t, s, order=order)))
-        m1 = np.atleast_1d(np.asarray(price(p, model, t, s, order=order)))
-        out = np.maximum(m2 - m1 * m1, 0.0)
-    return out if np.ndim(s_in) else float(out[0])
+    return _one(p, model, t, s, "var", order)
 
 
 def kink_feature(p: Payoff, model: MarketModel, t: float) -> Feature | None:
@@ -428,25 +441,3 @@ def kink_feature(p: Payoff, model: MarketModel, t: float) -> Feature | None:
     tau = max(model.T - t, _TAU_FLOOR)
     width = model.sigma * math.sqrt(tau)
     return Feature(center=math.log(p.strike), width=width, strength=1.0)
-
-
-@dataclass(frozen=True)
-class PriceSurface:
-    """Bundle of a payoff, a model and a quadrature order.
-
-    Convenience facade: ``H``, ``dH`` and ``d2H`` close over the pricing
-    functions with a fixed configuration.
-    """
-
-    payoff: Payoff
-    model: MarketModel
-    order: int = 201
-
-    def H(self, t, s):
-        return price(self.payoff, self.model, t, s, order=self.order)
-
-    def dH(self, t, s):
-        return delta(self.payoff, self.model, t, s, order=self.order)
-
-    def d2H(self, t, s):
-        return gamma(self.payoff, self.model, t, s, order=self.order)

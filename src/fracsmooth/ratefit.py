@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ExactHedgeError
-from .hedging import L2ErrorEstimate, l2_tracking_error
+from .hedging import L2ErrorEstimate, _Tables, l2_tracking_error
 from .model import MarketModel, child_seed
 from .payoffs import Payoff
 from .timenets import make_theta_net
@@ -106,18 +106,21 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
 
     Per-n path counts scale like sqrt(n / n_min) capped at 4 m, per-n
     seeds derive from the master seed, and the fit drops the smallest n
-    (documented pre-asymptotic transient).
+    (documented pre-asymptotic transient).  All nets share one set of
+    delta tables, so a node common to several nets is tabulated once.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 5:
         raise ConfigError("sweep needs at least 5 n values (one is dropped)")
     n_min = n_list[0]
+    deltas = _Tables(p, model)
     estimates = []
     for n in n_list:
         m_n = min(4 * m, int(round(m * math.sqrt(n / n_min))))
         net = make_theta_net(n, theta, model.T)
         est = l2_tracking_error(p, model, net, m_n, child_seed(seed, n),
-                                measure=measure, threads=threads)
+                                measure=measure, threads=threads,
+                                _deltas=deltas)
         estimates.append(est)
     fit = fit_rate([(e.n, e.l2_error, e.stderr) for e in estimates[1:]])
     return SweepResult(estimates=tuple(estimates), fit=fit, payoff=p,

@@ -32,7 +32,6 @@ __all__ = [
     "estimate_theta_sup",
     "grad_growth_curve",
     "hessian_growth_curve",
-    "b22_integral",
     "integral_criteria_verdicts",
     "growth_criteria_exponents",
     "curves_to_csv",
@@ -70,21 +69,42 @@ def _outer_law(model: MarketModel, t: float):
     return x0 - 0.5 * model.sigma ** 2 * t, model.sigma * math.sqrt(t)
 
 
-def _outer_expect(p: Payoff, model: MarketModel, t: float, integrand,
-                  tail_depth: int = 40) -> float:
-    """E[f(S_t)] over the lognormal law of S_t, kink-aware grading."""
+#: engine quantities behind each criterion's integrand
+_NEEDS = {"decay": ("var",), "grad": ("delta",), "hess": ("delta", "gamma")}
+
+
+def _criteria_at(p: Payoff, model: MarketModel, t: float, want,
+                 tail_depth: int = 40) -> dict[str, float]:
+    """E over S_t of the decay, gradient and Hessian integrands named in
+    ``want``, from one kink-graded lognormal grid and one engine call.
+
+    decay: Var(h(S_T) | S_t);  grad: (s dH/ds)^2;
+    hess: (s^2 d2H/ds2 + s dH/ds)^2 (log coordinates).
+    """
     if t == 0.0:
-        return float(np.asarray(integrand(np.array([model.s0])))[0])
-    mean, std = _outer_law(model, t)
-    ft = kink_feature(p, model, t)
-    x, w = lognormal_grid(mean, std, features=(ft,) if ft else (),
-                          tail_depth=tail_depth)
-    return float(w @ np.asarray(integrand(np.exp(x))))
+        s, w = np.array([model.s0]), None
+    else:
+        mean, std = _outer_law(model, t)
+        ft = kink_feature(p, model, t)
+        x, w = lognormal_grid(mean, std, features=(ft,) if ft else (),
+                              tail_depth=tail_depth)
+        s = np.exp(x)
+    v = po._valuate(p, model, t, s, {q for c in want for q in _NEEDS[c]})
+    f = {}
+    if "decay" in want:
+        f["decay"] = v["var"]
+    if "grad" in want:
+        f["grad"] = (s * v["delta"]) ** 2
+    if "hess" in want:
+        f["hess"] = (s * s * v["gamma"] + s * v["delta"]) ** 2
+    return {c: float(y[0]) if w is None else float(w @ y) for c, y in f.items()}
 
 
-def conditional_l2_decay(p: Payoff, model: MarketModel, t_grid) -> DecayCurve:
-    """D(t) = sqrt E[ Var(h(S_T) | S_t) ] on the given grid.
+def _criteria_curves(p: Payoff, model: MarketModel, t_grid,
+                     want=tuple(_NEEDS)) -> dict:
+    """The criteria curves named in ``want`` on t_grid, one engine call per t.
 
+    "decay" comes back as the DecayCurve D(t) = sqrt E[ Var(h(S_T) | S_t) ].
     The conditional-variance form is algebraically identical to
     E[Z^2] - E[H(t,S_t)^2] but avoids the catastrophic cancellation of
     the two outer moments close to maturity.
@@ -92,14 +112,23 @@ def conditional_l2_decay(p: Payoff, model: MarketModel, t_grid) -> DecayCurve:
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid >= model.T):
         raise ConfigError("t_grid must lie in [0, T)")
-    d = np.empty_like(t_grid)
+    out = {c: np.empty_like(t_grid) for c in want}
     for i, t in enumerate(t_grid):
-        val = _outer_expect(p, model, float(t),
-                            lambda s: po.conditional_variance(p, model, float(t), s))
-        if val < -1e-10:
-            warnings.warn(f"negative decay value {val:.3e} clamped at t={t:.6g}")
-        d[i] = math.sqrt(max(val, 0.0))
-    return DecayCurve(t_grid=t_grid, D=d, payoff=p, model=model)
+        for c, val in _criteria_at(p, model, float(t), want).items():
+            out[c][i] = val
+    if "decay" in out:
+        var = out["decay"]
+        for t, val in zip(t_grid, var):
+            if val < -1e-10:
+                warnings.warn(f"negative decay value {val:.3e} clamped at t={t:.6g}")
+        out["decay"] = DecayCurve(t_grid=t_grid, D=np.sqrt(np.maximum(var, 0.0)),
+                                  payoff=p, model=model)
+    return out
+
+
+def conditional_l2_decay(p: Payoff, model: MarketModel, t_grid) -> DecayCurve:
+    """D(t) = sqrt E[ Var(h(S_T) | S_t) ] on the given grid."""
+    return _criteria_curves(p, model, t_grid, ("decay",))["decay"]
 
 
 def _loglog_slope(u: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -127,33 +156,24 @@ def estimate_theta_sup(curve: DecayCurve) -> ThetaEstimate:
 
 def grad_growth_curve(p: Payoff, model: MarketModel, t_grid) -> np.ndarray:
     """E |x-gradient of the log-coordinate price|^2 = E (s dH/ds)^2."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        out[i] = _outer_expect(
-            p, model, float(t),
-            lambda s: (s * np.asarray(po.delta(p, model, float(t), s))) ** 2)
-    return out
+    return _criteria_curves(p, model, t_grid, ("grad",))["grad"]
 
 
 def hessian_growth_curve(p: Payoff, model: MarketModel, t_grid) -> np.ndarray:
     """E |D^2 u|^2 with D^2 u = s^2 d2H/ds2 + s dH/ds (log coordinates)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        def integrand(s, t=float(t)):
-            g = np.asarray(po.gamma(p, model, t, s))
-            d = np.asarray(po.delta(p, model, t, s))
-            return (s * s * g + s * d) ** 2
-        out[i] = _outer_expect(p, model, float(t), integrand)
-    return out
+    return _criteria_curves(p, model, t_grid, ("hess",))["hess"]
 
 
-def _octave_integrals(p, model, weight_exp: float, curve_fn,
-                      depth: int, order: int = 8) -> np.ndarray:
-    """I_j = int over T-t in [T 2^-j-1, T 2^-j] of (T-t)^weight_exp f(t) dt."""
+def _octave_integrals(p, model, weight_exps: dict[str, float], depth: int,
+                      order: int = 8) -> dict[str, np.ndarray]:
+    """I_j = int over T-t in [T 2^-j-1, T 2^-j] of (T-t)^e f(t) dt.
+
+    One array of octave integrals per criterion f named in
+    ``weight_exps`` (mapped to its weight exponent e); all criteria share
+    each time node's engine call.
+    """
     gx, gw = np.polynomial.legendre.leggauss(order)
-    vals = np.empty(depth)
+    vals = {c: np.empty(depth) for c in weight_exps}
     for j in range(depth):
         hi, lo = model.T * 2.0 ** -j, model.T * 2.0 ** -(j + 1)
         # integrate in log(T-t) for resolution across the octave
@@ -161,10 +181,13 @@ def _octave_integrals(p, model, weight_exp: float, curve_fn,
         lt = 0.5 * (la + lb) + 0.5 * (lb - la) * gx
         u = np.exp(lt)
         w = 0.5 * (lb - la) * gw * u
-        acc = 0.0
+        acc = dict.fromkeys(weight_exps, 0.0)
         for uu, ww in zip(u, w):
-            acc += ww * uu ** weight_exp * curve_fn(model.T - uu)
-        vals[j] = acc
+            f = _criteria_at(p, model, model.T - uu, weight_exps)
+            for c, e in weight_exps.items():
+                acc[c] += ww * uu ** e * f[c]
+        for c in weight_exps:
+            vals[c][j] = acc[c]
     return vals
 
 
@@ -177,50 +200,19 @@ def _verdict(increments: np.ndarray) -> str:
     return "finite" if float(np.max(ratios)) < RATIO_FINITE else "divergent"
 
 
-def b22_integral(p: Payoff, model: MarketModel, theta: float,
-                 depth: int = 18) -> tuple[float, str, np.ndarray]:
-    """Truncated integral of (T-t)^(-1-theta) D(t)^2 and its verdict.
+def integral_criteria_verdicts(p: Payoff, model: MarketModel, theta: float,
+                      depth: int = 18) -> dict[str, str]:
+    """Finiteness verdicts of the three equivalent integral criteria.
 
-    Returns (value up to T - T 2^-depth, verdict, octave increments).
+    decay: int (T-t)^(-1-theta) D(t)^2 dt;  grad: int (T-t)^(-theta)
+    E|grad u|^2 dt;  hess: int (T-t)^(1-theta) E|D^2 u|^2 dt.
     """
     if not (0.0 < theta < 1.0):
         raise ConfigError("theta must lie in (0, 1)")
-
-    def d2(t):
-        return _outer_expect(p, model, t,
-                             lambda s: po.conditional_variance(p, model, t, s))
-
-    inc = _octave_integrals(p, model, -1.0 - theta, d2, depth)
-    return float(inc.sum()), _verdict(inc), inc
-
-
-def integral_criteria_verdicts(p: Payoff, model: MarketModel, theta: float,
-                      depth: int = 18) -> dict[str, str]:
-    """Finiteness verdicts of the three equivalent integral criteria."""
-    if not (0.0 < theta < 1.0):
-        raise ConfigError("theta must lie in (0, 1)")
-
-    def d2(t):
-        return _outer_expect(p, model, t,
-                             lambda s: po.conditional_variance(p, model, t, s))
-
-    def grad2(t):
-        return _outer_expect(
-            p, model, t,
-            lambda s: (s * np.asarray(po.delta(p, model, t, s))) ** 2)
-
-    def hess2(t):
-        def integrand(s):
-            g = np.asarray(po.gamma(p, model, t, s))
-            d = np.asarray(po.delta(p, model, t, s))
-            return (s * s * g + s * d) ** 2
-        return _outer_expect(p, model, t, integrand)
-
-    return {
-        "decay": _verdict(_octave_integrals(p, model, -1.0 - theta, d2, depth)),
-        "grad": _verdict(_octave_integrals(p, model, -theta, grad2, depth)),
-        "hess": _verdict(_octave_integrals(p, model, 1.0 - theta, hess2, depth)),
-    }
+    inc = _octave_integrals(p, model, {"decay": -1.0 - theta,
+                                       "grad": -theta,
+                                       "hess": 1.0 - theta}, depth)
+    return {c: _verdict(v) for c, v in inc.items()}
 
 
 def growth_criteria_exponents(p: Payoff, model: MarketModel,
@@ -233,10 +225,10 @@ def growth_criteria_exponents(p: Payoff, model: MarketModel,
     """
     grid = default_t_grid(model, depth)
     u = model.T - grid
-    curve = conditional_l2_decay(p, model, grid)
-    s_d, _ = _loglog_slope(u, np.maximum(curve.D ** 2, 1e-300))
-    s_g, _ = _loglog_slope(u, np.maximum(grad_growth_curve(p, model, grid), 1e-300))
-    s_h, _ = _loglog_slope(u, np.maximum(hessian_growth_curve(p, model, grid), 1e-300))
+    c = _criteria_curves(p, model, grid)
+    s_d, _ = _loglog_slope(u, np.maximum(c["decay"].D ** 2, 1e-300))
+    s_g, _ = _loglog_slope(u, np.maximum(c["grad"], 1e-300))
+    s_h, _ = _loglog_slope(u, np.maximum(c["hess"], 1e-300))
     clamp = lambda x: min(1.0, x)
     return {"decay": clamp(s_d), "grad": clamp(1.0 + s_g),
             "hess": clamp(2.0 + s_h)}
@@ -245,9 +237,8 @@ def growth_criteria_exponents(p: Payoff, model: MarketModel,
 def curves_to_csv(path, p: Payoff, model: MarketModel, t_grid) -> None:
     """Write (t, T_minus_t, decay, grad_sq, hess_sq) rows."""
     t_grid = np.asarray(t_grid, dtype=float)
-    curve = conditional_l2_decay(p, model, t_grid)
-    g = grad_growth_curve(p, model, t_grid)
-    h = hessian_growth_curve(p, model, t_grid)
-    rows = np.column_stack([t_grid, model.T - t_grid, curve.D, g, h])
+    c = _criteria_curves(p, model, t_grid)
+    rows = np.column_stack([t_grid, model.T - t_grid, c["decay"].D,
+                            c["grad"], c["hess"]])
     np.savetxt(path, rows, fmt="%.17g", delimiter=",",
                header="t,T_minus_t,decay,grad_sq,hess_sq", comments="")

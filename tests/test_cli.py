@@ -147,3 +147,26 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     e = ChaosExpansion(alpha=np.array([0.0, 1.0]), tail_l2=1.0)
     with pytest.raises(QuadratureError):
         besov_criterion(e, 0.5)
+
+
+def test_exit_code_degenerate_errors(tmp_path, capsys):
+    # at s0 = 1e300 every binary path ends in the money: the hedge is exact
+    rc = main(["hedge-sweep", "--payoff", "binary", "--s0", "1e300",
+               "--m", "200", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: degenerate:")
+    # a constant payoff has an identically zero decay curve
+    rc = main(["smoothness", "--payoff", "affine", "--c0", "1", "--c1", "0",
+               "--depth", "10", "--out", str(tmp_path / "y.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: degenerate:")
+
+
+def test_exit_code_bad_time_and_threads(tmp_path, capsys):
+    rc = main(["price", "--t_list", "nan", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    rc = main(["hedge-sweep", "--payoff", "binary", "--threads", "0",
+               "--m", "100", "--out", str(tmp_path / "y.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")

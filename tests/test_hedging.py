@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from fracsmooth import payoffs as po
 from fracsmooth.errors import ConfigError
 from fracsmooth.hedging import (estimates_to_csv, l2_tracking_error,
                                 tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
+from fracsmooth.ratefit import sweep
 from fracsmooth.timenets import make_theta_net
 
 MODEL = MarketModel(s0=1.0, sigma=1.0, mu=0.0, T=1.0)
@@ -109,3 +111,21 @@ def test_z_regularity_refinement_halves_error():
     a = z_regularity(p, MODEL, make_theta_net(8, 1.0, 1.0))
     b = z_regularity(p, MODEL, make_theta_net(16, 1.0, 1.0))
     assert b == pytest.approx(a / 2.0, rel=0.1)
+
+
+def test_sweep_shares_delta_tables_across_nested_nets(monkeypatch):
+    # equidistant dyadic nets are nested with bit-identical nodes, so the
+    # sweep over n = 8..128 tabulates each of the 128 distinct times once
+    # (not 8 + 16 + ... + 128 = 248 times); a cheap stand-in delta keeps
+    # the count, not the hedge, under test
+    times = []
+
+    def counting_delta(p, model, t, s, **kw):
+        times.append(float(t))
+        return np.zeros_like(s)
+
+    monkeypatch.setattr(po, "delta", counting_delta)
+    sweep(Payoff.power_holder(1.0, 0.25), MODEL, 1.0, [8, 16, 32, 64, 128],
+          50, 1)
+    assert len(times) == 128
+    assert len(set(times)) == 128

@@ -66,6 +66,13 @@ def test_map_blocks_order_and_cover():
                     (2 * BLOCK_PATHS, BLOCK_PATHS), (3 * BLOCK_PATHS, 5)]
 
 
+def test_map_blocks_rejects_thread_count_below_one():
+    # a single block must not slip through on the serial path either
+    for threads in (0, -1):
+        with pytest.raises(ConfigError):
+            map_blocks(lambda s, c: None, 10, threads=threads)
+
+
 def test_simulate_gbm_thread_invariance():
     model = MarketModel(s0=1.0, sigma=1.0)
     times = np.linspace(0.1, 1.0, 5)

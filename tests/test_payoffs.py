@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
+from fracsmooth import payoffs as po
 from fracsmooth.chaos import exp_call_expansion, indicator_expansion
-from fracsmooth.errors import ConfigError
+from fracsmooth.errors import ConfigError, QuadratureError
 from fracsmooth.model import MarketModel
-from fracsmooth.payoffs import (Payoff, PriceSurface, conditional_variance,
+from fracsmooth.payoffs import (Payoff, conditional_variance,
                                 delta, gamma, kink_feature, payoff_eval,
                                 price, second_moment)
 
@@ -154,8 +156,73 @@ def test_kink_feature():
     assert kink_feature(Payoff.affine(1.0, 1.0), MODEL, 0.5) is None
 
 
-def test_price_surface_facade():
-    surf = PriceSurface(Payoff.call(1.0), MODEL)
-    assert surf.H(0.0, 1.0) == price(Payoff.call(1.0), MODEL, 0.0, 1.0)
-    assert surf.dH(0.0, 1.0) == delta(Payoff.call(1.0), MODEL, 0.0, 1.0)
-    assert surf.d2H(0.0, 1.0) == gamma(Payoff.call(1.0), MODEL, 0.0, 1.0)
+
+def _spots_around_cutoff(t, strike=1.0):
+    # spots whose kink coordinate d2 lies on both sides of |d2| = 8, where
+    # the engine switches from the graded kernel rule to Gauss-Hermite
+    v = math.sqrt(MODEL.T - t)
+    d2 = np.array([-9.0, -8.01, -3.0, 0.0, 1e-6, 2.0, 7.99, 9.0])
+    return strike * np.exp(v * d2 + 0.5 * v * v)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0 - 2.0 ** -17])
+def test_engine_fused_matches_separate_calls(t):
+    p = Payoff.power_holder(1.0, 0.25)
+    s = _spots_around_cutoff(t)
+    fused = po._valuate(p, MODEL, t, s,
+                        ("price", "m2", "delta", "gamma", "var"))
+    separate = {"price": price(p, MODEL, t, s),
+                "m2": second_moment(p, MODEL, t, s),
+                "delta": delta(p, MODEL, t, s),
+                "gamma": gamma(p, MODEL, t, s),
+                "var": conditional_variance(p, MODEL, t, s)}
+    for q, ref in separate.items():
+        np.testing.assert_allclose(fused[q], ref, rtol=1e-12, atol=0.0,
+                                   err_msg=q)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0 - 2.0 ** -17])
+def test_engine_moments_match_direct_integration(t):
+    # E[h(S_T)^j | S_t = s] = int_{z_k}^inf h(s e^{vz - v^2/2})^j phi(z) dz,
+    # h vanishing below the kink z_k; adaptive quadrature as the reference
+    p = Payoff.power_holder(1.0, 0.25)
+    v = math.sqrt(MODEL.T - t)
+    s = _spots_around_cutoff(t)
+    got = po._valuate(p, MODEL, t, s, ("price", "m2"))
+    for i, si in enumerate(s):
+        zk = (0.5 * v * v - math.log(si)) / v
+        for q, j in (("price", 1), ("m2", 2)):
+            def f(z):
+                st = si * math.exp(v * z - 0.5 * v * v)
+                return payoff_eval(p, st) ** j * math.exp(-0.5 * z * z)
+            # split off the root singularity at the kink
+            ref = sum(quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+                      for a, b in ((zk, zk + 1.0),
+                                   (zk + 1.0, max(zk, 0.0) + 40.0)))
+            ref /= math.sqrt(2.0 * math.pi)
+            assert got[q][i] == pytest.approx(ref, rel=1e-10, abs=1e-14), q
+
+
+@pytest.mark.parametrize("q", ["price", "m2", "delta", "gamma"])
+def test_engine_tightened_tolerance_raises(q):
+    p = Payoff.power_holder(1.0, 0.25)
+    s = _spots_around_cutoff(0.5)
+    want = ("price", "m2", "delta", "gamma")
+    po._valuate(p, MODEL, 0.5, s, want)  # default tolerances hold
+    with pytest.raises(QuadratureError):
+        po._valuate(p, MODEL, 0.5, s, want, tols={q: (0.0, 0.0)})
+
+
+def test_public_tolerances_reach_the_engine():
+    p = Payoff.power_holder(1.0, 0.25)
+    for f in (price, delta, gamma):
+        with pytest.raises(QuadratureError):
+            f(p, MODEL, 0.5, 1.0, rtol=0.0, atol=0.0)
+
+
+def test_non_finite_valuation_time_rejected():
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            price(Payoff.call(1.0), MODEL, t, 1.0)
+        with pytest.raises(ConfigError):
+            conditional_variance(Payoff.binary(1.0), MODEL, t, 1.0)

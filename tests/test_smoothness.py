@@ -7,9 +7,9 @@ from scipy.special import ndtr
 from fracsmooth.errors import ConfigError, DegenerateCurveError
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
-from fracsmooth.smoothness import (DecayCurve, b22_integral,
-                                   conditional_l2_decay, curves_to_csv,
-                                   default_t_grid, estimate_theta_sup,
+from fracsmooth.smoothness import (DecayCurve, conditional_l2_decay,
+                                   curves_to_csv, default_t_grid,
+                                   estimate_theta_sup,
                                    grad_growth_curve, hessian_growth_curve,
                                    integral_criteria_verdicts, growth_criteria_exponents)
 
@@ -75,13 +75,13 @@ def test_growth_curves_blow_up_for_binary():
 
 
 def test_b22_integral_binary_verdicts():
-    _, verdict_low, inc_low = b22_integral(Payoff.binary(1.0), MODEL, 0.4)
-    _, verdict_high, inc_high = b22_integral(Payoff.binary(1.0), MODEL, 0.6)
-    assert verdict_low == "finite"
-    assert verdict_high == "divergent"
-    assert np.all(inc_low > 0.0)
+    # the B^theta_{2,2} integral int (T-t)^(-1-theta) D(t)^2 dt is finite
+    # iff theta < 1/2 for a binary
+    p = Payoff.binary(1.0)
+    assert integral_criteria_verdicts(p, MODEL, 0.4)["decay"] == "finite"
+    assert integral_criteria_verdicts(p, MODEL, 0.6)["decay"] == "divergent"
     with pytest.raises(ConfigError):
-        b22_integral(Payoff.binary(1.0), MODEL, 1.2)
+        integral_criteria_verdicts(p, MODEL, 1.2)
 
 
 def test_integral_criteria_verdicts_agree_binary():
