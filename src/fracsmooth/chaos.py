@@ -2,9 +2,14 @@
 
 Coefficients are taken against the orthonormal-in-N(0,1) Hermite basis
 ``H_k = He_k / sqrt(k!)``.  Besides numerical projection, analytic
-constructors are provided for step functions and exp-call functions;
-these carry a power-law tail model so series evaluations can reach very
-high effective truncation orders.
+constructors are provided for step functions and exp-call functions.
+These also carry a closed-form Mehler kernel: with X_t = t X +
+sqrt(1-t^2) Y, the Mehler formula sum_k t^k alpha_k^2 = E[g(X) g(X_t)]
+turns the decay series D(t) = sum alpha_k^2 (1 - t^k) = E[g^2] -
+E[g(X) g(X_t)] and the Besov series B(t) = sum k t^(k-1) alpha_k^2 =
+E[g'(X) g'(X_t)] into bivariate normal CDFs and densities (Nualart, The
+Malliavin Calculus and Related Topics, section 1.4), so neither
+criterion depends on the truncation order.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, zeta
-from numpy.polynomial.laguerre import laggauss
+from scipy.special import ndtr, owens_t
 
 from .errors import ConfigError, QuadratureError
 from .quadrature import gauss_normal_nodes
@@ -27,13 +31,11 @@ __all__ = [
     "indicator_expansion",
     "exp_call_expansion",
     "d12_norm",
-    "d12_partial_sums",
     "besov_criterion",
     "decay_from_chaos",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LAG64 = laggauss(64)
 
 
 def _phi(x: float) -> float:
@@ -72,16 +74,15 @@ def hermite_series(alpha: np.ndarray, x):
 
 @dataclass(frozen=True)
 class ChaosExpansion:
-    """Truncated coefficient vector (alpha_0..alpha_K) plus tail estimate.
+    """Truncated coefficient vector (alpha_0..alpha_K) plus tail L2 mass.
 
-    ``tail_model = (C, q)`` means alpha_k^2 ~ C * k**-q beyond K on
-    average; analytic constructors set it, numerical projection does not.
+    ``kernel(t)`` returns the Mehler pair (B(t), D(t)) of the whole
+    series; analytic constructors set it, numerical projection does not.
     """
 
     alpha: np.ndarray
     tail_l2: float = 0.0
-    tail_model: tuple[float, float] | None = None
-    regenerate: object = field(default=None, compare=False, repr=False)
+    kernel: object = field(default=None, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -145,14 +146,14 @@ def indicator_expansion(c: float, K: int) -> ChaosExpansion:
             alpha[k] = _phi(c) * h / math.sqrt(k)
             if k <= K - 1:
                 h, h_prev = (c * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k), h
-    tail_c = _phi(c) ** 2 * math.exp(0.5 * c * c) * math.sqrt(2.0 / math.pi) / 2.0
-    tail_sq = tail_c * float(zeta(1.5, K + 1))
-    return ChaosExpansion(
-        alpha=alpha,
-        tail_l2=math.sqrt(tail_sq),
-        tail_model=(tail_c, 1.5),
-        regenerate=lambda K2: indicator_expansion(c, K2),
-    )
+    m2 = float(ndtr(-c))
+
+    def kernel(t):
+        # B is the bivariate normal density at (c, c) with correlation t
+        b = math.exp(-c * c / (1.0 + t)) / (2.0 * math.pi * math.sqrt(1.0 - t * t))
+        return b, m2 - _bvn_cdf(-c, -c, t)
+
+    return _analytic(alpha, m2, kernel)
 
 
 def exp_call_expansion(a: float, b: float, strike: float, K: int) -> ChaosExpansion:
@@ -184,52 +185,50 @@ def exp_call_expansion(a: float, b: float, strike: float, K: int) -> ChaosExpans
             h, h_prev = ((d + b) * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k), h
     e_k *= math.exp(0.5 * b * b)
     alpha = a * e_k - strike * i_k
-    # alpha_k^2 ~ C k^{-5/2}: anchor C on the computed tail average
-    top = alpha[max(K // 2, 1):]
-    ks = np.arange(max(K // 2, 1), K + 1)
-    c_fit = float(np.mean(top ** 2 * ks ** 2.5))
-    tail_sq = c_fit * float(zeta(2.5, K + 1))
-    return ChaosExpansion(
-        alpha=alpha,
-        tail_l2=math.sqrt(max(tail_sq, 0.0)),
-        tail_model=(c_fit, 2.5),
-        regenerate=lambda K2: exp_call_expansion(a, b, strike, K2),
-    )
+    # E[g^2] and E[g(X) g(X_t)]: each term of (a e^{bx} - strike)^2 on
+    # {x >= x0} is a Gaussian tilt of the indicator, whose shifted
+    # thresholds go into the bivariate normal CDF
+    ea = a * strike * math.exp(0.5 * b * b)
+    m2 = (a * a * math.exp(2.0 * b * b) * float(ndtr(2.0 * b - x0))
+          - 2.0 * ea * float(ndtr(b - x0)) + strike * strike * float(ndtr(-x0)))
+
+    def kernel(t):
+        h = b * (1.0 + t) - x0
+        tilt = a * a * math.exp(b * b * (1.0 + t)) * _bvn_cdf(h, h, t)
+        ggt = (tilt - 2.0 * ea * _bvn_cdf(b - x0, b * t - x0, t)
+               + strike * strike * _bvn_cdf(-x0, -x0, t))
+        return b * b * tilt, m2 - ggt
+
+    return _analytic(alpha, m2, kernel)
 
 
-def _power_exp_tail(q: float, lam: float, k0: int) -> float:
-    """~ sum_{k > k0} k^-q exp(-lam k), via Gauss-Laguerre on the integral."""
-    if lam <= 0.0:
-        return float(zeta(q, k0 + 1)) if q > 1 else math.inf
-    y, w = _LAG64
-    integral = math.exp(-lam * k0) / lam * float(w @ (k0 + y / lam) ** -q)
-    return integral + 0.5 * k0 ** -q * math.exp(-lam * k0)
+def _bvn_cdf(h: float, k: float, rho: float) -> float:
+    """Phi_2(h, k; rho) = P(X <= h, Y <= k), standard normals, corr rho.
+
+    Owen's T form for |rho| < 1.  Equal thresholds use
+    Phi(h) - 2 T(h, sqrt((1-rho)/(1+rho))), the only form that stays
+    exact at h = k = 0, where the general one is 0/0.
+    """
+    if h == k:
+        return float(ndtr(h)) - 2.0 * float(
+            owens_t(h, math.sqrt((1.0 - rho) / (1.0 + rho))))
+    s = math.sqrt(1.0 - rho * rho)
+
+    def owen(x, y):
+        # T(x, (y - rho x) / (x s)); at x = 0 the slope is +-inf
+        if x == 0.0:
+            return math.copysign(0.25, y)
+        return float(owens_t(x, (y - rho * x) / (x * s)))
+
+    beta = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+    return 0.5 * float(ndtr(h) + ndtr(k)) - owen(h, k) - owen(k, h) - beta
 
 
-def _tail_sum(e: ChaosExpansion, weight: str, t: float) -> float:
-    """Tail of sum_k alpha_k^2 * w_k(t) beyond the stored order."""
-    K = e.order
-    if e.tail_model is None:
-        # conservative: bound each alpha_k^2 by the total tail mass
-        if weight == "decay":
-            return e.tail_l2 ** 2
-        lam = -math.log(t) if t < 1.0 else 0.0
-        if lam == 0.0:
-            return math.inf if e.tail_l2 > 0 else 0.0
-        geom = _power_exp_tail(-1.0, lam, K) / t  # sum k t^{k-1}
-        return e.tail_l2 ** 2 * geom
-    c_t, q = e.tail_model
-    lam = -math.log(t) if 0.0 < t < 1.0 else (math.inf if t == 0.0 else 0.0)
-    if weight == "decay":
-        # sum alpha_k^2 (1 - t^k)
-        total = c_t * float(zeta(q, K + 1))
-        if t <= 0.0:
-            return total
-        return total - c_t * _power_exp_tail(q, lam, K)
-    # weight == "besov": sum k t^{k-1} alpha_k^2
-    if t <= 0.0:
-        return 0.0
-    return c_t * _power_exp_tail(q - 1.0, lam, K) / t
+def _analytic(alpha: np.ndarray, m2: float, kernel) -> ChaosExpansion:
+    """Expansion with its Mehler kernel and the exact tail mass E[g^2] - |alpha|^2."""
+    resid = m2 - float(alpha @ alpha)
+    return ChaosExpansion(alpha=alpha, tail_l2=math.sqrt(max(resid, 0.0)),
+                          kernel=kernel)
 
 
 def d12_norm(e: ChaosExpansion, tail_warn: float = 1e-6) -> tuple[float, bool]:
@@ -239,21 +238,22 @@ def d12_norm(e: ChaosExpansion, tail_warn: float = 1e-6) -> tuple[float, bool]:
     return val, e.tail_l2 > tail_warn
 
 
-def d12_partial_sums(e: ChaosExpansion, orders) -> np.ndarray:
-    """Partial sums of the squared norm at the given truncation orders."""
-    n = np.arange(e.alpha.size)
-    terms = (n + 1) * e.alpha ** 2
-    csum = np.cumsum(terms)
-    return np.array([csum[min(k, e.order)] for k in orders])
+def _tail_besov(e: ChaosExpansion, t: float) -> float:
+    """Bound on sum_{k>K} k t^(k-1) alpha_k^2: each alpha_k^2 <= tail mass."""
+    K = e.order
+    # sum_{k>K} k t^(k-1) = t^K ((K+1) - K t) / (1-t)^2
+    return e.tail_l2 ** 2 * t ** K * ((K + 1) - K * t) / (1.0 - t) ** 2
 
 
 def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None,
-                    depth: int = 20, k_cap: int = 1 << 25,
-                    tail_tol: float = 1e-3):
+                    depth: int = 20, tail_tol: float = 1e-3):
     """Curve Phi(t) = (1-t)^(1-theta) sum k t^(k-1) alpha_k^2 and verdict.
 
     Returns ``(t_grid, phi, verdict)`` with verdict "bounded" when the
-    running maximum stabilizes over the last decade of 1-t.
+    running maximum stabilizes over the last decade of 1-t.  The series
+    is the Mehler kernel's B(t) when the expansion has one; otherwise it
+    is summed from the coefficients, and ``QuadratureError`` is raised
+    when the tail bound exceeds ``tail_tol`` of the sum at the last t.
     """
     if not (0.0 < theta < 1.0):
         raise ConfigError("theta must lie in (0, 1)")
@@ -263,9 +263,9 @@ def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None,
     if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
         raise ConfigError("t_grid must lie in [0, 1)")
 
-    # raise the truncation order until the tail is negligible at max(t)
-    t_max = float(t_grid.max())
-    while True:
+    if e.kernel is not None:
+        series = np.array([e.kernel(float(t))[0] for t in t_grid])
+    else:
         k = np.arange(1, e.alpha.size, dtype=float)
         a2 = e.alpha[1:] ** 2
         lead = np.empty_like(t_grid)
@@ -275,23 +275,16 @@ def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None,
                 lead[i] = a2[0] if a2.size else 0.0
                 tails[i] = 0.0
                 continue
-            logt = math.log(t)
-            terms = k * np.exp((k - 1) * logt) * a2
+            terms = k * np.exp((k - 1) * math.log(t)) * a2
             lead[i] = float(terms[::-1].sum())   # ascending magnitude
-            tails[i] = _tail_sum(e, "besov", float(t))
-        worst = tails[-1] / max(lead[-1], 1e-300)
-        if worst <= tail_tol or e.regenerate is None:
-            if worst > tail_tol and e.tail_l2 > 0.0:
-                raise QuadratureError(
-                    "chaos tail dominates the Besov series; supply an "
-                    "expansion with a tail model or a higher order")
-            break
-        new_k = min(2 * max(e.order, 1), k_cap)
-        if new_k <= e.order:
-            raise QuadratureError("Besov series truncation cap exceeded")
-        e = e.regenerate(new_k)
+            tails[i] = _tail_besov(e, float(t))
+        if tails[-1] > tail_tol * max(lead[-1], 1e-300):
+            raise QuadratureError(
+                "chaos tail dominates the Besov series; supply an analytic "
+                "expansion or a higher order")
+        series = lead + tails
 
-    phi = (1.0 - t_grid) ** (1.0 - theta) * (lead + tails)
+    phi = (1.0 - t_grid) ** (1.0 - theta) * series
     running = np.maximum.accumulate(phi)
     # compare the running max over the last decade of 1-t with before
     n_last = max(len(phi) // 5, 2)
@@ -301,15 +294,21 @@ def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None,
 
 
 def decay_from_chaos(e: ChaosExpansion, t: float) -> float:
-    """Surrogate || M_1 - M_t ||_{L2} = sqrt(sum alpha_k^2 (1 - t^k))."""
+    """Surrogate || M_1 - M_t ||_{L2} = sqrt(sum alpha_k^2 (1 - t^k)).
+
+    The Mehler kernel's D(t) when the expansion has one; otherwise the
+    truncated sum plus the whole tail mass.
+    """
     if not (0.0 <= t <= 1.0):
         raise ConfigError("t must lie in [0, 1]")
     if t == 1.0:
         return 0.0
+    if e.kernel is not None:
+        return math.sqrt(max(e.kernel(t)[1], 0.0))
     k = np.arange(1, e.alpha.size, dtype=float)
     a2 = e.alpha[1:] ** 2
     if t == 0.0:
         lead = float(a2.sum())
     else:
         lead = float((a2 * (-np.expm1(k * math.log(t))))[::-1].sum())
-    return math.sqrt(lead + _tail_sum(e, "decay", t))
+    return math.sqrt(lead + e.tail_l2 ** 2)

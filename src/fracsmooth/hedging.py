@@ -250,31 +250,26 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
     xi, wi = gauss_normal_nodes(inner_order)
 
     dfn = _Tables(p, model)
+    d0 = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
 
-    def law(t):
-        return x0 - 0.5 * sigma * sigma * t, sigma * math.sqrt(t)
-
-    def g_of(t):
-        if t == 0.0:
-            d0 = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
-            return (sigma * model.s0 * d0) ** 2
-        mean, std = law(t)
+    def at(t):
+        """Grid nodes, weights, spots and deltas of ln S_t, for t > 0."""
+        mean, std = x0 - 0.5 * sigma * sigma * t, sigma * math.sqrt(t)
         x, w = lognormal_grid(mean, std, features=_grid_features(p, model, t),
                               tail_depth=32)
         s = np.exp(x)
-        d = np.asarray(dfn[t](s))
+        return x, w, s, np.asarray(dfn[t](s))
+
+    def g_of(node):
+        """G(t) = E (sigma S_t delta(t, S_t))^2 on the nodes of ``at(t)``."""
+        _, w, s, d = node
         return sigma * sigma * float(w @ (s * s * d * d))
 
-    def cross(s_t, t):
+    def cross(s_t, t, node):
         """X(s,t) = sigma^2 E[ S_t^2 delta_t(S_t) delta_s(S_s) ]."""
-        mean, std = law(t)
-        x, w = lognormal_grid(mean, std, features=_grid_features(p, model, t),
-                              tail_depth=32)
-        st = np.exp(x)
-        d_t = np.asarray(dfn[t](st))
+        x, w, st, d_t = node
         if s_t == 0.0:
-            d_s = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
-            inner = np.full_like(x, d_s)
+            inner = np.full_like(x, d0)
         else:
             r = s_t / t
             mu_rows = x0 - 0.5 * sigma * sigma * s_t + r * (x - x0
@@ -288,7 +283,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
     nodes = net.nodes
     for i in range(net.n):
         a, b = float(nodes[i]), float(nodes[i + 1])
-        g_a = g_of(a)
+        g_a = (sigma * model.s0 * d0) ** 2 if a == 0.0 else g_of(at(a))
         if b < net.T:
             mids = [a, 0.5 * (a + b), b]
         else:
@@ -302,8 +297,9 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
             tq = np.minimum(tq, np.nextafter(b, 0.0) if b >= net.T else hi)
             wq = 0.5 * (hi - lo) * gw
             for t, w in zip(tq, wq):
-                val = g_of(t) + math.exp(sigma * sigma * (t - a)) * g_a \
-                    - 2.0 * cross(a, t)
+                node = at(t)
+                val = g_of(node) + math.exp(sigma * sigma * (t - a)) * g_a \
+                    - 2.0 * cross(a, t, node)
                 if not math.isfinite(val):
                     raise QuadratureError(
                         f"non-finite regularity integrand at t={t:.6g}")

@@ -334,12 +334,16 @@ def _quad_values(model: MarketModel, tau: float, s: np.ndarray, h, order: int):
 
 def _chaos(p, model, tau, s, tols, order):
     """Chaos-payoff quantities: the closed form while sigma^2 tau <= 1,
-    else Gauss-Hermite checked under node doubling (E[h^2] unchecked)."""
+    else Gauss-Hermite checked under node doubling.  E[h^2] is not
+    checked under node doubling, but raises when its sum overflows."""
     h = _payoff_fn(p)
     out = {}
     if "m2" in tols:
         hv, z, w, v = _quad_values(model, tau, s, lambda st: h(st) ** 2, order)
         out["m2"] = hv @ w
+        if not np.all(np.isfinite(out["m2"])):
+            raise QuadratureError("Gauss-Hermite E[h^2] of the chaos series "
+                                  "is not finite")
     rest = {q: tol for q, tol in tols.items() if q != "m2"}
     if not rest:
         return out

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import eval_hermitenorm, ndtr
 
 from fracsmooth.chaos import (ChaosExpansion, besov_criterion, d12_norm,
-                              d12_partial_sums, decay_from_chaos,
-                              exp_call_expansion, hermite, hermite_series,
-                              indicator_expansion, project)
-from fracsmooth.errors import ConfigError
+                              decay_from_chaos, exp_call_expansion, hermite,
+                              hermite_series, indicator_expansion, project)
+from fracsmooth.errors import ConfigError, QuadratureError
 
 
 def test_hermite_matches_normalized_hermitenorm():
@@ -98,9 +97,6 @@ def test_d12_norm_and_partial_sums():
     val, fat = d12_norm(e)
     assert val == pytest.approx(math.sqrt(2 * 1.0 + 3 * 0.25), rel=1e-14)
     assert not fat
-    sums = d12_partial_sums(e, [0, 1, 2, 5])
-    assert np.all(np.diff(sums) >= 0.0)
-    assert sums[-1] == pytest.approx(val ** 2, rel=1e-14)
 
 
 def test_d12_fat_tail_flag():
@@ -123,6 +119,56 @@ def test_besov_validation():
         besov_criterion(e, 1.5)
     with pytest.raises(ConfigError):
         besov_criterion(e, 0.5, t_grid=[1.0])
+
+
+_KERNEL_CASES = [("indicator", c) for c in (-1.0, 0.0, 0.5)] + [("exp_call", None)]
+
+
+def _analytic_case(kind, c, K):
+    if kind == "indicator":
+        return indicator_expansion(c, K), float(ndtr(-c))
+    a, strike = math.exp(-0.5), 1.0
+    m2 = math.exp(1.0) * ndtr(1.5) - 2.0 * ndtr(0.5) + ndtr(-0.5)
+    return exp_call_expansion(a, 1.0, strike, K), float(m2)
+
+
+@pytest.mark.parametrize("kind,c", _KERNEL_CASES)
+def test_mehler_kernel_matches_coefficient_series(kind, c):
+    e, m2 = _analytic_case(kind, c, 4096)
+    k = np.arange(1, e.alpha.size, dtype=float)
+    a2 = e.alpha[1:] ** 2
+    tail = m2 - float(e.alpha @ e.alpha)  # exact mass beyond K
+    assert e.tail_l2 ** 2 == pytest.approx(tail, abs=1e-14)
+    for t in (0.0, 0.3, 0.5, 0.9):
+        b, d = e.kernel(t)
+        b_series = float((k * t ** (k - 1) * a2)[::-1].sum())
+        d_series = float((a2 * (1.0 - t ** k))[::-1].sum())
+        assert b == pytest.approx(b_series, rel=1e-10)
+        assert d == pytest.approx(d_series + tail, rel=1e-10)
+        if kind == "indicator":
+            # the truncated sum alone misses the slow k^-3/2 tail
+            assert abs(d - d_series) > 1e-3 * d
+
+
+def test_besov_criterion_is_truncation_free():
+    lo = besov_criterion(indicator_expansion(0.5, 4), 0.5)
+    hi = besov_criterion(indicator_expansion(0.5, 4096), 0.5)
+    np.testing.assert_array_equal(lo[1], hi[1])
+    assert lo[2] == hi[2]
+
+
+def test_projected_expansion_uses_coefficient_path():
+    # H_1 / 2 + H_2 has Besov series 1/4 + 2t
+    e = project(lambda x: 0.5 * hermite(1, x) + hermite(2, x), K=6)
+    assert e.kernel is None
+    t = np.array([0.0, 0.5, 0.9])
+    _, phi, _ = besov_criterion(e, 0.5, t_grid=t)
+    np.testing.assert_allclose(phi, np.sqrt(1.0 - t) * (0.25 + 2.0 * t),
+                               rtol=1e-10)
+    # a projected step function keeps a heavy tail beyond K
+    step = project(lambda x: (x >= 0.5).astype(float), K=64)
+    with pytest.raises(QuadratureError):
+        besov_criterion(step, 0.5)
 
 
 def test_decay_from_chaos_limits():

@@ -137,10 +137,12 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):
-    # an absurd chaos truncation makes the Besov tail control fail
+    # the analytic kinds read the closed-form Besov series, so even a
+    # tiny truncation order succeeds
     rc = main(["chaos", "--chaos_kind", "indicator", "--chaos_order", "4",
                "--theta", "0.9", "--out", str(tmp_path / "x.csv")])
-    assert rc in (0, 3)  # tiny orders regenerate; forcing failure needs a cap
+    assert rc == 0
+    # a hand-built expansion whose tail dominates still fails
     from fracsmooth.chaos import ChaosExpansion, besov_criterion
     from fracsmooth.errors import QuadratureError
     import numpy as np

@@ -137,6 +137,19 @@ def test_second_moment_binary_and_affine():
     assert m2a == pytest.approx(ref, rel=1e-14)
 
 
+def test_chaos_second_moment_overflow_raises():
+    pc = Payoff.chaos(exp_call_expansion(math.exp(-0.5), 1.0, 1.0, 512))
+    s = [0.8, 1.0, 1.2]
+    # sigma = 1: the series is the unit-GBM call, and its E[h^2] is finite
+    np.testing.assert_allclose(second_moment(pc, MODEL, 0.0, s),
+                               second_moment(Payoff.call(1.0), MODEL, 0.0, s),
+                               rtol=1e-3)
+    # sigma = 1.5 reaches nodes where the squared series overflows
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureError):
+        second_moment(pc, MarketModel(1.0, 1.5), 0.0, s)
+
+
 def test_conditional_variance_nonnegative_and_vanishes_at_T():
     for p in (Payoff.call(1.0), Payoff.binary(1.0),
               Payoff.power_holder(1.0, 0.25)):
