@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: coefficients per block of the indicator's scaling pass (512 kB)
+_SCALE_BLOCK = 1 << 16
 
 
 def _phi(x: float) -> float:
@@ -140,12 +142,21 @@ def indicator_expansion(c: float, K: int) -> ChaosExpansion:
         k_odd = 2 * j + 1
         alpha[k_odd] = _phi(0.0) * np.where(j % 2 == 0, 1.0, -1.0) * np.sqrt(p / k_odd)
     else:
-        h_prev, h = 1.0, c
-        alpha[1] = _phi(c)
-        for k in range(2, K + 1):
-            alpha[k] = _phi(c) * h / math.sqrt(k)
-            if k <= K - 1:
-                h, h_prev = (c * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k), h
+        # H_0..H_{K-1} at c by the recurrence into alpha[1:], then one
+        # scaling pass by phi(c) / sqrt(k), in blocks so that no
+        # temporary grows with K (K reaches 2^21)
+        hs = alpha[1:]
+        hs[0] = 1.0
+        h_prev, h_k, r_k = 0.0, 1.0, 0.0
+        for k in range(K - 1):
+            r_next = math.sqrt(k + 1)
+            h_prev, h_k, r_k = h_k, (c * h_k - r_k * h_prev) / r_next, r_next
+            hs[k + 1] = h_k
+        phi_c = _phi(c)
+        for i in range(0, K, _SCALE_BLOCK):
+            blk = hs[i:i + _SCALE_BLOCK]
+            blk *= phi_c
+            blk /= np.sqrt(np.arange(i + 1.0, i + 1.0 + blk.size))
     m2 = float(ndtr(-c))
 
     def kernel(t):

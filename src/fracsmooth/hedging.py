@@ -85,11 +85,12 @@ class _Tables(dict):
     def __init__(self, p: Payoff, model: MarketModel, which: str = "delta"):
         super().__init__()
         self.p, self.model, self.which = p, model, which
+        self.tabulated = p.kind == "power_holder"
 
     def __missing__(self, t: float):
         p, model = self.p, self.model
         f = po.price if self.which == "price" else po.delta
-        if p.kind != "power_holder":
+        if not self.tabulated:
             fn = lambda s: f(p, model, t, s)
         else:
             v = model.sigma * math.sqrt(max(model.T - t, 1e-12))
@@ -104,6 +105,24 @@ class _Tables(dict):
             fn = lambda s: np.interp(np.log(s), x, vals)
         self[t] = fn
         return fn
+
+    def bridge_mean(self, a: float, t: float, x, order: int):
+        """E[delta(a, S_a) | ln S_t = x] for 0 < a < t, on a delta table.
+
+        Directly evaluated deltas take the exact bridge identity of
+        ``z_regularity``, one delta per spot at time a^2/t.  A tabulated
+        delta exists only at its own times, so it is averaged over the
+        bridge law of ln S_a with an ``order``-node Gauss-Hermite rule.
+        """
+        sigma, x0 = self.model.sigma, math.log(self.model.s0)
+        mu = x0 - 0.5 * sigma * sigma * a + (a / t) * (
+            x - x0 + 0.5 * sigma * sigma * t)
+        v = sigma * math.sqrt(a * (t - a) / t)
+        if not self.tabulated:
+            return po.delta(self.p, self.model, a * a / t,
+                            np.exp(mu - 0.5 * v * v))
+        xi, wi = gauss_normal_nodes(order)
+        return np.asarray(self[a](np.exp(mu[:, None] + v * xi[None, :]))) @ wi
 
 
 def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
@@ -236,18 +255,32 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
         ||C_T||^2 = sum_i int_{t_i-1}^{t_i}
                       E[ sigma^2 S_t^2 (delta(t,S_t) - delta(t_i-1,S_t_i-1))^2 ] dt.
 
-    Each integrand expands into G(t) + e^{sigma^2 (t-s)} G(s) - 2 X(s,t)
-    with G(u) = E (sigma S_u delta(u,S_u))^2 and the cross term X computed
-    by conditioning ln S_s on ln S_t (the backward kernel is always
-    narrower than the hedge ratio it integrates).  The time integral is
-    graded geometrically toward maturity on the last net interval.
+    Each integrand expands into G(t) + e^{sigma^2 (t-a)} G(a) - 2 X(a,t)
+    with G(u) = E (sigma S_u delta(u,S_u))^2 and the cross term
+    X(a,t) = sigma^2 E[S_t^2 delta(t,S_t) E[delta(a,S_a) | S_t]].  The time
+    integral is graded geometrically toward maturity on the last net
+    interval.
+
+    Given ln S_t = x, the Brownian bridge makes ln S_a ~ N(mu, v^2) with
+    mu = x0 - sigma^2 a/2 + (a/t)(x - x0 + sigma^2 t/2) and
+    v^2 = sigma^2 a (t-a)/t.  Since delta(a, .) is the s-derivative of
+    the price, a Gaussian average of it in ln s is again a delta, at the
+    earlier time whose remaining variance is larger by v^2:
+
+        E[delta(a, S_a) | S_t] = delta(a^2/t, exp(mu - v^2/2)),
+
+    exactly and for every payoff.  Payoffs whose delta is evaluated
+    directly (closed forms and chaos series) use this identity, one delta
+    per grid node.  The tabulated power-Holder delta exists only on the
+    net's own times, so it is averaged over the bridge with an
+    ``inner_order``-node Gauss-Hermite rule instead; ``inner_order``
+    applies to that route only.
     """
     if abs(net.T - model.T) > 1e-12:
         raise ConfigError("net maturity must match the model maturity")
     sigma = model.sigma
     x0 = math.log(model.s0)
     gx, gw = np.polynomial.legendre.leggauss(t_quad_order)
-    xi, wi = gauss_normal_nodes(inner_order)
 
     dfn = _Tables(p, model)
     d0 = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
@@ -265,18 +298,13 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
         _, w, s, d = node
         return sigma * sigma * float(w @ (s * s * d * d))
 
-    def cross(s_t, t, node):
-        """X(s,t) = sigma^2 E[ S_t^2 delta_t(S_t) delta_s(S_s) ]."""
+    def cross(a, t, node):
+        """X(a,t) = sigma^2 E[ S_t^2 delta_t(S_t) delta_a(S_a) ]."""
         x, w, st, d_t = node
-        if s_t == 0.0:
+        if a == 0.0:
             inner = np.full_like(x, d0)
         else:
-            r = s_t / t
-            mu_rows = x0 - 0.5 * sigma * sigma * s_t + r * (x - x0
-                                                            + 0.5 * sigma * sigma * t)
-            v_in = sigma * math.sqrt(s_t * (t - s_t) / t)
-            xs = mu_rows[:, None] + v_in * xi[None, :]
-            inner = np.asarray(dfn[s_t](np.exp(xs))) @ wi
+            inner = dfn.bridge_mean(a, t, x, inner_order)
         return sigma * sigma * float(w @ (st * st * d_t * inner))
 
     total = 0.0

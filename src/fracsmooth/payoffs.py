@@ -27,7 +27,7 @@ from scipy.special import ndtr
 
 from .chaos import ChaosExpansion, hermite_series
 from .errors import ConfigError, QuadratureError
-from .model import MarketModel
+from .model import _SIGMA_DEGENERATE, MarketModel
 from .quadrature import Feature, gauss_normal_nodes
 
 __all__ = [
@@ -156,6 +156,11 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s, want, *,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s <= 0.0):
         raise ConfigError("price argument s must be > 0")
+    if model.sigma < _SIGMA_DEGENERATE:
+        # the floor simulate_gbm uses; far below it sigma^2 tau underflows
+        # and the closed-form Greeks overflow or turn NaN
+        raise ConfigError(f"pricing needs sigma >= {_SIGMA_DEGENERATE:g}, "
+                          f"got {model.sigma:g}")
     want = set(want)
     tau = _tau(model, t, greek=bool(want & {"delta", "gamma"}))
     exact_var = "var" in want and p.kind == "binary" and t < model.T
@@ -437,11 +442,10 @@ def kink_feature(p: Payoff, model: MarketModel, t: float) -> Feature | None:
     """Location/width hint of the payoff's kink in log-price at time t.
 
     Used by downstream quadratures to grade nodes around the region where
-    delta or gamma localizes as t approaches maturity; strength 1 for a
-    single density factor, callers may square it for squared integrands.
+    delta or gamma localizes as t approaches maturity.
     """
     if p.kind in ("affine", "chaos"):
         return None
     tau = max(model.T - t, _TAU_FLOOR)
     width = model.sigma * math.sqrt(tau)
-    return Feature(center=math.log(p.strike), width=width, strength=1.0)
+    return Feature(center=math.log(p.strike), width=width)

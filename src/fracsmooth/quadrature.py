@@ -2,11 +2,8 @@
 
 Two schemes are provided:
 
-* ``gaussian_expectation`` -- Gauss-Hermite quadrature for ``E f(X)`` with
-  ``X ~ N(mean, std^2)``, optionally importance-shifted onto a Gaussian
-  "feature" (a peak of known center and width, e.g. a digital delta close
-  to maturity).  The shifted rule stays exact for Gaussian-shaped
-  integrands whose width is far below the width of the law of ``X``.
+* ``gauss_normal_nodes`` -- Gauss-Hermite nodes and weights for
+  ``E f(X)`` with ``X ~ N(0, 1)``.
 * ``lognormal_grid`` -- a graded Gauss-Legendre rule in the probability
   variable ``u = Phi((x - mean)/std)``, refined geometrically around kink
   locations and toward both tails.  Slower but robust for integrands that
@@ -26,7 +23,6 @@ from .errors import QuadratureError
 
 __all__ = [
     "gauss_normal_nodes",
-    "gaussian_expectation",
     "lognormal_grid",
     "Feature",
 ]
@@ -75,45 +71,14 @@ def _leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 class Feature:
     """A localized structure of an integrand: Gaussian-ish peak or kink.
 
-    ``center`` and ``width`` live on the axis of the integration variable;
-    ``strength`` is the precision multiple contributed by the feature
-    (2 for a squared Gaussian peak, 1 otherwise).
+    ``center`` and ``width`` live on the axis of the integration variable.
     """
 
-    __slots__ = ("center", "width", "strength")
+    __slots__ = ("center", "width")
 
-    def __init__(self, center: float, width: float, strength: float = 1.0):
+    def __init__(self, center: float, width: float):
         self.center = float(center)
         self.width = float(width)
-        self.strength = float(strength)
-
-
-def gaussian_expectation(f, mean: float, std: float,
-                         feature: Feature | None = None,
-                         order: int = 96) -> float:
-    """``E f(X)`` for ``X ~ N(mean, std^2)`` by (shifted) Gauss-Hermite.
-
-    With a feature, nodes are placed under the Gaussian obtained by merging
-    the precision of the law with the precision of the peak, and the exact
-    density ratio re-weights the summands.
-    """
-    x0, w0 = gauss_normal_nodes(order)
-    if std <= 0.0:
-        raise QuadratureError("gaussian_expectation needs std > 0")
-    if feature is None or feature.width >= std:
-        return float(w0 @ np.asarray(f(mean + std * x0)))
-    lam_q = 1.0 / (std * std)
-    lam_p = feature.strength / (feature.width * feature.width)
-    lam = lam_q + lam_p
-    mu = (lam_q * mean + lam_p * feature.center) / lam
-    sr = lam ** -0.5
-    x = mu + sr * x0
-    log_ratio = (
-        -0.5 * ((x - mean) / std) ** 2 - math.log(std)
-        + 0.5 * ((x - mu) / sr) ** 2 + math.log(sr)
-    )
-    vals = np.asarray(f(x)) * np.exp(log_ratio)
-    return float(w0 @ vals)
 
 
 def lognormal_grid(mean: float, std: float,

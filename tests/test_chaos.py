@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_hermitenorm, ndtr
 
+from fracsmooth import chaos
 from fracsmooth.chaos import (ChaosExpansion, besov_criterion, d12_norm,
                               decay_from_chaos, exp_call_expansion, hermite,
                               hermite_series, indicator_expansion, project)
@@ -46,6 +47,36 @@ def test_indicator_expansion_matches_projection():
     assert exact.alpha[0] == pytest.approx(float(ndtr(-c)), rel=1e-14)
     assert exact.alpha[1] == pytest.approx(
         math.exp(-0.5 * c * c) / math.sqrt(2 * math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [0.5, -1.0, 2.0])
+def test_indicator_expansion_matches_hermitenorm(c):
+    # alpha_k = phi(c) He_{k-1}(c) / sqrt(k!) for k >= 1; near a root of
+    # He_{k-1} the recurrence keeps ~1e-16 of the coefficient scale, not
+    # of the coefficient (alpha_40 = 3.3e-6 at c = 0.5), hence the atol
+    K = 64
+    k = np.arange(1, K + 1)
+    ref = (math.exp(-0.5 * c * c) / math.sqrt(2 * math.pi)
+           * eval_hermitenorm(k - 1, c)
+           / np.sqrt([float(math.factorial(j)) for j in k]))
+    np.testing.assert_allclose(indicator_expansion(c, K).alpha[1:], ref,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_indicator_expansion_matches_per_order_loop():
+    # the coefficient-by-coefficient loop as the reference: same arithmetic,
+    # so equal bits, also across the blocks of the scaling pass
+    c = -0.7
+    K = chaos._SCALE_BLOCK + 5
+    ref = np.empty(K + 1)
+    ref[0] = ndtr(-c)
+    phi = math.exp(-0.5 * c * c) / math.sqrt(2 * math.pi)
+    h_prev, h = 1.0, c
+    ref[1] = phi
+    for k in range(2, K + 1):
+        ref[k] = phi * h / math.sqrt(k)
+        h, h_prev = (c * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k), h
+    np.testing.assert_array_equal(indicator_expansion(c, K).alpha, ref)
 
 
 def test_indicator_expansion_centered_closed_form():

@@ -172,3 +172,10 @@ def test_exit_code_bad_time_and_threads(tmp_path, capsys):
                "--m", "100", "--out", str(tmp_path / "y.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+def test_exit_code_degenerate_sigma(tmp_path, capsys):
+    rc = main(["price", "--payoff", "binary", "--sigma", "1e-200",
+               "--t_list", "0.5", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from fracsmooth import hedging as hg
 from fracsmooth import payoffs as po
+from fracsmooth.chaos import indicator_expansion
 from fracsmooth.errors import ConfigError
 from fracsmooth.hedging import (estimates_to_csv, l2_tracking_error,
                                 tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
+from fracsmooth.quadrature import gauss_normal_nodes
 from fracsmooth.ratefit import sweep
 from fracsmooth.timenets import make_theta_net
 
@@ -111,6 +114,47 @@ def test_z_regularity_refinement_halves_error():
     a = z_regularity(p, MODEL, make_theta_net(8, 1.0, 1.0))
     b = z_regularity(p, MODEL, make_theta_net(16, 1.0, 1.0))
     assert b == pytest.approx(a / 2.0, rel=0.1)
+
+
+def _bridge_law(a, t, s):
+    """Mean and sd of ln S_a given S_t = s, for 0 < a < t."""
+    sig, x0 = MODEL.sigma, math.log(MODEL.s0)
+    mu = (x0 - 0.5 * sig * sig * a
+          + (a / t) * (np.log(s) - x0 + 0.5 * sig * sig * t))
+    return mu, sig * math.sqrt(a * (t - a) / t)
+
+
+def _bridge_average(p, a, mu, v, order=96):
+    """Gauss-Hermite average of delta(a, e^L) over L ~ N(mu, v^2)."""
+    xi, wi = gauss_normal_nodes(order)
+    sa = np.exp(mu[:, None] + v * xi[None, :])
+    return np.asarray(po.delta(p, MODEL, a, sa.ravel())).reshape(sa.shape) @ wi
+
+
+@pytest.mark.parametrize("p", [
+    Payoff.binary(1.0), Payoff.call(1.0), Payoff.put(1.0),
+    Payoff.affine(0.5, 2.0), Payoff.chaos(indicator_expansion(0.5, 64)),
+    Payoff.power_holder(1.0, 0.25)], ids=lambda p: p.kind)
+def test_bridge_average_of_delta_is_a_delta(p):
+    # E[delta(a, S_a) | S_t] = delta(a^2/t, e^{mu - v^2/2}) for any payoff
+    s = np.array([0.7, 0.95, 1.05, 1.4])
+    for a, t in ((0.3, 0.7), (0.9, 0.99), (0.5, 0.5 + 1e-7)):
+        mu, v = _bridge_law(a, t, s)
+        exact = po.delta(p, MODEL, a * a / t, np.exp(mu - 0.5 * v * v))
+        np.testing.assert_allclose(_bridge_average(p, a, mu, v), exact,
+                                   rtol=1e-12, atol=0.0, err_msg=f"{a}, {t}")
+
+
+def test_z_regularity_bridge_identity_matches_bridge_quadrature(monkeypatch):
+    p = Payoff.binary(1.0)
+    net = make_theta_net(32, 0.4, 1.0)
+    exact = z_regularity(p, MODEL, net)
+
+    def bridge_mean(self, a, t, x, order):
+        return _bridge_average(p, a, *_bridge_law(a, t, np.exp(x)), order)
+
+    monkeypatch.setattr(hg._Tables, "bridge_mean", bridge_mean)
+    assert z_regularity(p, MODEL, net) == pytest.approx(exact, rel=1e-12)
 
 
 def test_sweep_shares_delta_tables_across_nested_nets(monkeypatch):

@@ -239,3 +239,24 @@ def test_non_finite_valuation_time_rejected():
             price(Payoff.call(1.0), MODEL, t, 1.0)
         with pytest.raises(ConfigError):
             conditional_variance(Payoff.binary(1.0), MODEL, t, 1.0)
+
+
+def test_degenerate_sigma_rejected():
+    # below the simulate_gbm floor sigma^2 tau underflows: the binary delta
+    # at the strike overflows and its gamma turns NaN
+    model = MarketModel(s0=1.0, sigma=1e-200, T=1.0)
+    for f in (price, delta, gamma, second_moment, conditional_variance):
+        with pytest.raises(ConfigError):
+            f(Payoff.binary(1.0), model, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("p", [Payoff.call(1.0), Payoff.put(1.0),
+                               Payoff.binary(1.0), Payoff.affine(0.5, 2.0)],
+                         ids=lambda p: p.kind)
+def test_closed_forms_finite_at_sigma_floor(p):
+    model = MarketModel(s0=1.0, sigma=1e-100, T=1.0)
+    s = np.array([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5])
+    # the last time sits below the tau floor of 1e-12
+    for t in (0.0, 0.5, 1.0 - 1e-13):
+        for f in (price, delta, gamma):
+            assert np.all(np.isfinite(f(p, model, t, s))), (f.__name__, t)

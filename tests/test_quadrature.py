@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsmooth.errors import QuadratureError
-from fracsmooth.quadrature import (Feature, gauss_normal_nodes,
-                                   gaussian_expectation, lognormal_grid)
+from fracsmooth.quadrature import Feature, gauss_normal_nodes, lognormal_grid
 
 
 @pytest.mark.parametrize("order", [1, 2, 8, 64, 201, 401, 1024])
@@ -32,27 +31,6 @@ def test_gauss_normal_lognormal_mean_high_order():
 def test_gauss_normal_rejects_bad_order():
     with pytest.raises(QuadratureError):
         gauss_normal_nodes(0)
-
-
-def test_gaussian_expectation_plain():
-    val = gaussian_expectation(lambda x: x ** 2, mean=1.0, std=2.0)
-    assert val == pytest.approx(1.0 + 4.0, rel=1e-12)
-
-
-def test_gaussian_expectation_narrow_peak():
-    # integrand exp(-(x-c)^2 / (2 w^2)) against N(0,1): closed Gaussian
-    # convolution; a plain 96-point rule cannot see a width-1e-4 spike
-    c, wd = 0.3, 1e-4
-    f = lambda x: np.exp(-0.5 * ((x - c) / wd) ** 2)
-    exact = wd / math.sqrt(1.0 + wd * wd) * math.exp(
-        -0.5 * c * c / (1.0 + wd * wd))
-    val = gaussian_expectation(f, 0.0, 1.0, feature=Feature(c, wd))
-    assert val == pytest.approx(exact, rel=1e-10)
-
-
-def test_gaussian_expectation_rejects_bad_std():
-    with pytest.raises(QuadratureError):
-        gaussian_expectation(lambda x: x, 0.0, 0.0)
 
 
 def test_lognormal_grid_total_mass_and_moments():
