@@ -25,7 +25,6 @@ from .quadrature import gauss_normal_nodes
 
 __all__ = [
     "ChaosExpansion",
-    "hermite",
     "hermite_series",
     "project",
     "indicator_expansion",
@@ -38,24 +37,13 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: coefficients per block of the indicator's scaling pass (512 kB)
 _SCALE_BLOCK = 1 << 16
+_D12_TAIL_WARN = 1e-6
+_BESOV_DEPTH = 20
+_BESOV_TAIL_TOL = 1e-3
 
 
 def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-def hermite(n: int, x):
-    """Orthonormal Hermite polynomial H_n(x) by three-term recurrence."""
-    if n < 0:
-        raise ConfigError("Hermite order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, n):
-        h, h_prev = (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1), h
-    return h if h.ndim else float(h)
 
 
 def hermite_series(alpha: np.ndarray, x):
@@ -89,12 +77,6 @@ class ChaosExpansion:
     @property
     def order(self) -> int:
         return self.alpha.size - 1
-
-    def l2_norm_sq(self) -> float:
-        return float(np.dot(self.alpha, self.alpha)) + self.tail_l2 ** 2
-
-    def variance(self) -> float:
-        return float(np.dot(self.alpha[1:], self.alpha[1:])) + self.tail_l2 ** 2
 
 
 def project(g, K: int, quad_order: int | None = None) -> ChaosExpansion:
@@ -242,11 +224,11 @@ def _analytic(alpha: np.ndarray, m2: float, kernel) -> ChaosExpansion:
                           kernel=kernel)
 
 
-def d12_norm(e: ChaosExpansion, tail_warn: float = 1e-6) -> tuple[float, bool]:
+def d12_norm(e: ChaosExpansion) -> tuple[float, bool]:
     """Malliavin-Sobolev norm sqrt(sum (n+1) alpha_n^2); flags a fat tail."""
     n = np.arange(e.alpha.size)
     val = math.sqrt(float(((n + 1) * e.alpha ** 2).sum()))
-    return val, e.tail_l2 > tail_warn
+    return val, e.tail_l2 > _D12_TAIL_WARN
 
 
 def _tail_besov(e: ChaosExpansion, t: float) -> float:
@@ -256,20 +238,20 @@ def _tail_besov(e: ChaosExpansion, t: float) -> float:
     return e.tail_l2 ** 2 * t ** K * ((K + 1) - K * t) / (1.0 - t) ** 2
 
 
-def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None,
-                    depth: int = 20, tail_tol: float = 1e-3):
+def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None):
     """Curve Phi(t) = (1-t)^(1-theta) sum k t^(k-1) alpha_k^2 and verdict.
 
     Returns ``(t_grid, phi, verdict)`` with verdict "bounded" when the
-    running maximum stabilizes over the last decade of 1-t.  The series
-    is the Mehler kernel's B(t) when the expansion has one; otherwise it
-    is summed from the coefficients, and ``QuadratureError`` is raised
-    when the tail bound exceeds ``tail_tol`` of the sum at the last t.
+    running maximum stabilizes over the last decade of 1-t; the default
+    grid is 1 - 2^-j, j = 0..20.  The series is the Mehler kernel's B(t)
+    when the expansion has one; otherwise it is summed from the
+    coefficients, and ``QuadratureError`` is raised when the tail bound
+    exceeds 1e-3 of the sum at the last t.
     """
     if not (0.0 < theta < 1.0):
         raise ConfigError("theta must lie in (0, 1)")
     if t_grid is None:
-        t_grid = 1.0 - 2.0 ** -np.arange(0, depth + 1, dtype=float)
+        t_grid = 1.0 - 2.0 ** -np.arange(0, _BESOV_DEPTH + 1, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
         raise ConfigError("t_grid must lie in [0, 1)")
@@ -289,7 +271,7 @@ def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None,
             terms = k * np.exp((k - 1) * math.log(t)) * a2
             lead[i] = float(terms[::-1].sum())   # ascending magnitude
             tails[i] = _tail_besov(e, float(t))
-        if tails[-1] > tail_tol * max(lead[-1], 1e-300):
+        if tails[-1] > _BESOV_TAIL_TOL * max(lead[-1], 1e-300):
             raise QuadratureError(
                 "chaos tail dominates the Besov series; supply an analytic "
                 "expansion or a higher order")

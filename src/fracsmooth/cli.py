@@ -229,11 +229,7 @@ def cmd_weaklimit(cfg: ExperimentConfig) -> None:
         p, model, net, m, child_seed(seed, 3), measure=cfg.get("measure"),
         threads=cfg.get_int("threads")).terminal_errors
     scaled = math.sqrt(n) * errs
-    fh, w = _writer(cfg.get("out"), cfg)
-    with fh:
-        w.writerow(["path_id", "A"])
-        for i, a in enumerate(clock.A_values):
-            w.writerow([i, repr(float(a))])
+    wl.clock_to_csv(cfg.get("out"), clock, header_lines=cfg.echo_lines())
     fh, w = _writer(cfg.get("out") + ".cmp.csv", cfg)
     with fh:
         w.writerow(["sample_source", "value"])

@@ -11,7 +11,6 @@ the Ito isometry, without any Monte Carlo.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,13 @@ __all__ = [
     "tracking_error_process",
     "l2_tracking_error",
     "z_regularity",
-    "estimates_to_csv",
 ]
+
+#: z_regularity's time rule: Gauss-Legendre nodes per panel, and the
+#: halvings of the last net interval toward maturity
+_T_QUAD_ORDER = 8
+_T_TAIL_DEPTH = 40
+_BRIDGE_ORDER = 96
 
 
 @dataclass(frozen=True)
@@ -106,13 +110,13 @@ class _Tables(dict):
         self[t] = fn
         return fn
 
-    def bridge_mean(self, a: float, t: float, x, order: int):
+    def bridge_mean(self, a: float, t: float, x):
         """E[delta(a, S_a) | ln S_t = x] for 0 < a < t, on a delta table.
 
         Directly evaluated deltas take the exact bridge identity of
         ``z_regularity``, one delta per spot at time a^2/t.  A tabulated
         delta exists only at its own times, so it is averaged over the
-        bridge law of ln S_a with an ``order``-node Gauss-Hermite rule.
+        bridge law of ln S_a with a 96-node Gauss-Hermite rule.
         """
         sigma, x0 = self.model.sigma, math.log(self.model.s0)
         mu = x0 - 0.5 * sigma * sigma * a + (a / t) * (
@@ -121,7 +125,7 @@ class _Tables(dict):
         if not self.tabulated:
             return po.delta(self.p, self.model, a * a / t,
                             np.exp(mu - 0.5 * v * v))
-        xi, wi = gauss_normal_nodes(order)
+        xi, wi = gauss_normal_nodes(_BRIDGE_ORDER)
         return np.asarray(self[a](np.exp(mu[:, None] + v * xi[None, :]))) @ wi
 
 
@@ -224,30 +228,11 @@ def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
                            stderr=se, m=m)
 
 
-def estimates_to_csv(path, records) -> None:
-    """Write (payoff, model, estimate, seed, measure) records to CSV."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["payoff_kind", "K", "theta_payoff", "net_theta", "n",
-                    "m", "seed", "measure", "l2_error", "stderr"])
-        for p, model, est, seed, measure in records:
-            w.writerow([p.kind, p.strike, p.holder_theta, est.theta, est.n,
-                        est.m, seed, measure,
-                        repr(est.l2_error), repr(est.stderr)])
-
-
 # ---------------------------------------------------------------------------
 # quadrature route: squared L2 tracking error through the Ito isometry
 
 
-def _grid_features(p, model, t):
-    ft = kink_feature(p, model, t)
-    return (ft,) if ft is not None else ()
-
-
-def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
-                 t_quad_order: int = 8, inner_order: int = 96,
-                 tail_depth: int = 40) -> float:
+def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
     """Squared L2 norm of the tracking error, by nested quadrature.
 
     By the Ito isometry (zero-drift pricing measure),
@@ -272,15 +257,14 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
     exactly and for every payoff.  Payoffs whose delta is evaluated
     directly (closed forms and chaos series) use this identity, one delta
     per grid node.  The tabulated power-Holder delta exists only on the
-    net's own times, so it is averaged over the bridge with an
-    ``inner_order``-node Gauss-Hermite rule instead; ``inner_order``
-    applies to that route only.
+    net's own times, so it is averaged over the bridge with a 96-node
+    Gauss-Hermite rule instead.
     """
     if abs(net.T - model.T) > 1e-12:
         raise ConfigError("net maturity must match the model maturity")
     sigma = model.sigma
     x0 = math.log(model.s0)
-    gx, gw = np.polynomial.legendre.leggauss(t_quad_order)
+    gx, gw = np.polynomial.legendre.leggauss(_T_QUAD_ORDER)
 
     dfn = _Tables(p, model)
     d0 = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
@@ -288,7 +272,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
     def at(t):
         """Grid nodes, weights, spots and deltas of ln S_t, for t > 0."""
         mean, std = x0 - 0.5 * sigma * sigma * t, sigma * math.sqrt(t)
-        x, w = lognormal_grid(mean, std, features=_grid_features(p, model, t),
+        x, w = lognormal_grid(mean, std, features=kink_feature(p, model, t),
                               tail_depth=32)
         s = np.exp(x)
         return x, w, s, np.asarray(dfn[t](s))
@@ -304,7 +288,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
         if a == 0.0:
             inner = np.full_like(x, d0)
         else:
-            inner = dfn.bridge_mean(a, t, x, inner_order)
+            inner = dfn.bridge_mean(a, t, x)
         return sigma * sigma * float(w @ (st * st * d_t * inner))
 
     total = 0.0
@@ -316,7 +300,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet,
             mids = [a, 0.5 * (a + b), b]
         else:
             mids = [a] + [b - (b - a) * 2.0 ** -j
-                          for j in range(1, tail_depth + 1)] + [b]
+                          for j in range(1, _T_TAIL_DEPTH + 1)] + [b]
             # drop panels that collapse in double precision near t = T
             mids = [mids[0]] + [t for u, t in zip(mids[:-1], mids[1:]) if t > u]
         for lo, hi in zip(mids[:-1], mids[1:]):

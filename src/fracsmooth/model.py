@@ -22,7 +22,6 @@ __all__ = [
     "MarketModel",
     "PathBatch",
     "simulate_gbm",
-    "simulate_euler",
     "gaussian_increments",
     "child_seed",
     "map_blocks",
@@ -111,7 +110,7 @@ def gaussian_increments(seed: int, step: int, start: int, count: int,
     return ndtri(u)
 
 
-def map_blocks(fn, m: int, threads: int = 1, block: int = BLOCK_PATHS) -> list:
+def map_blocks(fn, m: int, threads: int = 1) -> list:
     """Apply ``fn(start, count)`` over fixed-size path blocks, in order.
 
     The block layout never depends on ``threads``, so any parallel run
@@ -119,7 +118,7 @@ def map_blocks(fn, m: int, threads: int = 1, block: int = BLOCK_PATHS) -> list:
     """
     if threads < 1:
         raise ConfigError("thread count must be >= 1")
-    spans = [(s, min(block, m - s)) for s in range(0, m, block)]
+    spans = [(s, min(BLOCK_PATHS, m - s)) for s in range(0, m, BLOCK_PATHS)]
     if threads <= 1 or len(spans) == 1:
         return [fn(s, c) for s, c in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -173,44 +172,3 @@ def _log_step(t0, t1, step, seed, start, count, drift, sigma, degenerate):
         return np.full(count, drift * dt)
     z = gaussian_increments(seed, step, start, count)
     return sigma * math.sqrt(dt) * z + (drift - 0.5 * sigma * sigma) * dt
-
-
-def simulate_euler(b, sigma_fn, x0: float, times, m: int, seed: int,
-                   threads: int = 1) -> PathBatch:
-    """Euler-Maruyama on the log-state, for cross-validation only.
-
-    Consumes the same Brownian increments as :func:`simulate_gbm` for an
-    identical seed and grid.  Values are the state X, not exp(X).
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
-        raise ConfigError("time grid must be strictly increasing")
-    if m < 1:
-        raise ConfigError("path count m must be >= 1")
-    nt = times.size
-    out = np.empty((m, nt))
-
-    def block(start, count):
-        x = np.full(count, float(x0))
-        prev = 0.0
-        for j in range(nt):
-            t = times[j]
-            dt = t - prev
-            if j == 0 and times[0] == 0.0:
-                out[start:start + count, 0] = x
-                prev = t
-                continue
-            step = j
-            bv = np.broadcast_to(np.asarray(b(prev, x), dtype=float), x.shape)
-            sv = np.broadcast_to(np.asarray(sigma_fn(prev, x), dtype=float), x.shape)
-            if not (np.all(np.isfinite(bv)) and np.all(np.isfinite(sv))):
-                raise SimulationError(
-                    f"non-finite SDE coefficients at t={prev:.6g}")
-            dw = math.sqrt(dt) * gaussian_increments(seed, step, start, count)
-            x = x + bv * dt + sv * dw
-            out[start:start + count, j] = x
-            prev = t
-        return None
-
-    map_blocks(block, m, threads=threads)
-    return PathBatch(times=times, values=out, seed=seed, measure="historical")

@@ -144,14 +144,14 @@ def _phi(x):
     return np.exp(-0.5 * np.asarray(x) ** 2) / _SQRT_2PI
 
 
-def _valuate(p: Payoff, model: MarketModel, t: float, s, want, *,
-             order: int = 201, tols=None) -> dict[str, np.ndarray]:
+def _valuate(p: Payoff, model: MarketModel, t: float, s,
+             want) -> dict[str, np.ndarray]:
     """The valuation engine: the quantities named in ``want`` at (t, s).
 
     Quantities are ``price``, ``m2`` (E[h(S_T)^2 | S_t = s]), ``delta``,
     ``gamma`` and ``var`` (the conditional variance); each comes back as
     an array shaped like ``np.atleast_1d(s)``.  Every quadrature result is
-    checked against its own ``(rtol, atol)``, from ``tols`` or ``_TOLS``.
+    checked against its own ``(rtol, atol)`` from ``_TOLS``.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s <= 0.0):
@@ -167,7 +167,7 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s, want, *,
     need = want - {"var"}
     if "var" in want and not exact_var:
         need |= {"m2", "price"}
-    tols = {q: (tols or {}).get(q, _TOLS[q]) for q in need}
+    tols = {q: _TOLS[q] for q in need}
     if t >= model.T and not p.closed_form:
         h = payoff_eval(p, s)
         out = {"price": h, "m2": h ** 2}
@@ -176,7 +176,7 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s, want, *,
     elif p.kind == "power_holder":
         out = _kinked(p, model, tau, s, tols)
     else:
-        out = _chaos(p, model, tau, s, tols, order)
+        out = _chaos(p, model, tau, s, tols)
     if exact_var:
         _, _, d2 = _d12(model, tau, s, p.strike)
         out["var"] = ndtr(d2) * ndtr(-d2)
@@ -185,9 +185,8 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s, want, *,
     return out
 
 
-def _one(p, model, t, s, q, order, tol=None):
-    out = _valuate(p, model, t, s, (q,), order=order,
-                   tols={q: tol} if tol else None)[q]
+def _one(p, model, t, s, q):
+    out = _valuate(p, model, t, s, (q,))[q]
     return out if np.ndim(s) else float(out[0])
 
 
@@ -206,25 +205,28 @@ def _kernel_weights(kern, zz, v: float, q: str):
     return kern
 
 
-_kink_panel_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_kink_panel_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 #: spots per block while building kernel weights (~270 kB temporaries)
 _KERNEL_ROWS = 16
+#: panel half-width in y: 12 kernel sds beyond the last near spot |d2| = 8
+_Y_MAX = 20.0
+_PANEL_DEPTH = 48
+_GH_NODES = 201
 
 
-def _kink_panels(y_max: float, n_gl: int, depth: int = 48):
-    """Graded Gauss-Legendre nodes on [-y_max, y_max], refined toward 0.
+def _kink_panels(n_gl: int):
+    """Graded Gauss-Legendre nodes on [-_Y_MAX, _Y_MAX], refined toward 0.
 
-    Panels shrink geometrically to width 2^-depth at the origin, so a
-    root- or step-type singularity there is integrated to near machine
-    precision with a fixed low panel order.
+    Panels shrink geometrically to width 2^-_PANEL_DEPTH at the origin,
+    so a root- or step-type singularity there is integrated to near
+    machine precision with a fixed low panel order.
     """
-    key = (round(y_max, 6), n_gl, depth)
-    if key not in _kink_panel_cache:
+    if n_gl not in _kink_panel_cache:
         edges = [0.0]
-        h = 2.0 ** -depth
-        while edges[-1] < y_max:
-            edges.append(min(edges[-1] + h, y_max))
+        h = 2.0 ** -_PANEL_DEPTH
+        while edges[-1] < _Y_MAX:
+            edges.append(min(edges[-1] + h, _Y_MAX))
             h = min(2.0 * h, 0.5)
         eg = np.array(edges)
         eg = np.concatenate([-eg[::-1], eg[1:]])
@@ -232,8 +234,8 @@ def _kink_panels(y_max: float, n_gl: int, depth: int = 48):
         a, b = eg[:-1], eg[1:]
         y = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx[None, :]).ravel()
         w = (0.5 * (b - a)[:, None] * gw[None, :]).ravel()
-        _kink_panel_cache[key] = (y, w)
-    return _kink_panel_cache[key]
+        _kink_panel_cache[n_gl] = (y, w)
+    return _kink_panel_cache[n_gl]
 
 
 def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
@@ -244,7 +246,10 @@ def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
     spot.  Each panel rule (n_gl 8 and 12) builds one Gaussian kernel
     matrix and reads all quantities off it; the two rules must agree
     within each quantity's tolerance.  Spots whose kink lies far outside
-    the kernel's support use one plain Gauss-Hermite rule instead.
+    the kernel's support use one plain Gauss-Hermite rule instead; its
+    Greeks divide the sum by s^k v, so a small sigma^2 tau amplifies its
+    rounding, and it raises when the first-order rounding bound
+    eps * sum |w k h| / (s^k v) exceeds the quantity's tolerance.
     """
     v = model.sigma * math.sqrt(tau)
     K = p.strike
@@ -256,19 +261,25 @@ def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
 
     if not np.all(near):
         far = ~near
-        z, w = gauss_normal_nodes(201)
+        z, w = gauss_normal_nodes(_GH_NODES)
         hv = np.asarray(h(s[far, None] * np.exp(v * z[None, :] - 0.5 * v * v)))
-        for q in tols:
+        for q, tol in tols.items():
             g = hv ** 2 if q == "m2" else hv
-            out[q][far] = (g * _kernel_weights(w, z[None, :], v, q)).sum(axis=1)
+            terms = g * _kernel_weights(w, z[None, :], v, q)
+            val = terms.sum(axis=1)
+            rounding = np.finfo(float).eps * np.abs(terms).sum(axis=1)
             if q in scale:
-                out[q][far] /= scale[q][far]
+                val /= scale[q][far]
+                rounding /= scale[q][far]
+            _converged(q, val, val + rounding, tol,
+                       "far-from-kink Gauss-Hermite sum, within its rounding,")
+            out[q][far] = val
     if np.any(near):
         dn = d2[near]
         kind = {q: "price" if q == "m2" else q for q in tols}
         rules = []
         for n_gl in (8, 12):
-            y, wq = _kink_panels(8.0 + 12.0, n_gl)
+            y, wq = _kink_panels(n_gl)
             hy = np.asarray(h(K * np.exp(v * y)))
             # weights are built in blocks of spots, so the elementwise
             # temporaries stay in cache; each product below still runs on
@@ -337,14 +348,15 @@ def _quad_values(model: MarketModel, tau: float, s: np.ndarray, h, order: int):
     return np.asarray(h(st)), z, w, v
 
 
-def _chaos(p, model, tau, s, tols, order):
+def _chaos(p, model, tau, s, tols):
     """Chaos-payoff quantities: the closed form while sigma^2 tau <= 1,
     else Gauss-Hermite checked under node doubling.  E[h^2] is not
     checked under node doubling, but raises when its sum overflows."""
     h = _payoff_fn(p)
     out = {}
     if "m2" in tols:
-        hv, z, w, v = _quad_values(model, tau, s, lambda st: h(st) ** 2, order)
+        hv, z, w, v = _quad_values(model, tau, s, lambda st: h(st) ** 2,
+                                   _GH_NODES)
         out["m2"] = hv @ w
         if not np.all(np.isfinite(out["m2"])):
             raise QuadratureError("Gauss-Hermite E[h^2] of the chaos series "
@@ -356,7 +368,7 @@ def _chaos(p, model, tau, s, tols, order):
         closed = _chaos_closed(p, model, tau, s)
         return {**out, **{q: closed[q] for q in rest}}
     raw = []
-    for n in (order, 2 * order + 1):
+    for n in (_GH_NODES, 2 * _GH_NODES + 1):
         hv, z, w, v = _quad_values(model, tau, s, h, n)
         raw.append({q: hv @ (w * _kernel_weights(np.ones_like(z), z, v, q))
                     for q in rest})
@@ -408,44 +420,40 @@ def _closed_form(p, model, tau, s, q):
     return -_phi(d2) * d1 / (s * s * v * v)
 
 
-def price(p: Payoff, model: MarketModel, t: float, s, *,
-          order: int = 201, rtol: float = 1e-6, atol: float = 1e-10):
+def price(p: Payoff, model: MarketModel, t: float, s):
     """H(t, s) = E[h(S_T) | S_t = s] under the martingale measure."""
-    return _one(p, model, t, s, "price", order, (rtol, atol))
+    return _one(p, model, t, s, "price")
 
 
-def delta(p: Payoff, model: MarketModel, t: float, s, *,
-          order: int = 201, rtol: float = 1e-5, atol: float = 1e-9):
+def delta(p: Payoff, model: MarketModel, t: float, s):
     """dH/ds, for t strictly before maturity."""
-    return _one(p, model, t, s, "delta", order, (rtol, atol))
+    return _one(p, model, t, s, "delta")
 
 
-def gamma(p: Payoff, model: MarketModel, t: float, s, *,
-          order: int = 201, rtol: float = 1e-4, atol: float = 1e-8):
+def gamma(p: Payoff, model: MarketModel, t: float, s):
     """d^2 H / ds^2, for t strictly before maturity."""
-    return _one(p, model, t, s, "gamma", order, (rtol, atol))
+    return _one(p, model, t, s, "gamma")
 
 
-def second_moment(p: Payoff, model: MarketModel, t: float, s, *,
-                  order: int = 201):
+def second_moment(p: Payoff, model: MarketModel, t: float, s):
     """E[h(S_T)^2 | S_t = s]; closed form where the payoff has one."""
-    return _one(p, model, t, s, "m2", order)
+    return _one(p, model, t, s, "m2")
 
 
-def conditional_variance(p: Payoff, model: MarketModel, t: float, s, *,
-                         order: int = 201):
+def conditional_variance(p: Payoff, model: MarketModel, t: float, s):
     """Var(h(S_T) | S_t = s); exact p(1-p) form for the binary."""
-    return _one(p, model, t, s, "var", order)
+    return _one(p, model, t, s, "var")
 
 
-def kink_feature(p: Payoff, model: MarketModel, t: float) -> Feature | None:
+def kink_feature(p: Payoff, model: MarketModel, t: float) -> tuple[Feature, ...]:
     """Location/width hint of the payoff's kink in log-price at time t.
 
     Used by downstream quadratures to grade nodes around the region where
-    delta or gamma localizes as t approaches maturity.
+    delta or gamma localizes as t approaches maturity; empty for a
+    payoff without a kink.
     """
     if p.kind in ("affine", "chaos"):
-        return None
+        return ()
     tau = max(model.T - t, _TAU_FLOOR)
     width = model.sigma * math.sqrt(tau)
-    return Feature(center=math.log(p.strike), width=width)
+    return (Feature(center=math.log(p.strike), width=width),)

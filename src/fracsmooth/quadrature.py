@@ -29,8 +29,12 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+#: lognormal_grid's Gauss-Legendre rule per panel, and the ratio by which
+#: its panels widen away from a feature
+_GRID_GX, _GRID_GW = leggauss(8)
+_FEATURE_RATIO = 2.0
+
 _herme_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_leg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def gauss_normal_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,12 +66,6 @@ def gauss_normal_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _herme_cache[order]
 
 
-def _leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _leg_cache:
-        _leg_cache[order] = leggauss(order)
-    return _leg_cache[order]
-
-
 class Feature:
     """A localized structure of an integrand: Gaussian-ish peak or kink.
 
@@ -83,9 +81,7 @@ class Feature:
 
 def lognormal_grid(mean: float, std: float,
                    features: tuple[Feature, ...] = (),
-                   n_gl: int = 8,
-                   tail_depth: int = 48,
-                   feature_ratio: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+                   tail_depth: int = 48) -> tuple[np.ndarray, np.ndarray]:
     """Graded nodes/weights for ``E f(X)``, ``X ~ N(mean, std^2)``.
 
     Returns ``(x, w)`` with ``sum(w) ~= 1``; evaluate ``w @ f(x)``.
@@ -114,16 +110,15 @@ def lognormal_grid(mean: float, std: float,
                 edges.add(uc + h)
             if uc - h <= lo and uc + h >= hi:
                 break
-            h *= feature_ratio
+            h *= _FEATURE_RATIO
             if h > 2.0:
                 break
     eg = np.array(sorted(edges))
     keep = np.concatenate([[True], np.diff(eg) > 1e-17])
     eg = eg[keep]
-    gx, gw = _leg_nodes(n_gl)
     a, b = eg[:-1], eg[1:]
-    um = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx[None, :]
-    wm = 0.5 * (b - a)[:, None] * gw[None, :]
+    um = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GRID_GX[None, :]
+    wm = 0.5 * (b - a)[:, None] * _GRID_GW[None, :]
     u = um.ravel()
     w = wm.ravel()
     x = mean + std * ndtri(u)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, ExactHedgeError
 from .hedging import L2ErrorEstimate, _Tables, l2_tracking_error
 from .model import MarketModel, child_seed
-from .payoffs import Payoff
+from .payoffs import Payoff, second_moment
 from .timenets import make_theta_net
 
 __all__ = [
@@ -28,6 +28,9 @@ __all__ = [
     "sweep_to_csv",
     "fit_summary",
 ]
+
+#: errors below this fraction of the payoff's L2 norm are round-off
+_ROUNDOFF_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,8 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
     seeds derive from the master seed, and the fit drops the smallest n
     (documented pre-asymptotic transient).  All nets share one set of
     delta tables, so a node common to several nets is tabulated once.
+    Raises ``ExactHedgeError`` when every error is round-off relative to
+    the payoff's L2 norm sqrt E[h(S_T)^2], since no rate can be fitted.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 5:
@@ -122,6 +127,11 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
                                 measure=measure, threads=threads,
                                 _deltas=deltas)
         estimates.append(est)
+    scale = math.sqrt(second_moment(p, model, 0.0, model.s0))
+    if all(e.l2_error <= _ROUNDOFF_REL * scale for e in estimates):
+        raise ExactHedgeError(
+            f"every L2 error is round-off (at most {_ROUNDOFF_REL:g} of the "
+            f"payoff's L2 norm {scale:.6g}): the hedge is exact")
     fit = fit_rate([(e.n, e.l2_error, e.stderr) for e in estimates[1:]])
     return SweepResult(estimates=tuple(estimates), fit=fit, payoff=p,
                        model=model, net_theta=theta, seed=seed,

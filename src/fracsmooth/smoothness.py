@@ -34,11 +34,14 @@ __all__ = [
     "hessian_growth_curve",
     "integral_criteria_verdicts",
     "growth_criteria_exponents",
-    "curves_to_csv",
 ]
 
 #: octave ratio below which truncated-integral increments count as decaying
 RATIO_FINITE = 0.95
+_GRID_TAIL_DEPTH = 40
+#: octaves of T - t in the integral criteria, Gauss-Legendre nodes in each
+_OCTAVES = 18
+_OCTAVE_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ def _outer_law(model: MarketModel, t: float):
 _NEEDS = {"decay": ("var",), "grad": ("delta",), "hess": ("delta", "gamma")}
 
 
-def _criteria_at(p: Payoff, model: MarketModel, t: float, want,
-                 tail_depth: int = 40) -> dict[str, float]:
+def _criteria_at(p: Payoff, model: MarketModel, t: float,
+                 want) -> dict[str, float]:
     """E over S_t of the decay, gradient and Hessian integrands named in
     ``want``, from one kink-graded lognormal grid and one engine call.
 
@@ -85,9 +88,8 @@ def _criteria_at(p: Payoff, model: MarketModel, t: float, want,
         s, w = np.array([model.s0]), None
     else:
         mean, std = _outer_law(model, t)
-        ft = kink_feature(p, model, t)
-        x, w = lognormal_grid(mean, std, features=(ft,) if ft else (),
-                              tail_depth=tail_depth)
+        x, w = lognormal_grid(mean, std, features=kink_feature(p, model, t),
+                              tail_depth=_GRID_TAIL_DEPTH)
         s = np.exp(x)
     v = po._valuate(p, model, t, s, {q for c in want for q in _NEEDS[c]})
     f = {}
@@ -164,17 +166,17 @@ def hessian_growth_curve(p: Payoff, model: MarketModel, t_grid) -> np.ndarray:
     return _criteria_curves(p, model, t_grid, ("hess",))["hess"]
 
 
-def _octave_integrals(p, model, weight_exps: dict[str, float], depth: int,
-                      order: int = 8) -> dict[str, np.ndarray]:
+def _octave_integrals(p, model,
+                      weight_exps: dict[str, float]) -> dict[str, np.ndarray]:
     """I_j = int over T-t in [T 2^-j-1, T 2^-j] of (T-t)^e f(t) dt.
 
     One array of octave integrals per criterion f named in
     ``weight_exps`` (mapped to its weight exponent e); all criteria share
     each time node's engine call.
     """
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    vals = {c: np.empty(depth) for c in weight_exps}
-    for j in range(depth):
+    gx, gw = np.polynomial.legendre.leggauss(_OCTAVE_ORDER)
+    vals = {c: np.empty(_OCTAVES) for c in weight_exps}
+    for j in range(_OCTAVES):
         hi, lo = model.T * 2.0 ** -j, model.T * 2.0 ** -(j + 1)
         # integrate in log(T-t) for resolution across the octave
         la, lb = math.log(lo), math.log(hi)
@@ -200,8 +202,8 @@ def _verdict(increments: np.ndarray) -> str:
     return "finite" if float(np.max(ratios)) < RATIO_FINITE else "divergent"
 
 
-def integral_criteria_verdicts(p: Payoff, model: MarketModel, theta: float,
-                      depth: int = 18) -> dict[str, str]:
+def integral_criteria_verdicts(p: Payoff, model: MarketModel,
+                               theta: float) -> dict[str, str]:
     """Finiteness verdicts of the three equivalent integral criteria.
 
     decay: int (T-t)^(-1-theta) D(t)^2 dt;  grad: int (T-t)^(-theta)
@@ -211,19 +213,18 @@ def integral_criteria_verdicts(p: Payoff, model: MarketModel, theta: float,
         raise ConfigError("theta must lie in (0, 1)")
     inc = _octave_integrals(p, model, {"decay": -1.0 - theta,
                                        "grad": -theta,
-                                       "hess": 1.0 - theta}, depth)
+                                       "hess": 1.0 - theta})
     return {c: _verdict(v) for c, v in inc.items()}
 
 
-def growth_criteria_exponents(p: Payoff, model: MarketModel,
-                       depth: int = 20) -> dict[str, float]:
+def growth_criteria_exponents(p: Payoff, model: MarketModel) -> dict[str, float]:
     """Implied smoothness index from each sup-type growth criterion.
 
     decay: slope of log D^2;  grad: 1 + slope of log E|grad u|^2;
     hess: 2 + slope of log E|D^2 u|^2 -- all against log(T-t) and
-    clamped into (0, 1].
+    clamped into (0, 1], on the default t grid.
     """
-    grid = default_t_grid(model, depth)
+    grid = default_t_grid(model)
     u = model.T - grid
     c = _criteria_curves(p, model, grid)
     s_d, _ = _loglog_slope(u, np.maximum(c["decay"].D ** 2, 1e-300))
@@ -232,13 +233,3 @@ def growth_criteria_exponents(p: Payoff, model: MarketModel,
     clamp = lambda x: min(1.0, x)
     return {"decay": clamp(s_d), "grad": clamp(1.0 + s_g),
             "hess": clamp(2.0 + s_h)}
-
-
-def curves_to_csv(path, p: Payoff, model: MarketModel, t_grid) -> None:
-    """Write (t, T_minus_t, decay, grad_sq, hess_sq) rows."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    c = _criteria_curves(p, model, t_grid)
-    rows = np.column_stack([t_grid, model.T - t_grid, c["decay"].D,
-                            c["grad"], c["hess"]])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
-               header="t,T_minus_t,decay,grad_sq,hess_sq", comments="")

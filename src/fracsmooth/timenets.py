@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["TimeNet", "make_theta_net", "left_index"]
+__all__ = ["TimeNet", "make_theta_net"]
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class TimeNet:
             raise ConfigError("net must start at 0 and end at T")
         if np.any(np.diff(nodes) <= 0.0):
             raise ConfigError("net nodes must be strictly increasing")
-
-    def intervals(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.nodes, fmt="%.17g", header="t", comments="")
 
 
 def make_theta_net(n: int, theta: float, T: float) -> TimeNet:
@@ -52,13 +46,3 @@ def make_theta_net(n: int, theta: float, T: float) -> TimeNet:
     nodes[0] = 0.0
     nodes[-1] = T
     return TimeNet(nodes=nodes, n=n, theta=theta, T=T)
-
-
-def left_index(net: TimeNet, s: float) -> int:
-    """Index i with t_i < s <= t_{i+1}; 0 at s = 0."""
-    if s < 0.0 or s > net.T:
-        raise ConfigError("query time outside [0, T]")
-    if s == 0.0:
-        return 0
-    i = int(np.searchsorted(net.nodes, s, side="left")) - 1
-    return max(i, 0)

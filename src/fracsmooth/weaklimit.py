@@ -29,11 +29,16 @@ __all__ = [
     "mixed_normal_sample",
     "ks_distance",
     "apply_A_operator",
-    "fractional_D",
     "lp_bound_curve",
     "clock_to_csv",
-    "comparison_to_csv",
 ]
+
+#: octaves of 1 - t simulated by clock_A before the tail extrapolation
+_CLOCK_DEPTH = 24
+#: lp_bound_curve's base grid 1 - 2^-j, j = 1.._LP_DEPTH, and the path
+#: batches behind its standard error
+_LP_DEPTH = 20
+_LP_BATCHES = 10
 
 
 @dataclass(frozen=True)
@@ -43,16 +48,15 @@ class ClockSample:
     theta: float
     A_values: np.ndarray
     flagged_fraction: float
-    depth: int
     time_order: int
     seed: int
 
 
-def _clock_grid(depth: int, time_order: int):
+def _clock_grid(time_order: int):
     """Gauss-Legendre nodes per octave of 1-t, plus octave assignments."""
     gx, gw = np.polynomial.legendre.leggauss(time_order)
     times, weights, octave = [], [], []
-    for j in range(depth):
+    for j in range(_CLOCK_DEPTH):
         hi, lo = 2.0 ** -j, 2.0 ** -(j + 1)     # interval of u = 1-t
         u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
         w = np.full_like(u, 0.5 * (hi - lo)) * gw
@@ -65,8 +69,7 @@ def _clock_grid(depth: int, time_order: int):
 
 
 def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
-            time_order: int = 4, depth: int = 24,
-            threads: int = 1) -> ClockSample:
+            time_order: int = 4, threads: int = 1) -> ClockSample:
     """Simulate the clock integral per path, with an extrapolated tail.
 
     Octave contributions toward t=1 are extrapolated geometrically; paths
@@ -77,11 +80,11 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
         raise ConfigError("clock simulation requires the T=1 normalization")
     if not (0.0 < theta <= 1.0):
         raise ConfigError("theta must lie in (0, 1]")
-    times, w, octv = _clock_grid(depth, time_order)
+    times, w, octv = _clock_grid(time_order)
     batch = simulate_gbm(model, times, m, seed, measure="martingale",
                          threads=threads)
     wt = w * (1.0 - times) ** (1.0 - theta) / (2.0 * theta)
-    inc = np.zeros((m, depth))
+    inc = np.zeros((m, _CLOCK_DEPTH))
     for k, t in enumerate(times):
         s = batch.values[:, k]
         g = np.asarray(po.gamma(p, model, float(t), s))
@@ -94,8 +97,8 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
     tail = last * r / (1.0 - r)
     a = inc.sum(axis=1) + tail
     return ClockSample(payoff=p, model=model, theta=theta, A_values=a,
-                       flagged_fraction=flagged, depth=depth,
-                       time_order=time_order, seed=seed)
+                       flagged_fraction=flagged, time_order=time_order,
+                       seed=seed)
 
 
 def mixed_normal_sample(clock: ClockSample, seed: int) -> np.ndarray:
@@ -129,61 +132,24 @@ def apply_A_operator(p: Payoff, model: MarketModel, t: float, s):
             - np.asarray(po.price(p, model, t, s)))
 
 
-def _frac_weight(theta: float) -> float:
-    return (1.0 - theta) / 2.0
-
-
-def fractional_D(p: Payoff, model: MarketModel, theta: float, t: float,
-                 times, values) -> float:
-    """Fractional process D_t at one time from a single sampled path.
-
-    D_t = (1-theta)/2 int_0^1 (1-u)^(-(1+theta)/2) [AH(u^t, S_u^t)
-          - AH(0, s0)] du, with u^t = min(u, t); the u >= t region has the
-    closed value (AH(t,S_t) - AH(0,s0)) (1-t)^((1-theta)/2).  theta = 1
-    returns the increment itself.
-    """
-    if not (0.0 < theta <= 1.0):
-        raise ConfigError("theta must lie in (0, 1]")
-    if not (0.0 <= t < 1.0):
-        raise ConfigError("t must lie in [0, 1)")
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    idx = int(np.searchsorted(times, t))
-    if idx >= times.size or times[idx] != t:
-        raise ConfigError("t must be a sampled path time")
-    ah0 = float(apply_A_operator(p, model, 0.0, model.s0))
-    ah_t = float(apply_A_operator(p, model, t, values[idx]))
-    head = (ah_t - ah0) * (1.0 - t) ** ((1.0 - theta) / 2.0)
-    if theta == 1.0:
-        return ah_t - ah0
-    sel = times <= t
-    u = times[sel]
-    if u.size >= 2:
-        ah = np.array([float(apply_A_operator(p, model, float(uu), sv))
-                       for uu, sv in zip(u, values[sel])])
-        integ = (1.0 - u) ** (-(1.0 + theta) / 2.0) * (ah - ah0)
-        body = _frac_weight(theta) * float(np.trapezoid(integ, u))
-    else:
-        body = 0.0
-    return body + head
-
-
 def lp_bound_curve(p: Payoff, model: MarketModel, theta: float,
                    p_norm: float, t_grid, m: int, seed: int,
-                   depth: int = 20, batches: int = 10,
                    threads: int = 1):
     """MC curve of || D_t ||_{L_p} over t_grid, with a boundedness verdict.
 
-    Returns (t_grid, norms, stderr, verdict); verdict is "bounded" when
-    the running max of the curve stabilizes toward t -> 1.  A warning
-    flag is set when batch estimates disagree by more than 50%.
+    D_t = (1-theta)/2 int_0^t (1-u)^(-(1+theta)/2) [AH(u, S_u) - AH(0, s0)]
+    du + (AH(t, S_t) - AH(0, s0)) (1-t)^((1-theta)/2) by the trapezoid rule;
+    theta = 1 gives the increment AH(t, S_t) - AH(0, s0) itself.  Returns
+    ``(t_grid, norms, stderr, verdict, heavy)``: verdict is "bounded" when
+    the curve stabilizes toward t -> 1, and ``heavy`` is set when batch
+    estimates disagree by more than 50%.
     """
     if p_norm < 2.0:
         raise ConfigError("p_norm must be >= 2")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
         raise ConfigError("t_grid must lie in [0, 1)")
-    base = 1.0 - 2.0 ** -np.arange(1, depth + 1, dtype=float)
+    base = 1.0 - 2.0 ** -np.arange(1, _LP_DEPTH + 1, dtype=float)
     times = np.union1d(np.union1d(base, t_grid), np.array([0.0]))
     times = times[times < 1.0]
     sim_times = times[times > 0.0]
@@ -202,21 +168,21 @@ def lp_bound_curve(p: Payoff, model: MarketModel, theta: float,
     norms = np.empty_like(t_grid)
     errs = np.empty_like(t_grid)
     heavy = False
-    split = np.array_split(np.arange(m), batches)
+    split = np.array_split(np.arange(m), _LP_BATCHES)
     for i, t in enumerate(t_grid):
         idx = int(np.searchsorted(times, t))
         if theta == 1.0:
             d = ah[:, idx]
         else:
             integ = wgt[:idx + 1] * ah[:, :idx + 1]
-            body = _frac_weight(theta) * np.trapezoid(integ, times[:idx + 1],
-                                                      axis=1)
+            body = (1.0 - theta) / 2.0 * np.trapezoid(
+                integ, times[:idx + 1], axis=1)
             d = body + ah[:, idx] * (1.0 - t) ** ((1.0 - theta) / 2.0)
         mom = np.abs(d) ** p_norm
         norms[i] = float(mom.mean()) ** (1.0 / p_norm)
         bvals = np.array([float(mom[ix].mean()) ** (1.0 / p_norm)
                           for ix in split])
-        errs[i] = float(bvals.std(ddof=1)) / math.sqrt(batches)
+        errs[i] = float(bvals.std(ddof=1)) / math.sqrt(_LP_BATCHES)
         if bvals.max() > 1.5 * max(bvals.min(), 1e-300):
             heavy = True
     # the squared curve of a martingale is increasing; it converges iff
@@ -231,19 +197,12 @@ def lp_bound_curve(p: Payoff, model: MarketModel, theta: float,
     return t_grid, norms, errs, verdict, heavy
 
 
-def clock_to_csv(path, clock: ClockSample) -> None:
+def clock_to_csv(path, clock: ClockSample, header_lines=()) -> None:
+    """CSV rows (path_id, A), after optional # comments."""
     with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
         w = csv.writer(fh)
         w.writerow(["path_id", "A"])
         for i, a in enumerate(clock.A_values):
             w.writerow([i, repr(float(a))])
-
-
-def comparison_to_csv(path, labeled_samples) -> None:
-    """Long-format (sample_source, value) table from {label: vector}."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_source", "value"])
-        for label, vec in labeled_samples.items():
-            for v in np.asarray(vec, dtype=float):
-                w.writerow([label, repr(float(v))])

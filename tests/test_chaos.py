@@ -8,29 +8,40 @@ from scipy.special import eval_hermitenorm, ndtr
 
 from fracsmooth import chaos
 from fracsmooth.chaos import (ChaosExpansion, besov_criterion, d12_norm,
-                              decay_from_chaos, exp_call_expansion, hermite,
+                              decay_from_chaos, exp_call_expansion,
                               hermite_series, indicator_expansion, project)
 from fracsmooth.errors import ConfigError, QuadratureError
 
 
+def _hermite(n, x):
+    """Orthonormal Hermite polynomial H_n = He_n / sqrt(n!)."""
+    return eval_hermitenorm(n, x) / math.sqrt(math.factorial(n))
+
+
 def test_hermite_matches_normalized_hermitenorm():
+    # a unit coefficient vector selects one orthonormal polynomial
     x = np.linspace(-3, 3, 11)
     for n in range(8):
-        ref = eval_hermitenorm(n, x) / math.sqrt(math.factorial(n))
-        np.testing.assert_allclose(hermite(n, x), ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hermite_series(np.eye(8)[n], x),
+                                   _hermite(n, x), rtol=1e-12, atol=1e-12)
 
 
 def test_hermite_series_matches_direct_sum():
     rng = np.random.default_rng(0)
     alpha = rng.standard_normal(12)
     x = np.linspace(-2, 2, 7)
-    direct = sum(alpha[k] * hermite(k, x) for k in range(12))
+    direct = sum(alpha[k] * _hermite(k, x) for k in range(12))
     np.testing.assert_allclose(hermite_series(alpha, x), direct, rtol=1e-12)
+
+
+def _mean_square(e):
+    """E[g^2] of an expansion: coefficient energy plus the tail mass."""
+    return float(e.alpha @ e.alpha) + e.tail_l2 ** 2
 
 
 def test_hermite_orthonormal_under_projection():
     # projecting H_3 returns the unit vector e_3
-    e = project(lambda x: hermite(3, x), K=6)
+    e = project(lambda x: _hermite(3, x), K=6)
     expect = np.zeros(7)
     expect[3] = 1.0
     np.testing.assert_allclose(e.alpha, expect, atol=1e-10)
@@ -84,13 +95,13 @@ def test_indicator_expansion_centered_closed_form():
     # including the tail model matches E[1_{x >= 0}] = 1/2
     e = indicator_expansion(0.0, 4096)
     assert np.all(e.alpha[2::2] == 0.0)
-    assert e.l2_norm_sq() == pytest.approx(0.5, rel=1e-6)
+    assert _mean_square(e) == pytest.approx(0.5, rel=1e-6)
 
 
 def test_indicator_parseval():
     e = indicator_expansion(0.5, 8192)
     # E[1_{x >= c}^2] = P(X >= c)
-    assert e.l2_norm_sq() == pytest.approx(float(ndtr(-0.5)), rel=1e-6)
+    assert _mean_square(e) == pytest.approx(float(ndtr(-0.5)), rel=1e-6)
 
 
 def test_exp_call_expansion_matches_projection():
@@ -112,7 +123,7 @@ def test_exp_call_parseval():
     d1 = 0.5
     m2 = (math.exp(1.0) * ndtr(d1 + 1.0) - 2.0 * ndtr(d1)
           + ndtr(d1 - 1.0))
-    assert e.l2_norm_sq() == pytest.approx(m2, rel=1e-8)
+    assert _mean_square(e) == pytest.approx(m2, rel=1e-8)
 
 
 def test_project_validation():
@@ -190,7 +201,7 @@ def test_besov_criterion_is_truncation_free():
 
 def test_projected_expansion_uses_coefficient_path():
     # H_1 / 2 + H_2 has Besov series 1/4 + 2t
-    e = project(lambda x: 0.5 * hermite(1, x) + hermite(2, x), K=6)
+    e = project(lambda x: 0.5 * _hermite(1, x) + _hermite(2, x), K=6)
     assert e.kernel is None
     t = np.array([0.0, 0.5, 0.9])
     _, phi, _ = besov_criterion(e, 0.5, t_grid=t)

@@ -157,6 +157,12 @@ def test_exit_code_degenerate_errors(tmp_path, capsys):
                "--m", "200", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: degenerate:")
+    # an affine payoff is hedged exactly: its L2 errors are round-off,
+    # and a rate fitted to them would be meaningless
+    rc = main(["hedge-sweep", "--payoff", "affine", "--m", "2000",
+               "--out", str(tmp_path / "z.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: degenerate:")
     # a constant payoff has an identically zero decay curve
     rc = main(["smoothness", "--payoff", "affine", "--c0", "1", "--c1", "0",
                "--depth", "10", "--out", str(tmp_path / "y.csv")])

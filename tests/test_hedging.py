@@ -7,8 +7,7 @@ from fracsmooth import hedging as hg
 from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
 from fracsmooth.errors import ConfigError
-from fracsmooth.hedging import (estimates_to_csv, l2_tracking_error,
-                                tracking_error_process,
+from fracsmooth.hedging import (l2_tracking_error, tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
@@ -78,19 +77,6 @@ def test_net_maturity_mismatch_rejected():
         l2_tracking_error(p, MODEL, make_theta_net(8, 1.0, 1.0), 1, 0)
 
 
-def test_estimates_to_csv(tmp_path):
-    p = Payoff.call(1.0)
-    net = make_theta_net(8, 1.0, 1.0)
-    est = l2_tracking_error(p, MODEL, net, 100, 2)
-    path = tmp_path / "est.csv"
-    estimates_to_csv(path, [(p, MODEL, est, 2, "martingale")])
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("payoff_kind,")
-    fields = lines[1].split(",")
-    assert fields[0] == "call"
-    assert float(fields[-2]) == est.l2_error
-
-
 def test_z_regularity_matches_monte_carlo_binary():
     p = Payoff.binary(1.0)
     net = make_theta_net(16, 1.0, 1.0)
@@ -124,9 +110,9 @@ def _bridge_law(a, t, s):
     return mu, sig * math.sqrt(a * (t - a) / t)
 
 
-def _bridge_average(p, a, mu, v, order=96):
-    """Gauss-Hermite average of delta(a, e^L) over L ~ N(mu, v^2)."""
-    xi, wi = gauss_normal_nodes(order)
+def _bridge_average(p, a, mu, v):
+    """96-node Gauss-Hermite average of delta(a, e^L) over L ~ N(mu, v^2)."""
+    xi, wi = gauss_normal_nodes(96)
     sa = np.exp(mu[:, None] + v * xi[None, :])
     return np.asarray(po.delta(p, MODEL, a, sa.ravel())).reshape(sa.shape) @ wi
 
@@ -150,8 +136,8 @@ def test_z_regularity_bridge_identity_matches_bridge_quadrature(monkeypatch):
     net = make_theta_net(32, 0.4, 1.0)
     exact = z_regularity(p, MODEL, net)
 
-    def bridge_mean(self, a, t, x, order):
-        return _bridge_average(p, a, *_bridge_law(a, t, np.exp(x)), order)
+    def bridge_mean(self, a, t, x):
+        return _bridge_average(p, a, *_bridge_law(a, t, np.exp(x)))
 
     monkeypatch.setattr(hg._Tables, "bridge_mean", bridge_mean)
     assert z_regularity(p, MODEL, net) == pytest.approx(exact, rel=1e-12)

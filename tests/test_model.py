@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fracsmooth.errors import ConfigError, SimulationError
 from fracsmooth.model import (BLOCK_PATHS, MarketModel, STREAM_AUX,
                               child_seed, gaussian_increments, map_blocks,
-                              simulate_euler, simulate_gbm)
+                              simulate_gbm)
 
 
 def test_model_validation():
@@ -112,23 +112,6 @@ def test_simulate_gbm_grid_validation():
         simulate_gbm(model, [0.5, 2.0], 10, 0)
     with pytest.raises(ConfigError):
         simulate_gbm(model, [0.5], 0, 0)
-
-
-def test_euler_matches_exact_increments():
-    # the log-Euler scheme with the exact GBM log-coefficients reproduces
-    # the exact simulation on the same seed and grid
-    model = MarketModel(s0=1.0, sigma=0.4)
-    times = np.linspace(0.2, 1.0, 5)
-    exact = simulate_gbm(model, times, 1000, 21)
-    euler = simulate_euler(lambda t, x: -0.08, lambda t, x: 0.4,
-                           0.0, times, 1000, 21)
-    np.testing.assert_allclose(np.exp(euler.values), exact.values, rtol=1e-12)
-
-
-def test_euler_rejects_nonfinite_coefficients():
-    with pytest.raises(SimulationError):
-        simulate_euler(lambda t, x: np.inf, lambda t, x: 1.0,
-                       0.0, [0.5, 1.0], 8, 0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -163,10 +163,10 @@ def test_conditional_variance_nonnegative_and_vanishes_at_T():
 
 
 def test_kink_feature():
-    ft = kink_feature(Payoff.call(2.0), MODEL, 0.75)
+    (ft,) = kink_feature(Payoff.call(2.0), MODEL, 0.75)
     assert ft.center == pytest.approx(math.log(2.0))
     assert ft.width == pytest.approx(0.5)
-    assert kink_feature(Payoff.affine(1.0, 1.0), MODEL, 0.5) is None
+    assert kink_feature(Payoff.affine(1.0, 1.0), MODEL, 0.5) == ()
 
 
 
@@ -217,20 +217,31 @@ def test_engine_moments_match_direct_integration(t):
 
 
 @pytest.mark.parametrize("q", ["price", "m2", "delta", "gamma"])
-def test_engine_tightened_tolerance_raises(q):
+def test_engine_tightened_tolerance_raises(q, monkeypatch):
     p = Payoff.power_holder(1.0, 0.25)
     s = _spots_around_cutoff(0.5)
     want = ("price", "m2", "delta", "gamma")
     po._valuate(p, MODEL, 0.5, s, want)  # default tolerances hold
+    monkeypatch.setitem(po._TOLS, q, (0.0, 0.0))
     with pytest.raises(QuadratureError):
-        po._valuate(p, MODEL, 0.5, s, want, tols={q: (0.0, 0.0)})
+        po._valuate(p, MODEL, 0.5, s, want)
 
 
-def test_public_tolerances_reach_the_engine():
+@pytest.mark.parametrize("sigma", [1e-8, 1e-100])
+def test_power_holder_greeks_far_from_kink_at_tiny_sigma(sigma):
+    # at s = 1.5 the kink lies ~0.4 / (sigma sqrt(tau)) sds away, where the
+    # Greeks divide a Gauss-Hermite sum by s^k v and so amplify its rounding
+    # by 1/v: each Greek must come back correct or raise, never wrong
     p = Payoff.power_holder(1.0, 0.25)
-    for f in (price, delta, gamma):
-        with pytest.raises(QuadratureError):
-            f(p, MODEL, 0.5, 1.0, rtol=0.0, atol=0.0)
+    model = MarketModel(s0=1.0, sigma=sigma, T=1.0)
+    assert price(p, model, 0.5, 1.5) == pytest.approx(0.5 ** 0.25, rel=1e-12)
+    exact = {delta: 0.25 * 0.5 ** -0.75, gamma: -0.1875 * 0.5 ** -1.75}
+    for f, ref in exact.items():
+        try:
+            val = f(p, model, 0.5, 1.5)
+        except QuadratureError:
+            continue
+        assert val == pytest.approx(ref, rel=1e-4), f.__name__
 
 
 def test_non_finite_valuation_time_rejected():

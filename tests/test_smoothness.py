@@ -8,7 +8,7 @@ from fracsmooth.errors import ConfigError, DegenerateCurveError
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
 from fracsmooth.smoothness import (DecayCurve, conditional_l2_decay,
-                                   curves_to_csv, default_t_grid,
+                                   default_t_grid,
                                    estimate_theta_sup,
                                    grad_growth_curve, hessian_growth_curve,
                                    integral_criteria_verdicts, growth_criteria_exponents)
@@ -97,13 +97,3 @@ def test_growth_criteria_exponents_call():
     vals = list(e.values())
     assert max(vals) - min(vals) <= 0.08
     assert all(0.9 <= v <= 1.0 for v in vals)
-
-
-def test_curves_to_csv(tmp_path):
-    path = tmp_path / "curves.csv"
-    curves_to_csv(path, Payoff.binary(1.0), MODEL, default_t_grid(MODEL, 6))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,T_minus_t,decay,grad_sq,hess_sq"
-    assert len(lines) == 8
-    row = [float(v) for v in lines[1].split(",")]
-    assert row[0] == 0.0 and row[1] == 1.0

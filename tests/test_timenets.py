@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsmooth.errors import ConfigError
-from fracsmooth.timenets import TimeNet, left_index, make_theta_net
+from fracsmooth.timenets import TimeNet, make_theta_net
 
 
 def test_equidistant_net():
     net = make_theta_net(4, 1.0, 1.0)
     np.testing.assert_allclose(net.nodes, [0.0, 0.25, 0.5, 0.75, 1.0],
                                atol=1e-15)
-    np.testing.assert_allclose(net.intervals(), 0.25, atol=1e-15)
+    np.testing.assert_allclose(np.diff(net.nodes), 0.25, atol=1e-15)
 
 
 def test_theta_net_reference_values():
@@ -33,8 +33,9 @@ def test_theta_net_concentration_near_maturity():
     eq = make_theta_net(64, 1.0, 1.0)
     conc = make_theta_net(64, 0.4, 1.0)
     # smaller theta => last interval shrinks, first interval grows
-    assert conc.intervals()[-1] < eq.intervals()[-1]
-    assert conc.intervals()[0] > eq.intervals()[0]
+    dc, de = np.diff(conc.nodes), np.diff(eq.nodes)
+    assert dc[-1] < de[-1]
+    assert dc[0] > de[0]
 
 
 def test_theta_net_validation():
@@ -53,27 +54,6 @@ def test_timenet_node_validation():
         TimeNet(nodes=np.array([0.1, 1.0]), n=1, theta=1.0, T=1.0)
     with pytest.raises(ConfigError):
         TimeNet(nodes=np.array([0.0, 0.5, 0.5, 1.0]), n=3, theta=1.0, T=1.0)
-
-
-def test_left_index():
-    net = make_theta_net(4, 1.0, 1.0)
-    assert left_index(net, 0.0) == 0
-    assert left_index(net, 0.1) == 0
-    assert left_index(net, 0.25) == 0
-    assert left_index(net, 0.26) == 1
-    assert left_index(net, 1.0) == 3
-    with pytest.raises(ConfigError):
-        left_index(net, 1.5)
-
-
-def test_to_csv(tmp_path):
-    net = make_theta_net(3, 1.0, 1.0)
-    path = tmp_path / "net.csv"
-    net.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t"
-    assert [float(v) for v in lines[1:]] == pytest.approx(
-        [0.0, 1 / 3, 2 / 3, 1.0])
 
 
 def test_net_collapse_rejected():

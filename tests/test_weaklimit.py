@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fracsmooth import weaklimit as wl
 from fracsmooth.errors import ConfigError
 from fracsmooth.model import MarketModel, simulate_gbm
 from fracsmooth.payoffs import Payoff, delta, price
 from fracsmooth.weaklimit import (apply_A_operator, clock_A, clock_to_csv,
-                                  comparison_to_csv, fractional_D,
                                   ks_distance, lp_bound_curve,
                                   mixed_normal_sample)
 
@@ -68,31 +68,26 @@ def test_mixed_normal_moments():
     assert abs((z ** 2).mean() - a.mean()) < band
 
 
-def test_fractional_D_theta_one_is_increment():
+def test_lp_bound_curve_theta_one_is_increment():
+    # at theta = 1, D_t is the increment AH(t, S_t) - AH(0, s0) of the
+    # paths simulated on the base grid 1 - 2^-j, which holds t_grid
     p = Payoff.call(1.0)
-    times = np.array([0.25, 0.5])
-    batch = simulate_gbm(MODEL, times, 4, 3)
-    for i in range(4):
-        val = fractional_D(p, MODEL, 1.0, 0.5, times, batch.values[i])
-        ah0 = float(apply_A_operator(p, MODEL, 0.0, 1.0))
-        ah_t = float(apply_A_operator(p, MODEL, 0.5, batch.values[i, 1]))
-        assert val == pytest.approx(ah_t - ah0, rel=1e-12)
+    times = 1.0 - 2.0 ** -np.arange(1, wl._LP_DEPTH + 1, dtype=float)
+    t_grid = times[[1, 4]]
+    _, norms, _, _, _ = lp_bound_curve(p, MODEL, 1.0, 3.0, t_grid, 400, 3)
+    batch = simulate_gbm(MODEL, times, 400, 3)
+    ah0 = float(apply_A_operator(p, MODEL, 0.0, 1.0))
+    for t, norm, col in zip(t_grid, norms, (1, 4)):
+        d = apply_A_operator(p, MODEL, t, batch.values[:, col]) - ah0
+        assert norm == pytest.approx(np.mean(np.abs(d) ** 3) ** (1 / 3),
+                                     rel=1e-12)
 
 
-def test_fractional_D_affine_vanishes():
+def test_lp_bound_curve_affine_vanishes():
+    # A maps c0 + c1 s to the constant -c0, so every D_t vanishes
     p = Payoff.affine(0.4, 2.0)
-    times = np.linspace(1 / 16, 0.5, 8)
-    batch = simulate_gbm(MODEL, times, 2, 5)
-    val = fractional_D(p, MODEL, 0.6, 0.5, times, batch.values[0])
-    assert abs(val) < 1e-12
-
-
-def test_fractional_D_validation():
-    p = Payoff.call(1.0)
-    with pytest.raises(ConfigError):
-        fractional_D(p, MODEL, 0.5, 0.3, [0.25, 0.5], [1.0, 1.0])
-    with pytest.raises(ConfigError):
-        fractional_D(p, MODEL, 0.5, 1.0, [0.25, 0.5], [1.0, 1.0])
+    _, norms, _, _, _ = lp_bound_curve(p, MODEL, 0.6, 2.0, [0.25, 0.5], 64, 5)
+    assert np.all(norms < 1e-12)
 
 
 def test_lp_bound_curve_verdicts():
@@ -115,7 +110,6 @@ def test_csv_writers(tmp_path):
     clock_to_csv(f1, clock)
     lines = f1.read_text().splitlines()
     assert lines[0] == "path_id,A" and len(lines) == 51
-    f2 = tmp_path / "cmp.csv"
-    comparison_to_csv(f2, {"a": [1.0, 2.0], "b": [3.0]})
-    lines = f2.read_text().splitlines()
-    assert lines[0] == "sample_source,value" and len(lines) == 4
+    f2 = tmp_path / "clock_echo.csv"
+    clock_to_csv(f2, clock, header_lines=["seed=9"])
+    assert f2.read_bytes() == b"# seed=9\n" + f1.read_bytes()
