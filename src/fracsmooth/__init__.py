@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateCurveError, ExactHedgeError,
                      FracsmoothError, QuadratureError, SimulationError)
-from .model import MarketModel, PathBatch, child_seed, simulate_gbm
+from .model import MarketModel, child_seed, simulate_gbm
 from .timenets import TimeNet, make_theta_net
 from .payoffs import Payoff, delta, gamma, payoff_eval, price
 from .chaos import (ChaosExpansion, besov_criterion, d12_norm,
@@ -18,15 +18,14 @@ from .hedging import (L2ErrorEstimate, TrackingErrorSample, l2_tracking_error,
 from .smoothness import (DecayCurve, ThetaEstimate, conditional_l2_decay,
                          estimate_theta_sup, integral_criteria_verdicts,
                          growth_criteria_exponents)
-from .weaklimit import (ClockSample, apply_A_operator, clock_A, ks_distance,
-                        lp_bound_curve, mixed_normal_sample)
+from .weaklimit import ClockSample, clock_A, ks_distance, mixed_normal_sample
 from .ratefit import RateFit, SweepResult, fit_rate, fit_summary, sweep
 
 __all__ = [
     "__version__",
     "FracsmoothError", "ConfigError", "QuadratureError", "SimulationError",
     "DegenerateCurveError", "ExactHedgeError",
-    "MarketModel", "PathBatch", "child_seed", "simulate_gbm",
+    "MarketModel", "child_seed", "simulate_gbm",
     "TimeNet", "make_theta_net",
     "Payoff", "payoff_eval", "price", "delta", "gamma",
     "ChaosExpansion", "project", "indicator_expansion", "exp_call_expansion",
@@ -37,6 +36,5 @@ __all__ = [
     "estimate_theta_sup", "integral_criteria_verdicts",
     "growth_criteria_exponents",
     "ClockSample", "clock_A", "mixed_normal_sample", "ks_distance",
-    "apply_A_operator", "lp_bound_curve",
     "RateFit", "SweepResult", "fit_rate", "sweep", "fit_summary",
 ]

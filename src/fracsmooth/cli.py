@@ -2,7 +2,9 @@
 
 Each experiment is a subcommand reading a flat key=value config file with
 command-line overrides, writing deterministic CSV outputs (prefixed with
-the resolved config as # comments) and a one-line JSON summary.
+the resolved config as # comments) and a one-line JSON summary.  Every
+value is computed before an output file is opened, so a failed run
+writes none.
 """
 
 from __future__ import annotations
@@ -153,15 +155,13 @@ def cmd_price(cfg: ExperimentConfig) -> None:
     p = _payoff(cfg)
     t_list = cfg.get_list("t_list", "0.0,0.5")
     s_list = cfg.get_list("s_list", "0.5,1.0,1.5")
+    rows = [[repr(t), repr(s), repr(po.price(p, model, t, s)),
+             repr(po.delta(p, model, t, s)), repr(po.gamma(p, model, t, s))]
+            for t in t_list for s in s_list]
     fh, w = _writer(cfg.get("out"), cfg)
     with fh:
         w.writerow(["t", "s", "price", "delta", "gamma"])
-        for t in t_list:
-            for s in s_list:
-                w.writerow([repr(t), repr(s),
-                            repr(po.price(p, model, t, s)),
-                            repr(po.delta(p, model, t, s)),
-                            repr(po.gamma(p, model, t, s))])
+        w.writerows(rows)
 
 
 def cmd_hedge_sweep(cfg: ExperimentConfig) -> None:
@@ -182,13 +182,13 @@ def cmd_smoothness(cfg: ExperimentConfig) -> None:
     grid = sm.default_t_grid(model, cfg.get_int("depth", "20"))
     c = sm._criteria_curves(p, model, grid)
     curve = c["decay"]
+    est = sm.estimate_theta_sup(curve)
     fh, w = _writer(cfg.get("out"), cfg)
     with fh:
         w.writerow(["t", "T_minus_t", "decay", "grad_sq", "hess_sq"])
         for t, d, g, h in zip(grid, curve.D, c["grad"], c["hess"]):
             w.writerow([repr(float(t)), repr(float(model.T - t)),
                         repr(float(d)), repr(float(g)), repr(float(h))])
-    est = sm.estimate_theta_sup(curve)
     _emit_summary(cfg, {"theta_hat": est.theta_hat, "slope": est.slope,
                         "residual_rms": est.residual_rms})
 
@@ -197,12 +197,12 @@ def cmd_chaos(cfg: ExperimentConfig) -> None:
     e = _expansion(cfg)
     theta = cfg.get_float("theta", "0.5")
     tg, phi, verdict = ch.besov_criterion(e, theta)
+    limit = cfg.get_int("coeff_limit", "1024")
     fh, w = _writer(cfg.get("out"), cfg)
     with fh:
         w.writerow(["t", "phi"])
         for t, v in zip(tg, phi):
             w.writerow([repr(float(t)), repr(float(v))])
-    limit = cfg.get_int("coeff_limit", "1024")
     fh, w = _writer(cfg.get("out") + ".coeffs.csv", cfg)
     with fh:
         w.writerow(["k", "alpha"])
@@ -249,13 +249,14 @@ def cmd_zreg(cfg: ExperimentConfig) -> None:
     model = _model(cfg)
     p = _payoff(cfg)
     theta = cfg.get_float("net_theta", "1.0")
+    rows = []
+    for n in cfg.get_list("n_list", "8,16,32,64", int):
+        e = hg.z_regularity(p, model, make_theta_net(n, theta, model.T))
+        rows.append([n, repr(float(e)), repr(float(n * e))])
     fh, w = _writer(cfg.get("out"), cfg)
     with fh:
         w.writerow(["n", "z_regularity", "n_times_e"])
-        for n in cfg.get_list("n_list", "8,16,32,64", int):
-            net = make_theta_net(n, theta, model.T)
-            e = hg.z_regularity(p, model, net)
-            w.writerow([n, repr(float(e)), repr(float(n * e))])
+        w.writerows(rows)
 
 
 _COMMANDS = {

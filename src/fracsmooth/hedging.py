@@ -18,7 +18,7 @@ import numpy as np
 
 from . import payoffs as po
 from .errors import ConfigError, QuadratureError
-from .model import MarketModel, gaussian_increments, map_blocks
+from .model import MarketModel, _check_grid, _log_step, map_blocks
 from .payoffs import Payoff, kink_feature
 from .quadrature import gauss_normal_nodes, lognormal_grid
 from .timenets import TimeNet
@@ -41,13 +41,10 @@ _BRIDGE_ORDER = 96
 
 @dataclass(frozen=True)
 class TrackingErrorSample:
-    payoff: Payoff
-    model: MarketModel
-    net: TimeNet
+    """Per-path C_T and, from ``tracking_error_process``, C_t with one
+    column per evaluation time."""
+
     terminal_errors: np.ndarray
-    seed: int
-    measure: str
-    process_times: np.ndarray | None = None
     process_values: np.ndarray | None = None
 
 
@@ -56,7 +53,6 @@ class L2ErrorEstimate:
     """|| C_T ||_{L2} estimate with the MC standard error of mean(C_T^2)."""
 
     n: int
-    theta: float
     l2_error: float
     stderr: float
     m: int
@@ -144,8 +140,8 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
     if eval_times is None:
         ev = np.empty(0)
     else:
-        ev = np.asarray(eval_times, dtype=float)
-        if ev.size and (ev.min() < 0.0 or ev.max() >= model.T):
+        ev = _check_grid(model, eval_times)
+        if ev[-1] >= model.T:
             raise ConfigError("eval_times must lie in [0, T)")
     grid = np.union1d(net.nodes, ev)
     is_node = np.isin(grid, net.nodes)
@@ -173,11 +169,8 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
         col = 0
         for j in range(nt):
             if j > 0:
-                dt = grid[j] - grid[j - 1]
-                z = gaussian_increments(seed, j, start, count)
-                growth = np.exp(sigma * math.sqrt(dt) * z
-                                + (drift - 0.5 * sigma * sigma) * dt)
-                s_new = s * growth
+                s_new = s * np.exp(_log_step(grid[j - 1], grid[j], j, seed,
+                                             start, count, drift, sigma))
                 acc = acc + dvec * (s_new - s)
                 s = s_new
             if is_eval[j]:
@@ -188,10 +181,7 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
         terminal[start:start + count] = po.payoff_eval(p, s) - h0 - acc
 
     map_blocks(block, m, threads=threads)
-    return TrackingErrorSample(
-        payoff=p, model=model, net=net, terminal_errors=terminal,
-        seed=seed, measure=measure,
-        process_times=ev if ev.size else None, process_values=proc)
+    return TrackingErrorSample(terminal_errors=terminal, process_values=proc)
 
 
 def tracking_error_terminal(p: Payoff, model: MarketModel, net: TimeNet,
@@ -205,7 +195,11 @@ def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
                            m: int, seed: int, eval_times,
                            measure: str = "martingale",
                            threads: int = 1) -> TrackingErrorSample:
-    """Tracking error process C_t on eval_times (strictly before T)."""
+    """Tracking error process C_t on eval_times.
+
+    ``eval_times`` must be finite, strictly increasing and in [0, T);
+    column k of ``process_values`` holds C at ``eval_times[k]``.
+    """
     return _run(p, model, net, m, seed, measure, eval_times, threads)
 
 
@@ -223,8 +217,7 @@ def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
     sq = sample.terminal_errors ** 2
     msq = float(sq.mean())
     se = float(sq.std(ddof=1)) / math.sqrt(m)
-    return L2ErrorEstimate(n=net.n, theta=net.theta,
-                           l2_error=math.sqrt(max(msq, 0.0)),
+    return L2ErrorEstimate(n=net.n, l2_error=math.sqrt(max(msq, 0.0)),
                            stderr=se, m=m)
 
 

@@ -20,7 +20,6 @@ from .errors import ConfigError, SimulationError
 
 __all__ = [
     "MarketModel",
-    "PathBatch",
     "simulate_gbm",
     "gaussian_increments",
     "child_seed",
@@ -34,8 +33,6 @@ BLOCK_PATHS = 1 << 15
 #: sub-stream tags for statistically independent draws under one seed
 STREAM_PATHS = 0
 STREAM_AUX = 1
-
-_SIGMA_DEGENERATE = 1e-100
 
 
 @dataclass(frozen=True)
@@ -68,20 +65,6 @@ class MarketModel:
         if measure == "historical":
             return self.mu
         raise ConfigError(f"unknown measure tag {measure!r}")
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    """Simulated values on a time grid, with the seed that produced them."""
-
-    times: np.ndarray
-    values: np.ndarray          # shape (m, len(times)), path-major
-    seed: int
-    measure: str
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
 
 
 def child_seed(master: int, tag: int) -> int:
@@ -139,14 +122,17 @@ def _check_grid(model: MarketModel, times: np.ndarray) -> np.ndarray:
 
 
 def simulate_gbm(model: MarketModel, times, m: int, seed: int,
-                 measure: str = "martingale", threads: int = 1) -> PathBatch:
-    """Exact lognormal path simulation on an arbitrary increasing grid."""
+                 measure: str = "martingale", threads: int = 1) -> np.ndarray:
+    """Exact lognormal path simulation on an arbitrary increasing grid.
+
+    Returns the simulated values as an ``(m, len(times))`` array, one row
+    per path.
+    """
     times = _check_grid(model, times)
     if m < 1:
         raise ConfigError("path count m must be >= 1")
     drift = model.drift(measure)
     sigma = model.sigma
-    degenerate = sigma < _SIGMA_DEGENERATE
 
     nt = times.size
     out = np.empty((m, nt))
@@ -154,21 +140,20 @@ def simulate_gbm(model: MarketModel, times, m: int, seed: int,
     def block(start, count):
         x = np.full(count, math.log(model.s0))
         if times[0] > 0.0:
-            x += _log_step(0.0, times[0], 0, seed, start, count, drift, sigma, degenerate)
+            x += _log_step(0.0, times[0], 0, seed, start, count, drift, sigma)
         out[start:start + count, 0] = np.exp(x)
         for j in range(1, nt):
             x += _log_step(times[j - 1], times[j], j, seed, start, count,
-                           drift, sigma, degenerate)
+                           drift, sigma)
             out[start:start + count, j] = np.exp(x)
         return None
 
     map_blocks(block, m, threads=threads)
-    return PathBatch(times=times, values=out, seed=seed, measure=measure)
+    return out
 
 
-def _log_step(t0, t1, step, seed, start, count, drift, sigma, degenerate):
+def _log_step(t0, t1, step, seed, start, count, drift, sigma):
+    """Increment of ln S over [t0, t1] for paths ``start..start+count``."""
     dt = t1 - t0
-    if degenerate:
-        return np.full(count, drift * dt)
     z = gaussian_increments(seed, step, start, count)
     return sigma * math.sqrt(dt) * z + (drift - 0.5 * sigma * sigma) * dt

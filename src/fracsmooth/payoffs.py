@@ -27,7 +27,7 @@ from scipy.special import ndtr
 
 from .chaos import ChaosExpansion, hermite_series
 from .errors import ConfigError, QuadratureError
-from .model import _SIGMA_DEGENERATE, MarketModel
+from .model import MarketModel
 from .quadrature import Feature, gauss_normal_nodes
 
 __all__ = [
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _TAU_FLOOR = 1e-12
+#: smallest volatility pricing accepts: far below it sigma^2 tau
+#: underflows and the closed-form Greeks overflow or turn NaN
+_SIGMA_DEGENERATE = 1e-100
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _CLOSED_FORM = frozenset({"call", "put", "binary", "affine"})
 _KINDS = frozenset({"call", "put", "binary", "power_holder", "affine", "chaos"})
@@ -157,8 +160,6 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s,
     if np.any(s <= 0.0):
         raise ConfigError("price argument s must be > 0")
     if model.sigma < _SIGMA_DEGENERATE:
-        # the floor simulate_gbm uses; far below it sigma^2 tau underflows
-        # and the closed-form Greeks overflow or turn NaN
         raise ConfigError(f"pricing needs sigma >= {_SIGMA_DEGENERATE:g}, "
                           f"got {model.sigma:g}")
     want = set(want)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ExactHedgeError
-from .hedging import L2ErrorEstimate, _Tables, l2_tracking_error
+from .hedging import _Tables, l2_tracking_error
 from .model import MarketModel, child_seed
 from .payoffs import Payoff, second_moment
 from .timenets import make_theta_net
@@ -37,7 +37,6 @@ _ROUNDOFF_REL = 1e-10
 class RateFit:
     """WLS fit of log error vs log n with a 95% slope interval."""
 
-    pairs: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -87,7 +86,7 @@ def fit_rate(pairs) -> RateFit:
     ss_tot = float(w @ (y - ybar) ** 2)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     half = 1.96 * math.sqrt(max(cov[0, 0], 0.0))
-    return RateFit(pairs=tuple(pairs), slope=slope, intercept=intercept,
+    return RateFit(slope=slope, intercept=intercept,
                    r_squared=r2, slope_ci=(slope - half, slope + half))
 
 
@@ -95,11 +94,6 @@ def fit_rate(pairs) -> RateFit:
 class SweepResult:
     estimates: tuple
     fit: RateFit
-    payoff: Payoff
-    model: MarketModel
-    net_theta: float
-    seed: int
-    measure: str
 
 
 def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
@@ -133,9 +127,7 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
             f"every L2 error is round-off (at most {_ROUNDOFF_REL:g} of the "
             f"payoff's L2 norm {scale:.6g}): the hedge is exact")
     fit = fit_rate([(e.n, e.l2_error, e.stderr) for e in estimates[1:]])
-    return SweepResult(estimates=tuple(estimates), fit=fit, payoff=p,
-                       model=model, net_theta=theta, seed=seed,
-                       measure=measure)
+    return SweepResult(estimates=tuple(estimates), fit=fit)
 
 
 def sweep_to_csv(path, result: SweepResult, header_lines=()) -> None:

@@ -48,7 +48,6 @@ _OCTAVE_ORDER = 8
 class DecayCurve:
     t_grid: np.ndarray
     D: np.ndarray
-    payoff: Payoff
     model: MarketModel
 
 
@@ -124,7 +123,7 @@ def _criteria_curves(p: Payoff, model: MarketModel, t_grid,
             if val < -1e-10:
                 warnings.warn(f"negative decay value {val:.3e} clamped at t={t:.6g}")
         out["decay"] = DecayCurve(t_grid=t_grid, D=np.sqrt(np.maximum(var, 0.0)),
-                                  payoff=p, model=model)
+                                  model=model)
     return out
 
 

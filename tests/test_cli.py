@@ -134,6 +134,11 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert rc == 2
     rc = main(["price", "stray-positional"])
     assert rc == 2
+    # a failure after some values were computed writes no partial CSV
+    rc = main(["zreg", "--payoff", "binary", "--n_list", "8,0",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):
@@ -142,6 +147,14 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     rc = main(["chaos", "--chaos_kind", "indicator", "--chaos_order", "4",
                "--theta", "0.9", "--out", str(tmp_path / "x.csv")])
     assert rc == 0
+    # the far-from-kink gamma fails its rounding bound at a tiny sigma,
+    # and the run writes no CSV
+    rc = main(["price", "--payoff", "power_holder", "--sigma", "1e-8",
+               "--t_list", "0.5", "--s_list", "1.5",
+               "--out", str(tmp_path / "px.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
+    assert not (tmp_path / "px.csv").exists()
     # a hand-built expansion whose tail dominates still fails
     from fracsmooth.chaos import ChaosExpansion, besov_criterion
     from fracsmooth.errors import QuadratureError
@@ -168,6 +181,7 @@ def test_exit_code_degenerate_errors(tmp_path, capsys):
                "--depth", "10", "--out", str(tmp_path / "y.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: degenerate:")
+    assert not any(tmp_path.iterdir())
 
 
 def test_exit_code_bad_time_and_threads(tmp_path, capsys):
@@ -178,6 +192,7 @@ def test_exit_code_bad_time_and_threads(tmp_path, capsys):
                "--m", "100", "--out", str(tmp_path / "y.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
 
 
 def test_exit_code_degenerate_sigma(tmp_path, capsys):
@@ -185,3 +200,4 @@ def test_exit_code_degenerate_sigma(tmp_path, capsys):
                "--t_list", "0.5", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())

@@ -56,8 +56,11 @@ def test_process_values_at_eval_times():
     for col in range(2):
         v = sample.process_values[:, col]
         assert abs(v.mean()) < 4.0 * v.std() / math.sqrt(v.size)
-    with pytest.raises(ConfigError):
-        tracking_error_process(p, MODEL, net, 10, 0, [1.0])
+    # at T, repeated, unsorted or NaN times are rejected, not returned
+    # as uninitialized or misordered columns
+    for bad in ([1.0], [0.3, 0.3], [0.6, 0.3], [0.3, math.nan], []):
+        with pytest.raises(ConfigError):
+            tracking_error_process(p, MODEL, net, 10, 0, bad)
 
 
 def test_thread_invariance():

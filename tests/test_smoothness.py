@@ -60,8 +60,7 @@ def test_theta_hat_needs_enough_points():
 
 def test_degenerate_curve_rejected():
     grid = default_t_grid(MODEL, 20)
-    curve = DecayCurve(t_grid=grid, D=np.zeros_like(grid),
-                       payoff=Payoff.affine(1.0, 0.0), model=MODEL)
+    curve = DecayCurve(t_grid=grid, D=np.zeros_like(grid), model=MODEL)
     with pytest.raises(DegenerateCurveError):
         estimate_theta_sup(curve)
 
