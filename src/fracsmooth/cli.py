@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     except (DegenerateCurveError, ExactHedgeError) as exc:
         print(f"error: degenerate: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -20,7 +20,7 @@ from . import payoffs as po
 from .errors import ConfigError, QuadratureError
 from .model import MarketModel, _check_grid, _log_step, map_blocks
 from .payoffs import Payoff, kink_feature
-from .quadrature import gauss_normal_nodes, lognormal_grid
+from .quadrature import lognormal_grid
 from .timenets import TimeNet
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
 #: halvings of the last net interval toward maturity
 _T_QUAD_ORDER = 8
 _T_TAIL_DEPTH = 40
-_BRIDGE_ORDER = 96
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,11 @@ def _log_range(model: MarketModel) -> tuple[float, float]:
 class _Tables(dict):
     """t -> vectorized s -> price or delta evaluator, for one (payoff, model).
 
-    Closed-form payoffs and chaos series evaluate directly; the graded
-    quadrature of the power-Holder payoff is tabulated once per t on a
-    log-price grid refined around the strike and linearly interpolated.
-    Nested nets share their nodes bit for bit, so one instance reused
-    across nets or quadrature times tabulates each time only once.
+    Closed-form payoffs and chaos series evaluate directly; the
+    power-Holder payoff is tabulated once per t on a log-price grid
+    refined around the strike and linearly interpolated.  Nested nets
+    share their nodes bit for bit, so one instance reused across nets
+    tabulates each time only once.
     """
 
     def __init__(self, p: Payoff, model: MarketModel, which: str = "delta"):
@@ -105,24 +104,6 @@ class _Tables(dict):
             fn = lambda s: np.interp(np.log(s), x, vals)
         self[t] = fn
         return fn
-
-    def bridge_mean(self, a: float, t: float, x):
-        """E[delta(a, S_a) | ln S_t = x] for 0 < a < t, on a delta table.
-
-        Directly evaluated deltas take the exact bridge identity of
-        ``z_regularity``, one delta per spot at time a^2/t.  A tabulated
-        delta exists only at its own times, so it is averaged over the
-        bridge law of ln S_a with a 96-node Gauss-Hermite rule.
-        """
-        sigma, x0 = self.model.sigma, math.log(self.model.s0)
-        mu = x0 - 0.5 * sigma * sigma * a + (a / t) * (
-            x - x0 + 0.5 * sigma * sigma * t)
-        v = sigma * math.sqrt(a * (t - a) / t)
-        if not self.tabulated:
-            return po.delta(self.p, self.model, a * a / t,
-                            np.exp(mu - 0.5 * v * v))
-        xi, wi = gauss_normal_nodes(_BRIDGE_ORDER)
-        return np.asarray(self[a](np.exp(mu[:, None] + v * xi[None, :]))) @ wi
 
 
 def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
@@ -225,6 +206,16 @@ def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
 # quadrature route: squared L2 tracking error through the Ito isometry
 
 
+def _bridge_mean(p: Payoff, model: MarketModel, a: float, t: float, x):
+    """E[delta(a, S_a) | ln S_t = x] for 0 < a < t, by the bridge identity
+    of ``z_regularity``: one delta per spot, at time a^2/t."""
+    sigma, x0 = model.sigma, math.log(model.s0)
+    mu = x0 - 0.5 * sigma * sigma * a + (a / t) * (
+        x - x0 + 0.5 * sigma * sigma * t)
+    v = sigma * math.sqrt(a * (t - a) / t)
+    return po.delta(p, model, a * a / t, np.exp(mu - 0.5 * v * v))
+
+
 def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
     """Squared L2 norm of the tracking error, by nested quadrature.
 
@@ -247,20 +238,14 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
 
         E[delta(a, S_a) | S_t] = delta(a^2/t, exp(mu - v^2/2)),
 
-    exactly and for every payoff.  Payoffs whose delta is evaluated
-    directly (closed forms and chaos series) use this identity, one delta
-    per grid node.  The tabulated power-Holder delta exists only on the
-    net's own times, so it is averaged over the bridge with a 96-node
-    Gauss-Hermite rule instead.
+    exactly and for every payoff: one delta per grid node.
     """
     if abs(net.T - model.T) > 1e-12:
         raise ConfigError("net maturity must match the model maturity")
     sigma = model.sigma
     x0 = math.log(model.s0)
     gx, gw = np.polynomial.legendre.leggauss(_T_QUAD_ORDER)
-
-    dfn = _Tables(p, model)
-    d0 = float(np.asarray(dfn[0.0](np.array([model.s0])))[0])
+    d0 = po.delta(p, model, 0.0, model.s0)
 
     def at(t):
         """Grid nodes, weights, spots and deltas of ln S_t, for t > 0."""
@@ -268,7 +253,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
         x, w = lognormal_grid(mean, std, features=kink_feature(p, model, t),
                               tail_depth=32)
         s = np.exp(x)
-        return x, w, s, np.asarray(dfn[t](s))
+        return x, w, s, po.delta(p, model, t, s)
 
     def g_of(node):
         """G(t) = E (sigma S_t delta(t, S_t))^2 on the nodes of ``at(t)``."""
@@ -281,7 +266,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
         if a == 0.0:
             inner = np.full_like(x, d0)
         else:
-            inner = dfn.bridge_mean(a, t, x)
+            inner = _bridge_mean(p, model, a, t, x)
         return sigma * sigma * float(w @ (st * st * d_t * inner))
 
     total = 0.0

@@ -3,27 +3,30 @@
 Call, put, binary and affine payoffs have Black-Scholes closed forms.
 Power-Holder payoffs ``(s - K)_+**theta`` and chaos payoffs (a Hermite
 series in the normalized terminal log-price of the unit GBM) are priced
-by quadrature against the lognormal transition kernel; their Greeks
-differentiate the kernel, not the payoff.
+by quadrature against the lognormal transition kernel.
 
 One valuation engine, ``_valuate``, returns any of price, E[h^2 | S_t],
 delta, gamma and the conditional variance at one time for an array of
 spots; ``price``, ``delta``, ``gamma``, ``second_moment`` and
-``conditional_variance`` are thin callers.  For the power-Holder payoff
-it builds one Gaussian kernel matrix per panel rule (Gauss-Legendre
-orders 8 and 12 on panels graded toward the kink), reads every requested
-quantity off it, and checks each against its own tolerance by comparing
-the two rules.
+``conditional_variance`` are thin callers.  The power-Holder payoff
+vanishes below its kink, so near the kink it is integrated above it
+only: a Gauss-Jacobi rule with the payoff's root y^theta as its weight
+on the first kernel sd, then unit Gauss-Legendre panels, one kernel
+matrix per rule and weight for every quantity.  Far above the kink the
+Greeks differentiate the payoff under a Gauss-Hermite rule instead of
+the kernel.  Every quantity is checked against its own tolerance by
+comparing two orders of its rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_jacobi
 
 from .chaos import ChaosExpansion, hermite_series
 from .errors import ConfigError, QuadratureError
@@ -192,13 +195,17 @@ def _one(p, model, t, s, q):
 
 
 def _converged(q: str, a, b, tol, what: str) -> None:
+    """Raise unless both rules are finite and agree within ``tol``."""
     rtol, atol = tol
-    if np.any(np.abs(a - b) > atol + rtol * np.maximum(np.abs(b), 1.0)):
+    ok = (np.isfinite(a) & np.isfinite(b)
+          & (np.abs(a - b) <= atol + rtol * np.maximum(np.abs(b), 1.0)))
+    if not np.all(ok):
         raise QuadratureError(f"{what} did not converge for the {q}")
 
 
 def _kernel_weights(kern, zz, v: float, q: str):
-    """Kernel weights of price/m2, delta and gamma (before the 1/s^k v)."""
+    """Kernel weights of price/m2, delta and gamma (before the 1/s^k v)
+    for the Gauss-Hermite chaos quadrature."""
     if q == "delta":
         return kern * zz
     if q == "gamma":
@@ -206,100 +213,152 @@ def _kernel_weights(kern, zz, v: float, q: str):
     return kern
 
 
-_kink_panel_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+#: y = ln(S_T/K)/v range of the kink rule: 12 kernel sds beyond the last
+#: near spot d2 = 8.  Above d2 = 8 the pathwise rule takes over; below
+#: d2 = -40 every kernel weight is under e^-800 and the values are zeros
+_Y_MAX = 20
+_D2_NEAR = 8.0
+_D2_UNDERFLOW = 40.0
+#: the two kink rules: Gauss-Jacobi order on [0, 1] and Gauss-Legendre
+#: order per unit panel on [1, _Y_MAX]
+_KINK_RULES = ((16, 8), (24, 12))
+#: the two Gauss-Hermite orders of the pathwise far-from-kink rule
+_FAR_ORDERS = (24, 32)
 
-#: spots per block while building kernel weights (~270 kB temporaries)
-_KERNEL_ROWS = 16
-#: panel half-width in y: 12 kernel sds beyond the last near spot |d2| = 8
-_Y_MAX = 20.0
-_PANEL_DEPTH = 48
-_GH_NODES = 201
+
+@functools.lru_cache(maxsize=64)
+def _jacobi01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for int_0^1 y^beta f(y) dy / sqrt(2 pi)."""
+    x, w = roots_jacobi(n, 0.0, beta)
+    y, w = 0.5 * (1.0 + x), w * 2.0 ** (-1.0 - beta) / _SQRT_2PI
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
 
 
-def _kink_panels(n_gl: int):
-    """Graded Gauss-Legendre nodes on [-_Y_MAX, _Y_MAX], refined toward 0.
+@functools.lru_cache(maxsize=None)
+def _unit_panels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule for int_1^_Y_MAX f(y) dy / sqrt(2 pi), unit panels."""
+    gx, gw = leggauss(n)
+    left = np.arange(1.0, _Y_MAX)
+    y = (left[:, None] + 0.5 * (1.0 + gx)).ravel()
+    w = np.tile(0.5 * gw / _SQRT_2PI, left.size)
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
 
-    Panels shrink geometrically to width 2^-_PANEL_DEPTH at the origin,
-    so a root- or step-type singularity there is integrated to near
-    machine precision with a fixed low panel order.
+
+def _kernel_moments(y, f, d2, order: int) -> list[np.ndarray]:
+    """sum_j f_j phi(z_j) z_j^k with z_j = y_j - d2, for k = 0..order.
+
+    ``f`` holds one column per integrand (without the 1/sqrt(2 pi) of
+    phi); one kernel matrix serves every column and power.
     """
-    if n_gl not in _kink_panel_cache:
-        edges = [0.0]
-        h = 2.0 ** -_PANEL_DEPTH
-        while edges[-1] < _Y_MAX:
-            edges.append(min(edges[-1] + h, _Y_MAX))
-            h = min(2.0 * h, 0.5)
-        eg = np.array(edges)
-        eg = np.concatenate([-eg[::-1], eg[1:]])
-        gx, gw = leggauss(n_gl)
-        a, b = eg[:-1], eg[1:]
-        y = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx[None, :]).ravel()
-        w = (0.5 * (b - a)[:, None] * gw[None, :]).ravel()
-        _kink_panel_cache[n_gl] = (y, w)
-    return _kink_panel_cache[n_gl]
+    zz = y - d2[:, None]
+    kern = zz * zz
+    kern *= -0.5
+    # an exp that underflows is 15-100x slower than one that does not,
+    # and a weight of at least e^-700 ~ 1e-304 moves no sum
+    np.maximum(kern, -700.0, out=kern)
+    np.exp(kern, out=kern)
+    out = [kern @ f]
+    for _ in range(order):
+        kern *= zz
+        out.append(kern @ f)
+    return out
+
+
+def _kink_rule(p: Payoff, v: float, s, tols, orders) -> dict:
+    """Every quantity in ``tols`` by one kink rule.
+
+    In y = ln(S_T/K)/v the payoff vanishes for y < 0 and a spot s sees
+    the kernel phi(y - d2).  On [0, 1], h(K e^{vy})^j = y^{j theta} g(y)^j
+    with the smooth g(y) = (K expm1(vy)/y)^theta, so a Gauss-Jacobi rule
+    of weight y^{j theta} takes the root singularity exactly (j = 1 for
+    price and Greeks, 2 for E[h^2]); unit Gauss-Legendre panels cover
+    [1, _Y_MAX].  With M_k = int h(K e^{vy}) (y - d2)^k phi(y - d2) dy,
+    delta is M_1 / (s v) and gamma ((M_2 - M_0)/v - M_1) / (s^2 v).
+    """
+    n_jac, n_leg = orders
+    K, th = p.strike, p.holder_theta
+    d2 = (np.log(s / K) - 0.5 * v * v) / v
+    order = 2 if "gamma" in tols else 1 if "delta" in tols else 0
+    powers = [1] if order or "price" in tols else []
+    if "m2" in tols:
+        powers.append(2)
+    yl, wl = _unit_panels(n_leg)
+    hl = (K * np.expm1(v * yl)) ** th
+    legs = _kernel_moments(yl, np.stack([hl ** j * wl for j in powers], axis=1),
+                           d2, order)
+    mom = {}
+    for c, j in enumerate(powers):
+        yj, wj = _jacobi01(n_jac, j * th)
+        gj = (K * np.expm1(v * yj) / yj) ** (j * th)
+        jac = _kernel_moments(yj, gj * wj, d2, order if j == 1 else 0)
+        mom[j] = [a + b[:, c] for a, b in zip(jac, legs)]
+    vals = {}
+    for q in tols:
+        if q == "m2":
+            vals[q] = mom[2][0]
+        elif q == "price":
+            vals[q] = mom[1][0]
+        elif q == "delta":
+            vals[q] = mom[1][1] / (s * v)
+        else:
+            m0, m1, m2 = mom[1]
+            vals[q] = ((m2 - m0) / v - m1) / (s * s * v)
+    return vals
+
+
+def _pathwise_rule(p: Payoff, v: float, s, tols, order: int) -> dict:
+    """Every quantity in ``tols`` by one Gauss-Hermite rule, with the
+    Greeks from payoff derivatives: delta = E[h'(S_T) S_T] / s and
+    gamma = E[h''(S_T) S_T^2] / s^2, so nothing is divided by v."""
+    K, th = p.strike, p.holder_theta
+    z, w = gauss_normal_nodes(order)
+    st = s[:, None] * np.exp(v * z - 0.5 * v * v)
+    u = np.maximum(st - K, 0.0)
+    hv = u ** th
+    # S_T / (S_T - K), zero below the kink where h and its derivatives are
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(u > 0.0, st / u, 0.0)
+    vals = {}
+    for q in tols:
+        if q == "price":
+            vals[q] = hv @ w
+        elif q == "m2":
+            vals[q] = (hv * hv) @ w
+        elif q == "delta":
+            vals[q] = th * ((hv * r) @ w) / s
+        else:
+            vals[q] = th * (th - 1.0) * ((hv * r * r) @ w) / (s * s)
+    return vals
 
 
 def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
             tols: dict) -> dict[str, np.ndarray]:
-    """Kernel quadrature of every quantity in ``tols`` for a kinked payoff.
+    """Every quantity in ``tols`` for the power-Holder payoff.
 
-    Works in y = ln(S_T/K)/v, where the kink sits at y = 0 for every
-    spot.  Each panel rule (n_gl 8 and 12) builds one Gaussian kernel
-    matrix and reads all quantities off it; the two rules must agree
-    within each quantity's tolerance.  Spots whose kink lies far outside
-    the kernel's support use one plain Gauss-Hermite rule instead; its
-    Greeks divide the sum by s^k v, so a small sigma^2 tau amplifies its
-    rounding, and it raises when the first-order rounding bound
-    eps * sum |w k h| / (s^k v) exceeds the quantity's tolerance.
+    With d2 = (E[ln S_T] - ln K)/v, the kernel sds by which the kink lies
+    below the mean, spots with d2 <= 8 take ``_kink_rule`` and spots far
+    above the kink (d2 > 8, where it carries less than Phi(-8) of the
+    mass) ``_pathwise_rule``.  Each rule runs at two orders, which must
+    agree within each quantity's tolerance.  Spots with d2 < -40 get
+    zeros: every kernel weight is under e^-800 there.
     """
     v = model.sigma * math.sqrt(tau)
-    K = p.strike
-    d2 = (np.log(s / K) - 0.5 * v * v) / v
-    near = np.abs(d2) <= 8.0
-    h = _payoff_fn(p)
-    scale = {"delta": s * v, "gamma": s * s * v}
-    out = {q: np.empty_like(s) for q in tols}
-
-    if not np.all(near):
-        far = ~near
-        z, w = gauss_normal_nodes(_GH_NODES)
-        hv = np.asarray(h(s[far, None] * np.exp(v * z[None, :] - 0.5 * v * v)))
+    d2 = (np.log(s / p.strike) - 0.5 * v * v) / v
+    out = {q: np.zeros_like(s) for q in tols}
+    far = d2 > _D2_NEAR
+    for spots, rule, orders, what in (
+            (~far & (d2 >= -_D2_UNDERFLOW), _kink_rule, _KINK_RULES,
+             "kink quadrature"),
+            (far, _pathwise_rule, _FAR_ORDERS,
+             "pathwise Gauss-Hermite quadrature")):
+        if not np.any(spots):
+            continue
+        lo, hi = (rule(p, v, s[spots], tols, n) for n in orders)
         for q, tol in tols.items():
-            g = hv ** 2 if q == "m2" else hv
-            terms = g * _kernel_weights(w, z[None, :], v, q)
-            val = terms.sum(axis=1)
-            rounding = np.finfo(float).eps * np.abs(terms).sum(axis=1)
-            if q in scale:
-                val /= scale[q][far]
-                rounding /= scale[q][far]
-            _converged(q, val, val + rounding, tol,
-                       "far-from-kink Gauss-Hermite sum, within its rounding,")
-            out[q][far] = val
-    if np.any(near):
-        dn = d2[near]
-        kind = {q: "price" if q == "m2" else q for q in tols}
-        rules = []
-        for n_gl in (8, 12):
-            y, wq = _kink_panels(n_gl)
-            hy = np.asarray(h(K * np.exp(v * y)))
-            # weights are built in blocks of spots, so the elementwise
-            # temporaries stay in cache; each product below still runs on
-            # the whole matrix, so no result depends on the block size
-            wts = {k: np.empty((dn.size, y.size)) for k in kind.values()}
-            for a in range(0, dn.size, _KERNEL_ROWS):
-                zz = y[None, :] - dn[a:a + _KERNEL_ROWS, None]
-                kern = np.exp(-0.5 * zz * zz) / _SQRT_2PI
-                for k, wk in wts.items():
-                    wk[a:a + _KERNEL_ROWS] = _kernel_weights(kern, zz, v, k)
-            vals = {}
-            for q in tols:
-                r = wts[kind[q]] @ (wq * (hy ** 2 if q == "m2" else hy))
-                vals[q] = r / scale[q][near] if q in scale else r
-            rules.append(vals)
-        for q, tol in tols.items():
-            _converged(q, rules[0][q], rules[1][q], tol,
-                       "graded kernel quadrature under refinement")
-            out[q][near] = rules[1][q]
+            _converged(q, lo[q], hi[q], tol, f"{what} under refinement")
+            out[q][spots] = hi[q]
     return out
 
 
@@ -339,6 +398,10 @@ def _chaos_closed(p, model, tau, s):
         f1 = f1 + a * math.sqrt(k + 1) * q_prev
         f2 = f2 + a * math.sqrt((k + 1) * k) * q_pp
     return {"price": f, "delta": f1 / s, "gamma": (f2 - f1) / (s * s)}
+
+
+#: Gauss-Hermite order of the chaos-payoff quadrature (doubled to check it)
+_GH_NODES = 201
 
 
 def _quad_values(model: MarketModel, tau: float, s: np.ndarray, h, order: int):

@@ -223,7 +223,7 @@ def test_decay_from_chaos_limits():
         decay_from_chaos(e, -0.1)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.lists(st.floats(-2, 2), min_size=2, max_size=10))
 def test_decay_from_chaos_monotone_property(coeffs):
     e = ChaosExpansion(alpha=np.array(coeffs))

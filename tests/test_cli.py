@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from fracsmooth.cli import main
@@ -147,18 +148,19 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     rc = main(["chaos", "--chaos_kind", "indicator", "--chaos_order", "4",
                "--theta", "0.9", "--out", str(tmp_path / "x.csv")])
     assert rc == 0
-    # the far-from-kink gamma fails its rounding bound at a tiny sigma,
-    # and the run writes no CSV
-    rc = main(["price", "--payoff", "power_holder", "--sigma", "1e-8",
-               "--t_list", "0.5", "--s_list", "1.5",
-               "--out", str(tmp_path / "px.csv")])
+    # at sigma^2 T > 1 the chaos series overflows on the Gauss-Hermite
+    # nodes: the NaN sums fail the convergence check, and the run writes
+    # no CSV
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["price", "--payoff", "chaos", "--sigma", "1.5",
+                   "--t_list", "0", "--s_list", "1",
+                   "--out", str(tmp_path / "px.csv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: numerical:")
     assert not (tmp_path / "px.csv").exists()
     # a hand-built expansion whose tail dominates still fails
     from fracsmooth.chaos import ChaosExpansion, besov_criterion
     from fracsmooth.errors import QuadratureError
-    import numpy as np
     e = ChaosExpansion(alpha=np.array([0.0, 1.0]), tail_l2=1.0)
     with pytest.raises(QuadratureError):
         besov_criterion(e, 0.5)
@@ -200,4 +202,13 @@ def test_exit_code_degenerate_sigma(tmp_path, capsys):
                "--t_list", "0.5", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_exit_code_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["price", "--payoff", "binary", "--t_list", "0.5",
+               "--s_list", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: io:")
     assert not any(tmp_path.iterdir())

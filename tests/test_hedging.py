@@ -139,10 +139,10 @@ def test_z_regularity_bridge_identity_matches_bridge_quadrature(monkeypatch):
     net = make_theta_net(32, 0.4, 1.0)
     exact = z_regularity(p, MODEL, net)
 
-    def bridge_mean(self, a, t, x):
+    def bridge_mean(p, model, a, t, x):
         return _bridge_average(p, a, *_bridge_law(a, t, np.exp(x)))
 
-    monkeypatch.setattr(hg._Tables, "bridge_mean", bridge_mean)
+    monkeypatch.setattr(hg, "_bridge_mean", bridge_mean)
     assert z_regularity(p, MODEL, net) == pytest.approx(exact, rel=1e-12)
 
 

@@ -115,7 +115,7 @@ def test_simulate_gbm_grid_validation():
         simulate_gbm(model, [0.5], 0, 0)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 64 - 1), step=st.integers(0, 100))
 def test_increment_determinism_property(seed, step):
     a = gaussian_increments(seed, step, 0, 16)

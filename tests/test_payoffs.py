@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -194,26 +196,75 @@ def test_engine_fused_matches_separate_calls(t):
                                    err_msg=q)
 
 
+def _adaptive_moments(p, model, t, s):
+    """E[h(S_T)^j | S_t = s], j = 1, 2, by adaptive quadrature.
+
+    In w = z - z_k, with z the standard normal of S_T and z_k the kink,
+    h(S_T) = (K expm1(v w))^theta for w > 0 and 0 below; the integral is
+    split at the kink, so the root singularity sits at an endpoint.
+    """
+    v = model.sigma * math.sqrt(model.T - t)
+    K, th = p.strike, p.holder_theta
+    zk = (0.5 * v * v - math.log(s / K)) / v
+    out = {}
+    for q, j in (("price", 1), ("m2", 2)):
+        def f(w):
+            return ((K * math.expm1(v * w)) ** (j * th)
+                    * math.exp(-0.5 * (w + zk) ** 2))
+        ref = sum(quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+                  for a, b in ((0.0, 1.0), (1.0, max(-zk, 0.0) + 40.0)))
+        out[q] = ref / math.sqrt(2.0 * math.pi)
+    return out
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0 - 2.0 ** -17])
 def test_engine_moments_match_direct_integration(t):
-    # E[h(S_T)^j | S_t = s] = int_{z_k}^inf h(s e^{vz - v^2/2})^j phi(z) dz,
-    # h vanishing below the kink z_k; adaptive quadrature as the reference
     p = Payoff.power_holder(1.0, 0.25)
-    v = math.sqrt(MODEL.T - t)
     s = _spots_around_cutoff(t)
     got = po._valuate(p, MODEL, t, s, ("price", "m2"))
     for i, si in enumerate(s):
-        zk = (0.5 * v * v - math.log(si)) / v
-        for q, j in (("price", 1), ("m2", 2)):
-            def f(z):
-                st = si * math.exp(v * z - 0.5 * v * v)
-                return payoff_eval(p, st) ** j * math.exp(-0.5 * z * z)
-            # split off the root singularity at the kink
-            ref = sum(quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
-                      for a, b in ((zk, zk + 1.0),
-                                   (zk + 1.0, max(zk, 0.0) + 40.0)))
-            ref /= math.sqrt(2.0 * math.pi)
+        for q, ref in _adaptive_moments(p, MODEL, t, si).items():
             assert got[q][i] == pytest.approx(ref, rel=1e-10, abs=1e-14), q
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0 - 2.0 ** -24])
+@pytest.mark.parametrize("sigma", [0.3, 2.0])
+@pytest.mark.parametrize("strike", [0.5, 2.0])
+@pytest.mark.parametrize("th", [0.1, 0.5, 0.9])
+def test_kink_rules_match_adaptive_quadrature(th, strike, sigma, t):
+    # both sides of the kink and of the |d2| = 8 switch to the pathwise rule
+    p = Payoff.power_holder(strike, th)
+    model = MarketModel(s0=1.0, sigma=sigma, T=1.0)
+    v = sigma * math.sqrt(1.0 - t)
+    d2 = np.array([-9.0, -2.0, 0.0, 3.0, 7.99, 9.0])
+    s = strike * np.exp(v * d2 + 0.5 * v * v)
+    got = po._valuate(p, model, t, s, ("price", "m2"))
+    for i, si in enumerate(s):
+        for q, ref in _adaptive_moments(p, model, t, si).items():
+            assert got[q][i] == pytest.approx(ref, rel=1e-10, abs=1e-14), \
+                (q, d2[i])
+
+
+@given(th=st.floats(0.1, 0.9), strike=st.floats(0.5, 2.0),
+       sigma=st.floats(0.3, 2.0), t=st.floats(0.0, 0.99),
+       d2=st.floats(-12.0, 12.0))
+def test_power_holder_greeks_match_finite_differences(th, strike, sigma, t, d2):
+    # steps of 1e-4 in d2 straddle the |d2| = 8 switch between the kink
+    # and the pathwise rules; each Greek is compared on the scale of the
+    # quantity it differentiates, 1/(s v) times that quantity
+    p = Payoff.power_holder(strike, th)
+    model = MarketModel(s0=1.0, sigma=sigma, T=1.0)
+    v = sigma * math.sqrt(1.0 - t)
+    s = strike * math.exp(v * d2 + 0.5 * v * v)
+    ds = 1e-4 * s * v
+    sp = np.array([s - ds, s, s + ds])
+    val = po._valuate(p, model, t, sp, ("price", "delta", "gamma"))
+    pr, de, ga = val["price"], val["delta"], val["gamma"]
+    fd_delta = (pr[2] - pr[0]) / (2.0 * ds)
+    fd_gamma = (de[2] - de[0]) / (2.0 * ds)
+    assert abs(de[1] - fd_delta) <= 1e-6 * (abs(de[1]) + pr[1] / (s * v)) + 1e-12
+    assert abs(ga[1] - fd_gamma) <= 1e-5 * (abs(ga[1]) + abs(de[1]) / (s * v)) \
+        + 1e-12
 
 
 @pytest.mark.parametrize("q", ["price", "m2", "delta", "gamma"])
@@ -229,19 +280,27 @@ def test_engine_tightened_tolerance_raises(q, monkeypatch):
 
 @pytest.mark.parametrize("sigma", [1e-8, 1e-100])
 def test_power_holder_greeks_far_from_kink_at_tiny_sigma(sigma):
-    # at s = 1.5 the kink lies ~0.4 / (sigma sqrt(tau)) sds away, where the
-    # Greeks divide a Gauss-Hermite sum by s^k v and so amplify its rounding
-    # by 1/v: each Greek must come back correct or raise, never wrong
+    # at s = 1.5 the kink lies ~0.4 / (sigma sqrt(tau)) sds away; the
+    # pathwise Greeks differentiate the payoff, so no sum is divided by a
+    # power of sigma sqrt(tau) and each Greek is the payoff's own
     p = Payoff.power_holder(1.0, 0.25)
     model = MarketModel(s0=1.0, sigma=sigma, T=1.0)
     assert price(p, model, 0.5, 1.5) == pytest.approx(0.5 ** 0.25, rel=1e-12)
     exact = {delta: 0.25 * 0.5 ** -0.75, gamma: -0.1875 * 0.5 ** -1.75}
     for f, ref in exact.items():
-        try:
-            val = f(p, model, 0.5, 1.5)
-        except QuadratureError:
-            continue
-        assert val == pytest.approx(ref, rel=1e-4), f.__name__
+        assert f(p, model, 0.5, 1.5) == pytest.approx(ref, rel=1e-4), \
+            f.__name__
+
+
+def test_power_holder_gamma_far_above_kink_at_tau_floor():
+    # tau sits at its 1e-12 floor, so sigma sqrt(tau) = 1e-6 and the
+    # price is the payoff up to O(1e-12); a kernel-differentiated gamma
+    # divides by v^2 = 1e-12 and was off by 1e-4 to 3e-3 here
+    th = 0.25
+    p = Payoff.power_holder(1.0, th)
+    for s in (1.2, 1.43, 2.0, 5.0):
+        ref = th * (th - 1.0) * (s - 1.0) ** (th - 2.0)
+        assert gamma(p, MODEL, 1.0 - 1e-12, s) == pytest.approx(ref, rel=1e-9)
 
 
 def test_non_finite_valuation_time_rejected():

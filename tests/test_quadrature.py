@@ -49,7 +49,7 @@ def test_lognormal_grid_step_function():
     assert val == pytest.approx(float(ndtr(-c)), abs=1e-9)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(mean=st.floats(-3, 3), std=st.floats(0.05, 4),
        c=st.floats(-2, 2))
 def test_lognormal_grid_mass_property(mean, std, c):

@@ -82,7 +82,7 @@ def test_sweep_deterministic_across_threads():
         assert ea.stderr == eb.stderr
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(slope=st.floats(-1.0, -0.1), c=st.floats(0.1, 10.0))
 def test_fit_power_law_property(slope, c):
     fit = fit_rate(_synthetic(slope, [8, 16, 32, 64, 128, 256], c=c))

@@ -63,7 +63,7 @@ def test_net_collapse_rejected():
         make_theta_net(108, 0.125, 1.0)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(n=st.integers(1, 300), theta=st.floats(0.25, 1.0),
        T=st.floats(0.1, 10.0))
 def test_net_shape_property(n, theta, T):
@@ -73,7 +73,7 @@ def test_net_shape_property(n, theta, T):
     assert np.all(np.diff(net.nodes) > 0.0)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(n=st.integers(1, 100), theta=st.floats(0.25, 1.0))
 def test_net_refinement_keeps_nodes(n, theta):
     coarse = make_theta_net(n, theta, 1.0)
