@@ -1,7 +1,8 @@
 """Hermite chaos expansions of functions of a standard Gaussian.
 
 Coefficients are taken against the orthonormal-in-N(0,1) Hermite basis
-``H_k = He_k / sqrt(k!)``.  Besides numerical projection, analytic
+``H_k = He_k / sqrt(k!)``, evaluated by ``quadrature.hermite_recurrence``
+wherever they are needed.  Besides numerical projection, analytic
 constructors are provided for step functions and exp-call functions.
 These also carry a closed-form Mehler kernel: with X_t = t X +
 sqrt(1-t^2) Y, the Mehler formula sum_k t^k alpha_k^2 = E[g(X) g(X_t)]
@@ -16,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 
 from .errors import ConfigError, QuadratureError
-from .quadrature import gauss_normal_nodes
+from .quadrature import gauss_normal_nodes, hermite_recurrence
 
 __all__ = [
     "ChaosExpansion",
@@ -50,16 +52,7 @@ def hermite_series(alpha: np.ndarray, x):
     """Evaluate sum_k alpha_k H_k(x) with a running recurrence."""
     x = np.asarray(x, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    h_prev = np.ones_like(x)
-    acc = alpha[0] * h_prev
-    if alpha.size == 1:
-        return acc
-    h = x.copy()
-    acc = acc + alpha[1] * h
-    for k in range(1, alpha.size - 1):
-        h, h_prev = (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1), h
-        acc = acc + alpha[k + 1] * h
-    return acc
+    return sum(a * h for a, h in zip(alpha, hermite_recurrence(x, alpha.size)))
 
 
 @dataclass(frozen=True)
@@ -90,15 +83,7 @@ def project(g, K: int, quad_order: int | None = None) -> ChaosExpansion:
     x, w = gauss_normal_nodes(quad_order)
     gx = np.asarray(g(x), dtype=float)
     wg = w * gx
-    alpha = np.empty(K + 1)
-    h_prev = np.ones_like(x)
-    alpha[0] = wg @ h_prev
-    if K >= 1:
-        h = x.copy()
-        alpha[1] = wg @ h
-        for k in range(1, K):
-            h, h_prev = (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1), h
-            alpha[k + 1] = wg @ h
+    alpha = np.fromiter((wg @ h for h in hermite_recurrence(x, K + 1)), float, K + 1)
     norm_sq = float(w @ (gx * gx))
     resid = norm_sq - float(alpha @ alpha)
     if resid < -1e-8 * max(norm_sq, 1.0):
@@ -114,31 +99,24 @@ def indicator_expansion(c: float, K: int) -> ChaosExpansion:
     """
     if K < 1:
         raise ConfigError("K must be >= 1")
-    alpha = np.empty(K + 1)
-    alpha[0] = ndtr(-c)
     if c == 0.0:
         # closed form: H_{2j}(0)^2 = (2j-1)!!/(2j)!!, odd orders vanish
         j = np.arange(0, (K - 1) // 2 + 1)
         p = np.cumprod(np.concatenate([[1.0], (2 * j[1:] - 1) / (2 * j[1:])]))
-        alpha[1:] = 0.0
+        alpha = np.zeros(K + 1)
         k_odd = 2 * j + 1
         alpha[k_odd] = _phi(0.0) * np.where(j % 2 == 0, 1.0, -1.0) * np.sqrt(p / k_odd)
     else:
-        # H_0..H_{K-1} at c by the recurrence into alpha[1:], then one
-        # scaling pass by phi(c) / sqrt(k), in blocks so that no
-        # temporary grows with K (K reaches 2^21)
-        hs = alpha[1:]
-        hs[0] = 1.0
-        h_prev, h_k, r_k = 0.0, 1.0, 0.0
-        for k in range(K - 1):
-            r_next = math.sqrt(k + 1)
-            h_prev, h_k, r_k = h_k, (c * h_k - r_k * h_prev) / r_next, r_next
-            hs[k + 1] = h_k
+        # H_0..H_{K-1} at c behind a slot for alpha_0, then one scaling
+        # pass by phi(c) / sqrt(k), in blocks so that no temporary grows
+        # with K (K reaches 2^21)
+        alpha = np.fromiter(chain((0.0,), hermite_recurrence(c, K)), float, K + 1)
         phi_c = _phi(c)
-        for i in range(0, K, _SCALE_BLOCK):
-            blk = hs[i:i + _SCALE_BLOCK]
+        for i in range(1, K + 1, _SCALE_BLOCK):
+            blk = alpha[i:i + _SCALE_BLOCK]
             blk *= phi_c
-            blk /= np.sqrt(np.arange(i + 1.0, i + 1.0 + blk.size))
+            blk /= np.sqrt(np.arange(float(i), float(i) + blk.size))
+    alpha[0] = ndtr(-c)
     m2 = float(ndtr(-c))
 
     def kernel(t):
@@ -167,15 +145,11 @@ def exp_call_expansion(a: float, b: float, strike: float, K: int) -> ChaosExpans
     e_k = np.empty(K + 1)
     g_val = float(ndtr(-d))
     phi_d = _phi(d)
-    h_prev, h = 1.0, d + b
     e_k[0] = g_val
-    for k in range(1, K + 1):
+    for k, hk1 in enumerate(hermite_recurrence(d + b, K), 1):
         # G_{k} = (b G_{k-1} + H_{k-1}(d+b) phi(d)) / sqrt(k)
-        hk1 = h_prev if k == 1 else h
         g_val = (b * g_val + hk1 * phi_d) / math.sqrt(k)
         e_k[k] = g_val
-        if k >= 2:
-            h, h_prev = ((d + b) * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k), h
     e_k *= math.exp(0.5 * b * b)
     alpha = a * e_k - strike * i_k
     # E[g^2] and E[g(X) g(X_t)]: each term of (a e^{bx} - strike)^2 on

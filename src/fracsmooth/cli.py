@@ -4,13 +4,12 @@ Each experiment is a subcommand reading a flat key=value config file with
 command-line overrides, writing deterministic CSV outputs (prefixed with
 the resolved config as # comments) and a one-line JSON summary.  Every
 value is computed before an output file is opened, so a failed run
-writes none.
+writes none, and each file replaces its target only once complete.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -22,6 +21,7 @@ from . import payoffs as po
 from . import ratefit as rf
 from . import smoothness as sm
 from . import weaklimit as wl
+from ._output import open_output, write_csv
 from .errors import (ConfigError, DegenerateCurveError, ExactHedgeError,
                      QuadratureError, SimulationError)
 from .model import MarketModel, child_seed
@@ -136,17 +136,10 @@ def _expansion(cfg: ExperimentConfig) -> ch.ChaosExpansion:
     raise ConfigError(f"config key 'chaos_kind' has unknown kind {kind!r}")
 
 
-def _writer(path: str, cfg: ExperimentConfig):
-    fh = open(path, "w", newline="")
-    for line in cfg.echo_lines():
-        fh.write(f"# {line}\n")
-    return fh, csv.writer(fh)
-
-
 def _emit_summary(cfg: ExperimentConfig, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    with open(cfg.get("out") + ".summary", "w") as fh:
+    with open_output(cfg.get("out") + ".summary") as fh:
         fh.write(text + "\n")
 
 
@@ -158,10 +151,8 @@ def cmd_price(cfg: ExperimentConfig) -> None:
     rows = [[repr(t), repr(s), repr(po.price(p, model, t, s)),
              repr(po.delta(p, model, t, s)), repr(po.gamma(p, model, t, s))]
             for t in t_list for s in s_list]
-    fh, w = _writer(cfg.get("out"), cfg)
-    with fh:
-        w.writerow(["t", "s", "price", "delta", "gamma"])
-        w.writerows(rows)
+    write_csv(cfg.get("out"), cfg.echo_lines(),
+              ["t", "s", "price", "delta", "gamma"], rows)
 
 
 def cmd_hedge_sweep(cfg: ExperimentConfig) -> None:
@@ -183,12 +174,11 @@ def cmd_smoothness(cfg: ExperimentConfig) -> None:
     c = sm._criteria_curves(p, model, grid)
     curve = c["decay"]
     est = sm.estimate_theta_sup(curve)
-    fh, w = _writer(cfg.get("out"), cfg)
-    with fh:
-        w.writerow(["t", "T_minus_t", "decay", "grad_sq", "hess_sq"])
-        for t, d, g, h in zip(grid, curve.D, c["grad"], c["hess"]):
-            w.writerow([repr(float(t)), repr(float(model.T - t)),
-                        repr(float(d)), repr(float(g)), repr(float(h))])
+    write_csv(cfg.get("out"), cfg.echo_lines(),
+              ["t", "T_minus_t", "decay", "grad_sq", "hess_sq"],
+              ([repr(float(t)), repr(float(model.T - t)), repr(float(d)),
+                repr(float(g)), repr(float(h))]
+               for t, d, g, h in zip(grid, curve.D, c["grad"], c["hess"])))
     _emit_summary(cfg, {"theta_hat": est.theta_hat, "slope": est.slope,
                         "residual_rms": est.residual_rms})
 
@@ -198,16 +188,10 @@ def cmd_chaos(cfg: ExperimentConfig) -> None:
     theta = cfg.get_float("theta", "0.5")
     tg, phi, verdict = ch.besov_criterion(e, theta)
     limit = cfg.get_int("coeff_limit", "1024")
-    fh, w = _writer(cfg.get("out"), cfg)
-    with fh:
-        w.writerow(["t", "phi"])
-        for t, v in zip(tg, phi):
-            w.writerow([repr(float(t)), repr(float(v))])
-    fh, w = _writer(cfg.get("out") + ".coeffs.csv", cfg)
-    with fh:
-        w.writerow(["k", "alpha"])
-        for k, a in enumerate(e.alpha[:limit]):
-            w.writerow([k, repr(float(a))])
+    write_csv(cfg.get("out"), cfg.echo_lines(), ["t", "phi"],
+              ([repr(float(t)), repr(float(v))] for t, v in zip(tg, phi)))
+    write_csv(cfg.get("out") + ".coeffs.csv", cfg.echo_lines(), ["k", "alpha"],
+              ([k, repr(float(a))] for k, a in enumerate(e.alpha[:limit])))
     d12, fat = ch.d12_norm(e)
     _emit_summary(cfg, {"besov_verdict": verdict, "theta": theta,
                         "d12_truncated": d12, "d12_fat_tail": bool(fat)})
@@ -230,13 +214,10 @@ def cmd_weaklimit(cfg: ExperimentConfig) -> None:
         threads=cfg.get_int("threads")).terminal_errors
     scaled = math.sqrt(n) * errs
     wl.clock_to_csv(cfg.get("out"), clock, header_lines=cfg.echo_lines())
-    fh, w = _writer(cfg.get("out") + ".cmp.csv", cfg)
-    with fh:
-        w.writerow(["sample_source", "value"])
-        for v in scaled:
-            w.writerow(["rescaled_error", repr(float(v))])
-        for v in mixed:
-            w.writerow(["mixed_normal", repr(float(v))])
+    write_csv(cfg.get("out") + ".cmp.csv", cfg.echo_lines(),
+              ["sample_source", "value"],
+              [["rescaled_error", repr(float(v))] for v in scaled]
+              + [["mixed_normal", repr(float(v))] for v in mixed])
     _emit_summary(cfg, {
         "ks": wl.ks_distance(scaled, mixed),
         "mean_A": float(clock.A_values.mean()),
@@ -253,10 +234,8 @@ def cmd_zreg(cfg: ExperimentConfig) -> None:
     for n in cfg.get_list("n_list", "8,16,32,64", int):
         e = hg.z_regularity(p, model, make_theta_net(n, theta, model.T))
         rows.append([n, repr(float(e)), repr(float(n * e))])
-    fh, w = _writer(cfg.get("out"), cfg)
-    with fh:
-        w.writerow(["n", "z_regularity", "n_times_e"])
-        w.writerows(rows)
+    write_csv(cfg.get("out"), cfg.echo_lines(),
+              ["n", "z_regularity", "n_times_e"], rows)
 
 
 _COMMANDS = {

@@ -19,8 +19,7 @@ import numpy as np
 from . import payoffs as po
 from .errors import ConfigError, QuadratureError
 from .model import MarketModel, _check_grid, _log_step, map_blocks
-from .payoffs import Payoff, kink_feature
-from .quadrature import lognormal_grid
+from .payoffs import Payoff
 from .timenets import TimeNet
 
 __all__ = [
@@ -92,7 +91,7 @@ class _Tables(dict):
         if not self.tabulated:
             fn = lambda s: f(p, model, t, s)
         else:
-            v = model.sigma * math.sqrt(max(model.T - t, 1e-12))
+            v = model.sigma * math.sqrt(max(model.T - t, po._TAU_FLOOR))
             lo, hi = _log_range(model)
             lk = math.log(p.strike)
             u = np.arange(-16.0, 16.0 + 1e-9, 1.0 / 16.0)
@@ -243,15 +242,12 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
     if abs(net.T - model.T) > 1e-12:
         raise ConfigError("net maturity must match the model maturity")
     sigma = model.sigma
-    x0 = math.log(model.s0)
     gx, gw = np.polynomial.legendre.leggauss(_T_QUAD_ORDER)
     d0 = po.delta(p, model, 0.0, model.s0)
 
     def at(t):
         """Grid nodes, weights, spots and deltas of ln S_t, for t > 0."""
-        mean, std = x0 - 0.5 * sigma * sigma * t, sigma * math.sqrt(t)
-        x, w = lognormal_grid(mean, std, features=kink_feature(p, model, t),
-                              tail_depth=32)
+        x, w = po._outer_grid(p, model, t, tail_depth=32)
         s = np.exp(x)
         return x, w, s, po.delta(p, model, t, s)
 

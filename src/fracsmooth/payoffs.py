@@ -31,7 +31,7 @@ from scipy.special import ndtr, roots_jacobi
 from .chaos import ChaosExpansion, hermite_series
 from .errors import ConfigError, QuadratureError
 from .model import MarketModel
-from .quadrature import Feature, gauss_normal_nodes
+from .quadrature import gauss_normal_nodes, hermite_recurrence, lognormal_grid
 
 __all__ = [
     "Payoff",
@@ -41,7 +41,6 @@ __all__ = [
     "gamma",
     "second_moment",
     "conditional_variance",
-    "kink_feature",
 ]
 
 _TAU_FLOOR = 1e-12
@@ -203,24 +202,16 @@ def _converged(q: str, a, b, tol, what: str) -> None:
         raise QuadratureError(f"{what} did not converge for the {q}")
 
 
-def _kernel_weights(kern, zz, v: float, q: str):
-    """Kernel weights of price/m2, delta and gamma (before the 1/s^k v)
-    for the Gauss-Hermite chaos quadrature."""
-    if q == "delta":
-        return kern * zz
-    if q == "gamma":
-        return kern * ((zz * zz - 1.0) / v - zz)
-    return kern
-
-
-#: y = ln(S_T/K)/v range of the kink rule: 12 kernel sds beyond the last
-#: near spot d2 = 8.  Above d2 = 8 the pathwise rule takes over; below
-#: d2 = -40 every kernel weight is under e^-800 and the values are zeros
+#: y = ln(S_T/K)/v range of the kink rule: 12 kernel sds past the last
+#: near spot d2 = 8, and _Y_PAST sds past each integrand's peak.  Above
+#: d2 = 8 the pathwise rule takes over; below d2 = -40 every kernel
+#: weight is under e^-800 and the values are zeros
 _Y_MAX = 20
+_Y_PAST = 8.0
 _D2_NEAR = 8.0
 _D2_UNDERFLOW = 40.0
 #: the two kink rules: Gauss-Jacobi order on [0, 1] and Gauss-Legendre
-#: order per unit panel on [1, _Y_MAX]
+#: order per unit panel on [1, end]
 _KINK_RULES = ((16, 8), (24, 12))
 #: the two Gauss-Hermite orders of the pathwise far-from-kink rule
 _FAR_ORDERS = (24, 32)
@@ -235,11 +226,11 @@ def _jacobi01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return y, w
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_panels(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule for int_1^_Y_MAX f(y) dy / sqrt(2 pi), unit panels."""
+@functools.lru_cache(maxsize=64)
+def _unit_panels(n: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule for int_1^end f(y) dy / sqrt(2 pi), unit panels."""
     gx, gw = leggauss(n)
-    left = np.arange(1.0, _Y_MAX)
+    left = np.arange(1.0, end)
     y = (left[:, None] + 0.5 * (1.0 + gx)).ravel()
     w = np.tile(0.5 * gw / _SQRT_2PI, left.size)
     y.flags.writeable = w.flags.writeable = False
@@ -274,8 +265,9 @@ def _kink_rule(p: Payoff, v: float, s, tols, orders) -> dict:
     with the smooth g(y) = (K expm1(vy)/y)^theta, so a Gauss-Jacobi rule
     of weight y^{j theta} takes the root singularity exactly (j = 1 for
     price and Greeks, 2 for E[h^2]); unit Gauss-Legendre panels cover
-    [1, _Y_MAX].  With M_k = int h(K e^{vy}) (y - d2)^k phi(y - d2) dy,
-    delta is M_1 / (s v) and gamma ((M_2 - M_0)/v - M_1) / (s^2 v).
+    [1, end], with end past the peak d2 + j theta v of each integrand.
+    With M_k = int h(K e^{vy}) (y - d2)^k phi(y - d2) dy, delta is
+    M_1 / (s v) and gamma ((M_2 - M_0)/v - M_1) / (s^2 v).
     """
     n_jac, n_leg = orders
     K, th = p.strike, p.holder_theta
@@ -284,7 +276,8 @@ def _kink_rule(p: Payoff, v: float, s, tols, orders) -> dict:
     powers = [1] if order or "price" in tols else []
     if "m2" in tols:
         powers.append(2)
-    yl, wl = _unit_panels(n_leg)
+    end = max(_Y_MAX, math.ceil(d2.max() + max(powers) * th * v + _Y_PAST))
+    yl, wl = _unit_panels(n_leg, end)
     hl = (K * np.expm1(v * yl)) ** th
     legs = _kernel_moments(yl, np.stack([hl ** j * wl for j in powers], axis=1),
                            d2, order)
@@ -362,14 +355,6 @@ def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
     return out
 
 
-def _payoff_fn(p: Payoff):
-    if p.kind == "power_holder":
-        K, th = p.strike, p.holder_theta
-        return lambda st: np.maximum(st - K, 0.0) ** th
-    alpha = p.expansion.alpha
-    return lambda st: hermite_series(alpha, np.log(st) + 0.5)
-
-
 def _chaos_closed(p, model, tau, s):
     """Closed-form chaos price/Greeks via Q_k = E[H_k(N(m, v^2))].
 
@@ -378,25 +363,16 @@ def _chaos_closed(p, model, tau, s):
     follow from d/dm Q_k = sqrt(k) Q_{k-1}.
     """
     alpha = p.expansion.alpha
+    n = alpha.size
     v = model.sigma * math.sqrt(tau)
     m = np.log(s) + 0.5 - 0.5 * v * v
-    c = v * v - 1.0
-    q_pp = None
-    q_prev = np.ones_like(m)
-    q = m.copy()
-    f = alpha[0] * q_prev
-    f1 = np.zeros_like(m)
-    f2 = np.zeros_like(m)
-    if alpha.size > 1:
-        f = f + alpha[1] * q
-        f1 = f1 + alpha[1] * q_prev
-    for k in range(1, alpha.size - 1):
-        q_pp, q_prev, q = (q_prev, q,
-                           (m * q + c * math.sqrt(k) * q_prev) / math.sqrt(k + 1))
-        a = alpha[k + 1]
-        f = f + a * q
-        f1 = f1 + a * math.sqrt(k + 1) * q_prev
-        f2 = f2 + a * math.sqrt((k + 1) * k) * q_pp
+    f = f1 = f2 = 0.0
+    for k, q in enumerate(hermite_recurrence(m, n, v * v - 1.0)):
+        f = f + alpha[k] * q
+        if k + 1 < n:
+            f1 = f1 + alpha[k + 1] * math.sqrt(k + 1) * q
+        if k + 2 < n:
+            f2 = f2 + alpha[k + 2] * math.sqrt((k + 2) * (k + 1)) * q
     return {"price": f, "delta": f1 / s, "gamma": (f2 - f1) / (s * s)}
 
 
@@ -416,7 +392,7 @@ def _chaos(p, model, tau, s, tols):
     """Chaos-payoff quantities: the closed form while sigma^2 tau <= 1,
     else Gauss-Hermite checked under node doubling.  E[h^2] is not
     checked under node doubling, but raises when its sum overflows."""
-    h = _payoff_fn(p)
+    h = lambda st: hermite_series(p.expansion.alpha, np.log(st) + 0.5)
     out = {}
     if "m2" in tols:
         hv, z, w, v = _quad_values(model, tau, s, lambda st: h(st) ** 2,
@@ -434,8 +410,9 @@ def _chaos(p, model, tau, s, tols):
     raw = []
     for n in (_GH_NODES, 2 * _GH_NODES + 1):
         hv, z, w, v = _quad_values(model, tau, s, h, n)
-        raw.append({q: hv @ (w * _kernel_weights(np.ones_like(z), z, v, q))
-                    for q in rest})
+        # kernel weights before the 1/(s^k v) of each Greek
+        kern = {"price": w, "delta": w * z, "gamma": w * ((z * z - 1.0) / v - z)}
+        raw.append({q: hv @ kern[q] for q in rest})
     scale = {"delta": s * v, "gamma": s * s * v}
     for q, tol in rest.items():
         _converged(q, raw[0][q], raw[1][q], tol,
@@ -509,15 +486,15 @@ def conditional_variance(p: Payoff, model: MarketModel, t: float, s):
     return _one(p, model, t, s, "var")
 
 
-def kink_feature(p: Payoff, model: MarketModel, t: float) -> tuple[Feature, ...]:
-    """Location/width hint of the payoff's kink in log-price at time t.
+def _outer_grid(p: Payoff, model: MarketModel, t: float, tail_depth: int):
+    """``lognormal_grid`` of ln S_t under the pricing measure, for t > 0.
 
-    Used by downstream quadratures to grade nodes around the region where
-    delta or gamma localizes as t approaches maturity; empty for a
-    payoff without a kink.
+    For a payoff with a kink (call, put, binary, power-Holder) the grid
+    is graded at ln K down to the width sigma sqrt(T - t) over which the
+    delta and gamma localize as t approaches maturity.
     """
-    if p.kind in ("affine", "chaos"):
-        return ()
-    tau = max(model.T - t, _TAU_FLOOR)
-    width = model.sigma * math.sqrt(tau)
-    return (Feature(center=math.log(p.strike), width=width),)
+    sigma = model.sigma
+    kink = None if p.kind in ("affine", "chaos") else (
+        math.log(p.strike), sigma * math.sqrt(_tau(model, t, greek=False)))
+    return lognormal_grid(math.log(model.s0) - 0.5 * sigma * sigma * t,
+                          sigma * math.sqrt(t), kink, tail_depth)

@@ -1,17 +1,19 @@
 """Quadrature helpers for expectations against Gaussian / lognormal laws.
 
-Two schemes are provided:
-
+* ``hermite_recurrence`` -- the one three-term recurrence of the package:
+  orthonormal Hermite polynomials, and the Gaussian moments of them that
+  the chaos payoff's closed form needs.
 * ``gauss_normal_nodes`` -- Gauss-Hermite nodes and weights for
-  ``E f(X)`` with ``X ~ N(0, 1)``.
+  ``E f(X)`` with ``X ~ N(0, 1)``, cached per order as read-only arrays.
 * ``lognormal_grid`` -- a graded Gauss-Legendre rule in the probability
-  variable ``u = Phi((x - mean)/std)``, refined geometrically around kink
-  locations and toward both tails.  Slower but robust for integrands that
-  mix smooth and sharply localized parts.
+  variable ``u = Phi((x - mean)/std)``, refined geometrically around an
+  optional kink and toward both tails.  Slower but robust for integrands
+  that mix smooth and sharply localized parts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,21 +24,34 @@ from scipy.special import ndtr, ndtri
 from .errors import QuadratureError
 
 __all__ = [
+    "hermite_recurrence",
     "gauss_normal_nodes",
     "lognormal_grid",
-    "Feature",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: lognormal_grid's Gauss-Legendre rule per panel, and the ratio by which
-#: its panels widen away from a feature
+#: its panels widen away from the kink
 _GRID_GX, _GRID_GW = leggauss(8)
-_FEATURE_RATIO = 2.0
-
-_herme_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_KINK_RATIO = 2.0
 
 
+def hermite_recurrence(x, n: int, c: float = -1.0):
+    """Yield h_0..h_{n-1} of h_{k+1} = (x h_k + c sqrt(k) h_{k-1}) / sqrt(k+1).
+
+    h_0 = 1, and ``x`` is a float or an array.  c = -1 gives the
+    orthonormal Hermite polynomials H_k(x) = He_k(x) / sqrt(k!); c =
+    v^2 - 1 gives E[H_k(Y)] for Y ~ N(x, v^2).
+    """
+    h_prev, h, r = 0.0, np.ones_like(x) if np.ndim(x) else 1.0, 0.0
+    for k in range(n):
+        yield h
+        r_next = math.sqrt(k + 1)
+        h_prev, h, r = h, (x * h + c * r * h_prev) / r_next, r_next
+
+
+@functools.lru_cache(maxsize=None)
 def gauss_normal_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating exactly against the N(0,1) density.
 
@@ -44,49 +59,32 @@ def gauss_normal_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     Hermite polynomials; weights come from the Christoffel function of
     the orthonormal family, which stays bounded at any order (the
     classical derivative formula overflows past a few hundred nodes).
+    The arrays are shared by every caller, so they are read-only.
     """
-    if order not in _herme_cache:
-        if order < 1:
-            raise QuadratureError("quadrature order must be >= 1")
-        if order == 1:
-            _herme_cache[order] = (np.zeros(1), np.ones(1))
-            return _herme_cache[order]
+    if order < 1:
+        raise QuadratureError("quadrature order must be >= 1")
+    if order == 1:
+        x, w = np.zeros(1), np.ones(1)
+    else:
         x = eigvalsh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1.0, order)))
         # w_i = 1 / sum_k h_k(x_i)^2 over orthonormal h_0..h_{order-1};
         # nodes whose sum overflows have weights below double underflow
         with np.errstate(over="ignore", invalid="ignore"):
-            h_prev = np.ones_like(x)
-            h = x.copy()
-            ssq = h_prev * h_prev + h * h
-            for k in range(1, order - 1):
-                h, h_prev = (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1), h
-                ssq += h * h
+            ssq = sum(h * h for h in hermite_recurrence(x, order))
             w = np.where(np.isfinite(ssq), 1.0 / ssq, 0.0)
-        _herme_cache[order] = (x, w / w.sum())
-    return _herme_cache[order]
+        w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-class Feature:
-    """A localized structure of an integrand: Gaussian-ish peak or kink.
-
-    ``center`` and ``width`` live on the axis of the integration variable.
-    """
-
-    __slots__ = ("center", "width")
-
-    def __init__(self, center: float, width: float):
-        self.center = float(center)
-        self.width = float(width)
-
-
-def lognormal_grid(mean: float, std: float,
-                   features: tuple[Feature, ...] = (),
+def lognormal_grid(mean: float, std: float, kink=None,
                    tail_depth: int = 48) -> tuple[np.ndarray, np.ndarray]:
     """Graded nodes/weights for ``E f(X)``, ``X ~ N(mean, std^2)``.
 
     Returns ``(x, w)`` with ``sum(w) ~= 1``; evaluate ``w @ f(x)``.
-    Panels in u-space shrink geometrically toward u in {0, 1} and toward
-    the image of every feature center, down to the feature width.
+    Panels in u-space shrink geometrically toward u in {0, 1} and, when
+    ``kink = (center, width)`` is given on the axis of X, toward the
+    image of the center, down to the width.
     """
     if std <= 0.0:
         raise QuadratureError("lognormal_grid needs std > 0")
@@ -95,24 +93,16 @@ def lognormal_grid(mean: float, std: float,
     for j in range(1, tail_depth):
         edges.add(2.0 ** -j)
         edges.add(1.0 - 2.0 ** -j)
-    for ft in features:
-        z = (ft.center - mean) / std
+    if kink is not None:
+        center, width = kink
+        z = (center - mean) / std
         uc = float(ndtr(z))
-        if uc <= lo or uc >= hi:
-            continue
-        uw = max(float(np.exp(-0.5 * z * z) / _SQRT_2PI * ft.width / std), 2.0 ** -52)
-        edges.add(uc)
-        h = uw
-        while True:
-            if uc - h > lo:
-                edges.add(uc - h)
-            if uc + h < hi:
-                edges.add(uc + h)
-            if uc - h <= lo and uc + h >= hi:
-                break
-            h *= _FEATURE_RATIO
-            if h > 2.0:
-                break
+        h = max(float(np.exp(-0.5 * z * z) / _SQRT_2PI * width / std), 2.0 ** -52)
+        if lo < uc < hi:
+            edges.add(uc)
+            while uc - h > lo or uc + h < hi:
+                edges.update(e for e in (uc - h, uc + h) if lo < e < hi)
+                h *= _KINK_RATIO
     eg = np.array(sorted(edges))
     keep = np.concatenate([[True], np.diff(eg) > 1e-17])
     eg = eg[keep]

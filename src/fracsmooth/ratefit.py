@@ -7,13 +7,13 @@ of n values with per-n derived seeds and path counts.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._output import write_csv
 from .errors import ConfigError, ExactHedgeError
 from .hedging import _Tables, l2_tracking_error
 from .model import MarketModel, child_seed
@@ -132,13 +132,9 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
 
 def sweep_to_csv(path, result: SweepResult, header_lines=()) -> None:
     """CSV rows (n, l2_error, stderr, m), after optional # comments."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["n", "l2_error", "stderr", "m"])
-        for e in result.estimates:
-            w.writerow([e.n, repr(e.l2_error), repr(e.stderr), e.m])
+    write_csv(path, header_lines, ["n", "l2_error", "stderr", "m"],
+              ([e.n, repr(e.l2_error), repr(e.stderr), e.m]
+               for e in result.estimates))
 
 
 def fit_summary(fit: RateFit) -> str:

@@ -21,8 +21,7 @@ import numpy as np
 from . import payoffs as po
 from .errors import ConfigError, DegenerateCurveError
 from .model import MarketModel
-from .payoffs import Payoff, kink_feature
-from .quadrature import lognormal_grid
+from .payoffs import Payoff
 
 __all__ = [
     "DecayCurve",
@@ -66,11 +65,6 @@ def default_t_grid(model: MarketModel, depth: int = 20) -> np.ndarray:
     return model.T - model.T * 2.0 ** -j.astype(float)
 
 
-def _outer_law(model: MarketModel, t: float):
-    x0 = math.log(model.s0)
-    return x0 - 0.5 * model.sigma ** 2 * t, model.sigma * math.sqrt(t)
-
-
 #: engine quantities behind each criterion's integrand
 _NEEDS = {"decay": ("var",), "grad": ("delta",), "hess": ("delta", "gamma")}
 
@@ -86,9 +80,7 @@ def _criteria_at(p: Payoff, model: MarketModel, t: float,
     if t == 0.0:
         s, w = np.array([model.s0]), None
     else:
-        mean, std = _outer_law(model, t)
-        x, w = lognormal_grid(mean, std, features=kink_feature(p, model, t),
-                              tail_depth=_GRID_TAIL_DEPTH)
+        x, w = po._outer_grid(p, model, t, _GRID_TAIL_DEPTH)
         s = np.exp(x)
     v = po._valuate(p, model, t, s, {q for c in want for q in _NEEDS[c]})
     f = {}

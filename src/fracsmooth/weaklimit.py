@@ -11,12 +11,12 @@ independent standard normal drawn from a separate RNG stream.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import payoffs as po
+from ._output import write_csv
 from .errors import ConfigError
 from .model import (MarketModel, STREAM_AUX, gaussian_increments,
                     map_blocks, simulate_gbm)
@@ -114,10 +114,5 @@ def ks_distance(x, y) -> float:
 
 def clock_to_csv(path, clock: ClockSample, header_lines=()) -> None:
     """CSV rows (path_id, A), after optional # comments."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["path_id", "A"])
-        for i, a in enumerate(clock.A_values):
-            w.writerow([i, repr(float(a))])
+    write_csv(path, header_lines, ["path_id", "A"],
+              ([i, repr(float(a))] for i, a in enumerate(clock.A_values)))

@@ -212,3 +212,43 @@ def test_exit_code_unwritable_output(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: io:")
     assert not any(tmp_path.iterdir())
+
+
+def test_output_replaced_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    from fracsmooth import _output
+    out = tmp_path / "px.csv"
+    out.write_bytes(b"previous run\n")
+    real_writer = csv.writer
+
+    class Failing:
+        # writes the header row, then fails like a full disk
+        def __init__(self, fh):
+            self.w = real_writer(fh)
+
+        def writerow(self, row):
+            self.w.writerow(row)
+
+        def writerows(self, rows):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(_output.csv, "writer", Failing)
+    rc = main(["price", "--payoff", "binary", "--t_list", "0.5",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: io:")
+    assert out.read_bytes() == b"previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["px.csv"]
+    monkeypatch.undo()
+    # an unwritable directory is reported under the target's own name
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["price", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"'{missing}'")
+    # a target that is not a regular file is written in place
+    rc = main(["price", "--payoff", "binary", "--out", "/dev/null"])
+    assert rc == 0
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    rc = main(["price", "--payoff", "binary", "--out", str(link)])
+    assert rc == 0
+    assert link.is_symlink()
+    assert out.read_text().startswith("# fracsmooth_version=")

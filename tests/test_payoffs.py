@@ -12,8 +12,9 @@ from fracsmooth.chaos import exp_call_expansion, indicator_expansion
 from fracsmooth.errors import ConfigError, QuadratureError
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import (Payoff, conditional_variance,
-                                delta, gamma, kink_feature, payoff_eval,
+                                delta, gamma, payoff_eval,
                                 price, second_moment)
+from fracsmooth.quadrature import lognormal_grid
 
 MODEL = MarketModel(s0=1.0, sigma=1.0, mu=0.0, T=1.0)
 
@@ -164,12 +165,19 @@ def test_conditional_variance_nonnegative_and_vanishes_at_T():
         assert vT < conditional_variance(p, MODEL, 0.5, 1.3)
 
 
-def test_kink_feature():
-    (ft,) = kink_feature(Payoff.call(2.0), MODEL, 0.75)
-    assert ft.center == pytest.approx(math.log(2.0))
-    assert ft.width == pytest.approx(0.5)
-    assert kink_feature(Payoff.affine(1.0, 1.0), MODEL, 0.5) == ()
-
+def test_outer_grid_graded_at_kink():
+    # ln S_t ~ N(-sigma^2 t/2, sigma^2 t) under the pricing measure; a
+    # kinked payoff grades the grid at ln K down to sigma sqrt(T - t)
+    mean, std = -0.375, math.sqrt(0.75)
+    x, w = po._outer_grid(Payoff.call(2.0), MODEL, 0.75, tail_depth=40)
+    ref = lognormal_grid(mean, std, (math.log(2.0), 0.5), tail_depth=40)
+    np.testing.assert_array_equal(x, ref[0])
+    np.testing.assert_array_equal(w, ref[1])
+    assert w @ x == pytest.approx(mean, abs=1e-12)
+    assert w @ (x - mean) ** 2 == pytest.approx(std ** 2, rel=1e-12)
+    x_flat, _ = po._outer_grid(Payoff.affine(1.0, 1.0), MODEL, 0.75, 40)
+    np.testing.assert_array_equal(x_flat, lognormal_grid(mean, std, None, 40)[0])
+    assert x.size > x_flat.size
 
 
 def _spots_around_cutoff(t, strike=1.0):
@@ -243,6 +251,21 @@ def test_kink_rules_match_adaptive_quadrature(th, strike, sigma, t):
         for q, ref in _adaptive_moments(p, model, t, si).items():
             assert got[q][i] == pytest.approx(ref, rel=1e-10, abs=1e-14), \
                 (q, d2[i])
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+@pytest.mark.parametrize("strike", [0.5, 2.0])
+def test_kink_rule_reaches_past_the_integrand_peak(strike, t):
+    # at sigma = 5 the E[h^2] integrand peaks near d2 + 2 theta v = 16.9
+    # kernel sds above the kink (t = 0), so a rule cut at y = 20 loses
+    # 1e-3 of it while both of its orders agree
+    p = Payoff.power_holder(strike, 0.9)
+    model = MarketModel(s0=1.0, sigma=5.0, T=1.0)
+    v = 5.0 * math.sqrt(1.0 - t)
+    s = strike * math.exp(v * 7.9 + 0.5 * v * v)
+    got = po._valuate(p, model, t, np.array([s]), ("price", "m2"))
+    for q, ref in _adaptive_moments(p, model, t, s).items():
+        assert got[q][0] == pytest.approx(ref, rel=1e-10), q
 
 
 @given(th=st.floats(0.1, 0.9), strike=st.floats(0.5, 2.0),
