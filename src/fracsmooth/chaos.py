@@ -60,16 +60,44 @@ class ChaosExpansion:
     """Truncated coefficient vector (alpha_0..alpha_K) plus tail L2 mass.
 
     ``kernel(t)`` returns the Mehler pair (B(t), D(t)) of the whole
-    series; analytic constructors set it, numerical projection does not.
+    series.  Analytic constructors pass their closed form; any other
+    expansion gets ``_series_kernel``, which sums the coefficients.
     """
 
     alpha: np.ndarray
     tail_l2: float = 0.0
     kernel: object = field(default=None, compare=False, repr=False)
 
-    @property
-    def order(self) -> int:
-        return self.alpha.size - 1
+    def __post_init__(self):
+        object.__setattr__(self, "kernel",
+                           self.kernel or _series_kernel(self.alpha, self.tail_l2))
+
+
+def _series_kernel(alpha: np.ndarray, tail_l2: float):
+    """(B(t), D(t)) summed from the coefficients, in ascending magnitude.
+
+    B adds a bound on its tail beyond K (each alpha_k^2 <= tail mass) and
+    is NaN where that bound exceeds 1e-3 of the sum; D adds the whole
+    tail mass.
+    """
+    K = alpha.size - 1
+    k = np.arange(1, alpha.size, dtype=float)
+    a2 = alpha[1:] ** 2
+    tail = tail_l2 ** 2
+
+    def kernel(t):
+        if t == 0.0:
+            return (a2[0] if a2.size else 0.0), float(a2.sum()) + tail
+        lt = math.log(t)
+        b = float((k * np.exp((k - 1) * lt) * a2)[::-1].sum())
+        # sum_{k>K} k t^(k-1) = t^K ((K+1) - K t) / (1-t)^2
+        b_tail = tail * t ** K * ((K + 1) - K * t) / (1.0 - t) ** 2
+        if b_tail > _BESOV_TAIL_TOL * max(b, 1e-300):
+            b = math.nan
+        d = float((a2 * (-np.expm1(k * lt)))[::-1].sum())
+        return b + b_tail, d + tail
+
+    return kernel
 
 
 def project(g, K: int, quad_order: int | None = None) -> ChaosExpansion:
@@ -97,25 +125,19 @@ def indicator_expansion(c: float, K: int) -> ChaosExpansion:
     alpha_0 = P(X >= c) and alpha_k = phi(c) H_{k-1}(c) / sqrt(k); the
     squared coefficients decay on average like k^{-3/2}.
     """
+    if not math.isfinite(c):
+        raise ConfigError("indicator center c must be finite")
     if K < 1:
         raise ConfigError("K must be >= 1")
-    if c == 0.0:
-        # closed form: H_{2j}(0)^2 = (2j-1)!!/(2j)!!, odd orders vanish
-        j = np.arange(0, (K - 1) // 2 + 1)
-        p = np.cumprod(np.concatenate([[1.0], (2 * j[1:] - 1) / (2 * j[1:])]))
-        alpha = np.zeros(K + 1)
-        k_odd = 2 * j + 1
-        alpha[k_odd] = _phi(0.0) * np.where(j % 2 == 0, 1.0, -1.0) * np.sqrt(p / k_odd)
-    else:
-        # H_0..H_{K-1} at c behind a slot for alpha_0, then one scaling
-        # pass by phi(c) / sqrt(k), in blocks so that no temporary grows
-        # with K (K reaches 2^21)
-        alpha = np.fromiter(chain((0.0,), hermite_recurrence(c, K)), float, K + 1)
-        phi_c = _phi(c)
-        for i in range(1, K + 1, _SCALE_BLOCK):
-            blk = alpha[i:i + _SCALE_BLOCK]
-            blk *= phi_c
-            blk /= np.sqrt(np.arange(float(i), float(i) + blk.size))
+    # H_0..H_{K-1} at c behind a slot for alpha_0, then one scaling pass
+    # by phi(c) / sqrt(k), in blocks so that no temporary grows with K
+    # (K reaches 2^21)
+    alpha = np.fromiter(chain((0.0,), hermite_recurrence(c, K)), float, K + 1)
+    phi_c = _phi(c)
+    for i in range(1, K + 1, _SCALE_BLOCK):
+        blk = alpha[i:i + _SCALE_BLOCK]
+        blk *= phi_c
+        blk /= np.sqrt(np.arange(float(i), float(i) + blk.size))
     alpha[0] = ndtr(-c)
     m2 = float(ndtr(-c))
 
@@ -133,8 +155,8 @@ def exp_call_expansion(a: float, b: float, strike: float, K: int) -> ChaosExpans
     Uses the closed forms for half-line Gaussian moments of shifted
     Hermite polynomials; coefficients decay on average like k^{-5/2}.
     """
-    if a <= 0 or b <= 0 or strike <= 0:
-        raise ConfigError("need a > 0, b > 0, strike > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < strike < math.inf):
+        raise ConfigError("need finite a > 0, b > 0, strike > 0")
     if K < 1:
         raise ConfigError("K must be >= 1")
     x0 = math.log(strike / a) / b
@@ -205,22 +227,15 @@ def d12_norm(e: ChaosExpansion) -> tuple[float, bool]:
     return val, e.tail_l2 > _D12_TAIL_WARN
 
 
-def _tail_besov(e: ChaosExpansion, t: float) -> float:
-    """Bound on sum_{k>K} k t^(k-1) alpha_k^2: each alpha_k^2 <= tail mass."""
-    K = e.order
-    # sum_{k>K} k t^(k-1) = t^K ((K+1) - K t) / (1-t)^2
-    return e.tail_l2 ** 2 * t ** K * ((K + 1) - K * t) / (1.0 - t) ** 2
-
-
 def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None):
     """Curve Phi(t) = (1-t)^(1-theta) sum k t^(k-1) alpha_k^2 and verdict.
 
     Returns ``(t_grid, phi, verdict)`` with verdict "bounded" when the
     running maximum stabilizes over the last decade of 1-t; the default
-    grid is 1 - 2^-j, j = 0..20.  The series is the Mehler kernel's B(t)
-    when the expansion has one; otherwise it is summed from the
-    coefficients, and ``QuadratureError`` is raised when the tail bound
-    exceeds 1e-3 of the sum at the last t.
+    grid is 1 - 2^-j, j = 0..20.  The series is the Mehler kernel's B(t);
+    ``QuadratureError`` is raised when it is not finite at some t, which
+    for a coefficient-series kernel means its tail bound exceeds 1e-3 of
+    the sum there.
     """
     if not (0.0 < theta < 1.0):
         raise ConfigError("theta must lie in (0, 1)")
@@ -230,27 +245,11 @@ def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None):
     if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
         raise ConfigError("t_grid must lie in [0, 1)")
 
-    if e.kernel is not None:
-        series = np.array([e.kernel(float(t))[0] for t in t_grid])
-    else:
-        k = np.arange(1, e.alpha.size, dtype=float)
-        a2 = e.alpha[1:] ** 2
-        lead = np.empty_like(t_grid)
-        tails = np.empty_like(t_grid)
-        for i, t in enumerate(t_grid):
-            if t == 0.0:
-                lead[i] = a2[0] if a2.size else 0.0
-                tails[i] = 0.0
-                continue
-            terms = k * np.exp((k - 1) * math.log(t)) * a2
-            lead[i] = float(terms[::-1].sum())   # ascending magnitude
-            tails[i] = _tail_besov(e, float(t))
-        if tails[-1] > _BESOV_TAIL_TOL * max(lead[-1], 1e-300):
-            raise QuadratureError(
-                "chaos tail dominates the Besov series; supply an analytic "
-                "expansion or a higher order")
-        series = lead + tails
-
+    series = np.array([e.kernel(float(t))[0] for t in t_grid])
+    if not np.all(np.isfinite(series)):
+        raise QuadratureError(
+            "chaos tail dominates the Besov series; supply an analytic "
+            "expansion or a higher order")
     phi = (1.0 - t_grid) ** (1.0 - theta) * series
     running = np.maximum.accumulate(phi)
     # compare the running max over the last decade of 1-t with before
@@ -261,21 +260,10 @@ def besov_criterion(e: ChaosExpansion, theta: float, t_grid=None):
 
 
 def decay_from_chaos(e: ChaosExpansion, t: float) -> float:
-    """Surrogate || M_1 - M_t ||_{L2} = sqrt(sum alpha_k^2 (1 - t^k)).
-
-    The Mehler kernel's D(t) when the expansion has one; otherwise the
-    truncated sum plus the whole tail mass.
-    """
+    """Surrogate || M_1 - M_t ||_{L2} = sqrt(sum alpha_k^2 (1 - t^k)),
+    the Mehler kernel's D(t)."""
     if not (0.0 <= t <= 1.0):
         raise ConfigError("t must lie in [0, 1]")
     if t == 1.0:
         return 0.0
-    if e.kernel is not None:
-        return math.sqrt(max(e.kernel(t)[1], 0.0))
-    k = np.arange(1, e.alpha.size, dtype=float)
-    a2 = e.alpha[1:] ** 2
-    if t == 0.0:
-        lead = float(a2.sum())
-    else:
-        lead = float((a2 * (-np.expm1(k * math.log(t))))[::-1].sum())
-    return math.sqrt(lead + e.tail_l2 ** 2)
+    return math.sqrt(max(e.kernel(t)[1], 0.0))

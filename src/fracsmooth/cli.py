@@ -2,9 +2,10 @@
 
 Each experiment is a subcommand reading a flat key=value config file with
 command-line overrides, writing deterministic CSV outputs (prefixed with
-the resolved config as # comments) and a one-line JSON summary.  Every
-value is computed before an output file is opened, so a failed run
-writes none, and each file replaces its target only once complete.
+the resolved config, defaults included, as # comments) and a one-line
+JSON summary.  Every value is computed before an output file is opened,
+so a failed run writes none, and each file replaces its target only once
+complete.
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ class ExperimentConfig:
         self.entries = dict(entries)
 
     def get(self, key: str, default: str | None = None) -> str:
-        if key in self.entries:
-            return self.entries[key]
-        if default is not None:
-            return default
-        raise ConfigError(f"missing config key '{key}'")
+        """The value of ``key``; a default handed out is recorded, so
+        that ``echo_lines`` lists it with the rest of the configuration."""
+        if key not in self.entries:
+            if default is None:
+                raise ConfigError(f"missing config key '{key}'")
+            self.entries[key] = default
+        return self.entries[key]
 
     def get_float(self, key: str, default: str | None = None) -> float:
         raw = self.get(key, default)
@@ -71,10 +74,13 @@ class ExperimentConfig:
                  cast=float) -> list:
         raw = self.get(key, default)
         try:
-            return [cast(tok) for tok in raw.split(",") if tok.strip()]
+            out = [cast(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"config key '{key}' is not a {cast.__name__} "
                               f"list: {raw!r}")
+        if not out:
+            raise ConfigError(f"config key '{key}' is an empty list")
+        return out
 
     def echo_lines(self) -> list[str]:
         lines = [f"fracsmooth_version={__version__}"]
@@ -188,6 +194,8 @@ def cmd_chaos(cfg: ExperimentConfig) -> None:
     theta = cfg.get_float("theta", "0.5")
     tg, phi, verdict = ch.besov_criterion(e, theta)
     limit = cfg.get_int("coeff_limit", "1024")
+    if limit < 0:
+        raise ConfigError("coeff_limit must be >= 0")
     write_csv(cfg.get("out"), cfg.echo_lines(), ["t", "phi"],
               ([repr(float(t)), repr(float(v))] for t, v in zip(tg, phi)))
     write_csv(cfg.get("out") + ".coeffs.csv", cfg.echo_lines(), ["k", "alpha"],

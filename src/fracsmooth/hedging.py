@@ -71,7 +71,7 @@ def _log_range(model: MarketModel) -> tuple[float, float]:
 
 
 class _Tables(dict):
-    """t -> vectorized s -> price or delta evaluator, for one (payoff, model).
+    """t -> vectorized s -> delta evaluator, for one (payoff, model).
 
     Closed-form payoffs and chaos series evaluate directly; the
     power-Holder payoff is tabulated once per t on a log-price grid
@@ -80,16 +80,14 @@ class _Tables(dict):
     tabulates each time only once.
     """
 
-    def __init__(self, p: Payoff, model: MarketModel, which: str = "delta"):
+    def __init__(self, p: Payoff, model: MarketModel):
         super().__init__()
-        self.p, self.model, self.which = p, model, which
-        self.tabulated = p.kind == "power_holder"
+        self.p, self.model = p, model
 
     def __missing__(self, t: float):
         p, model = self.p, self.model
-        f = po.price if self.which == "price" else po.delta
-        if not self.tabulated:
-            fn = lambda s: f(p, model, t, s)
+        if p.kind != "power_holder":
+            fn = lambda s: po.delta(p, model, t, s)
         else:
             v = model.sigma * math.sqrt(max(model.T - t, po._TAU_FLOOR))
             lo, hi = _log_range(model)
@@ -99,7 +97,7 @@ class _Tables(dict):
                 np.clip(lk + v * u, lo, hi),
                 np.linspace(lo, hi, 512),
             ]))
-            vals = f(p, model, t, np.exp(x))
+            vals = po.delta(p, model, t, np.exp(x))
             fn = lambda s: np.interp(np.log(s), x, vals)
         self[t] = fn
         return fn
@@ -129,15 +127,9 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
     nt = grid.size
 
     h0 = po.price(p, model, 0.0, model.s0)
-    # risk-neutral delta evaluators at every net rebalancing time
-    prices = _Tables(p, model, "price")
-    dfns = {}
-    pfns = {}
-    for j in range(nt - 1):          # the last node T never needs a delta
-        if is_node[j]:
-            dfns[j] = deltas[grid[j]]
-        if is_eval[j]:
-            pfns[j] = prices[grid[j]]
+    # risk-neutral delta evaluators at every net rebalancing time; the
+    # last node T never needs a delta
+    dfns = {j: deltas[grid[j]] for j in range(nt - 1) if is_node[j]}
 
     terminal = np.empty(m)
     proc = np.empty((m, ev.size)) if ev.size else None
@@ -154,7 +146,8 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
                 acc = acc + dvec * (s_new - s)
                 s = s_new
             if is_eval[j]:
-                proc[start:start + count, col] = pfns[j](s) - h0 - acc
+                proc[start:start + count, col] = (
+                    po.price(p, model, grid[j], s) - h0 - acc)
                 col += 1
             if is_node[j] and j < nt - 1:
                 dvec = np.asarray(dfns[j](s))
@@ -206,8 +199,9 @@ def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
 
 
 def _bridge_mean(p: Payoff, model: MarketModel, a: float, t: float, x):
-    """E[delta(a, S_a) | ln S_t = x] for 0 < a < t, by the bridge identity
-    of ``z_regularity``: one delta per spot, at time a^2/t."""
+    """E[delta(a, S_a) | ln S_t = x] for 0 <= a < t, by the bridge identity
+    of ``z_regularity``: one delta per spot, at time a^2/t.  At a = 0
+    every spot is s0."""
     sigma, x0 = model.sigma, math.log(model.s0)
     mu = x0 - 0.5 * sigma * sigma * a + (a / t) * (
         x - x0 + 0.5 * sigma * sigma * t)
@@ -243,10 +237,9 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
         raise ConfigError("net maturity must match the model maturity")
     sigma = model.sigma
     gx, gw = np.polynomial.legendre.leggauss(_T_QUAD_ORDER)
-    d0 = po.delta(p, model, 0.0, model.s0)
 
     def at(t):
-        """Grid nodes, weights, spots and deltas of ln S_t, for t > 0."""
+        """Grid nodes, weights, spots and deltas of ln S_t."""
         x, w = po._outer_grid(p, model, t, tail_depth=32)
         s = np.exp(x)
         return x, w, s, po.delta(p, model, t, s)
@@ -259,17 +252,14 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
     def cross(a, t, node):
         """X(a,t) = sigma^2 E[ S_t^2 delta_t(S_t) delta_a(S_a) ]."""
         x, w, st, d_t = node
-        if a == 0.0:
-            inner = np.full_like(x, d0)
-        else:
-            inner = _bridge_mean(p, model, a, t, x)
+        inner = _bridge_mean(p, model, a, t, x)
         return sigma * sigma * float(w @ (st * st * d_t * inner))
 
     total = 0.0
     nodes = net.nodes
     for i in range(net.n):
         a, b = float(nodes[i]), float(nodes[i + 1])
-        g_a = (sigma * model.s0 * d0) ** 2 if a == 0.0 else g_of(at(a))
+        g_a = g_of(at(a))
         if b < net.T:
             mids = [a, 0.5 * (a + b), b]
         else:

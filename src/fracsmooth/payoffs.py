@@ -70,13 +70,15 @@ class Payoff:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown payoff kind {self.kind!r}")
         if self.kind in ("call", "put", "binary", "power_holder"):
-            if self.strike is None or not (self.strike > 0.0):
-                raise ConfigError("strike must be > 0")
+            if self.strike is None or not (0.0 < self.strike < math.inf):
+                raise ConfigError("strike must be finite and > 0")
         if self.kind == "power_holder":
             if self.holder_theta is None or not (0.0 < self.holder_theta < 1.0):
                 raise ConfigError("holder exponent must lie in (0, 1)")
-        if self.kind == "affine" and (self.c0 is None or self.c1 is None):
-            raise ConfigError("affine payoff needs c0 and c1")
+        if self.kind == "affine" and not (
+                self.c0 is not None and self.c1 is not None
+                and math.isfinite(self.c0) and math.isfinite(self.c1)):
+            raise ConfigError("affine payoff needs finite c0 and c1")
         if self.kind == "chaos" and self.expansion is None:
             raise ConfigError("chaos payoff needs an expansion")
 
@@ -301,13 +303,19 @@ def _kink_rule(p: Payoff, v: float, s, tols, orders) -> dict:
     return vals
 
 
+def _gh_spots(s: np.ndarray, v: float, order: int):
+    """Gauss-Hermite nodes of S_T given S_t = s, one row per spot, with
+    total log-sd v: (S_T nodes of shape (ns, order), z, w)."""
+    z, w = gauss_normal_nodes(order)
+    return s[:, None] * np.exp(v * z - 0.5 * v * v), z, w
+
+
 def _pathwise_rule(p: Payoff, v: float, s, tols, order: int) -> dict:
     """Every quantity in ``tols`` by one Gauss-Hermite rule, with the
     Greeks from payoff derivatives: delta = E[h'(S_T) S_T] / s and
     gamma = E[h''(S_T) S_T^2] / s^2, so nothing is divided by v."""
     K, th = p.strike, p.holder_theta
-    z, w = gauss_normal_nodes(order)
-    st = s[:, None] * np.exp(v * z - 0.5 * v * v)
+    st, _, w = _gh_spots(s, v, order)
     u = np.maximum(st - K, 0.0)
     hv = u ** th
     # S_T / (S_T - K), zero below the kink where h and its derivatives are
@@ -335,8 +343,15 @@ def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
     above the kink (d2 > 8, where it carries less than Phi(-8) of the
     mass) ``_pathwise_rule``.  Each rule runs at two orders, which must
     agree within each quantity's tolerance.  Spots with d2 < -40 get
-    zeros: every kernel weight is under e^-800 there.
+    zeros: every kernel weight is under e^-800 there.  A run of equal
+    spots, such as the point mass at s0 that ``z_regularity`` averages
+    over at a = 0, is valued once: the matrix products can give equal
+    rows different last bits.
     """
+    new = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    back = np.cumsum(new) - 1
+    s = s[new]
     v = model.sigma * math.sqrt(tau)
     d2 = (np.log(s / p.strike) - 0.5 * v * v) / v
     out = {q: np.zeros_like(s) for q in tols}
@@ -352,7 +367,7 @@ def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
         for q, tol in tols.items():
             _converged(q, lo[q], hi[q], tol, f"{what} under refinement")
             out[q][spots] = hi[q]
-    return out
+    return {q: val[back] for q, val in out.items()}
 
 
 def _chaos_closed(p, model, tau, s):
@@ -380,24 +395,16 @@ def _chaos_closed(p, model, tau, s):
 _GH_NODES = 201
 
 
-def _quad_values(model: MarketModel, tau: float, s: np.ndarray, h, order: int):
-    """h on Gauss-Hermite kernel nodes: (values of shape (ns, order), z, w, v)."""
-    z, w = gauss_normal_nodes(order)
-    v = model.sigma * math.sqrt(tau)
-    st = s[:, None] * np.exp(v * z[None, :] - 0.5 * v * v)
-    return np.asarray(h(st)), z, w, v
-
-
 def _chaos(p, model, tau, s, tols):
     """Chaos-payoff quantities: the closed form while sigma^2 tau <= 1,
     else Gauss-Hermite checked under node doubling.  E[h^2] is not
     checked under node doubling, but raises when its sum overflows."""
     h = lambda st: hermite_series(p.expansion.alpha, np.log(st) + 0.5)
+    v = model.sigma * math.sqrt(tau)
     out = {}
     if "m2" in tols:
-        hv, z, w, v = _quad_values(model, tau, s, lambda st: h(st) ** 2,
-                                   _GH_NODES)
-        out["m2"] = hv @ w
+        st, _, w = _gh_spots(s, v, _GH_NODES)
+        out["m2"] = h(st) ** 2 @ w
         if not np.all(np.isfinite(out["m2"])):
             raise QuadratureError("Gauss-Hermite E[h^2] of the chaos series "
                                   "is not finite")
@@ -409,7 +416,8 @@ def _chaos(p, model, tau, s, tols):
         return {**out, **{q: closed[q] for q in rest}}
     raw = []
     for n in (_GH_NODES, 2 * _GH_NODES + 1):
-        hv, z, w, v = _quad_values(model, tau, s, h, n)
+        st, z, w = _gh_spots(s, v, n)
+        hv = h(st)
         # kernel weights before the 1/(s^k v) of each Greek
         kern = {"price": w, "delta": w * z, "gamma": w * ((z * z - 1.0) / v - z)}
         raw.append({q: hv @ kern[q] for q in rest})
@@ -487,12 +495,16 @@ def conditional_variance(p: Payoff, model: MarketModel, t: float, s):
 
 
 def _outer_grid(p: Payoff, model: MarketModel, t: float, tail_depth: int):
-    """``lognormal_grid`` of ln S_t under the pricing measure, for t > 0.
+    """Nodes and weights ``(x, w)`` of ln S_t under the pricing measure.
 
-    For a payoff with a kink (call, put, binary, power-Holder) the grid
-    is graded at ln K down to the width sigma sqrt(T - t) over which the
-    delta and gamma localize as t approaches maturity.
+    At t = 0 this is the point mass of ln s0.  For t > 0 it is a
+    ``lognormal_grid``; for a payoff with a kink (call, put, binary,
+    power-Holder) the grid is graded at ln K down to the width
+    sigma sqrt(T - t) over which the delta and gamma localize as t
+    approaches maturity.
     """
+    if t == 0.0:
+        return np.array([math.log(model.s0)]), np.ones(1)
     sigma = model.sigma
     kink = None if p.kind in ("affine", "chaos") else (
         math.log(p.strike), sigma * math.sqrt(_tau(model, t, greek=False)))

@@ -63,16 +63,13 @@ def gauss_normal_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if order < 1:
         raise QuadratureError("quadrature order must be >= 1")
-    if order == 1:
-        x, w = np.zeros(1), np.ones(1)
-    else:
-        x = eigvalsh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1.0, order)))
-        # w_i = 1 / sum_k h_k(x_i)^2 over orthonormal h_0..h_{order-1};
-        # nodes whose sum overflows have weights below double underflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            ssq = sum(h * h for h in hermite_recurrence(x, order))
-            w = np.where(np.isfinite(ssq), 1.0 / ssq, 0.0)
-        w = w / w.sum()
+    x = eigvalsh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1.0, order)))
+    # w_i = 1 / sum_k h_k(x_i)^2 over orthonormal h_0..h_{order-1};
+    # nodes whose sum overflows have weights below double underflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        ssq = sum(h * h for h in hermite_recurrence(x, order))
+        w = np.where(np.isfinite(ssq), 1.0 / ssq, 0.0)
+    w = w / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -72,16 +72,13 @@ _NEEDS = {"decay": ("var",), "grad": ("delta",), "hess": ("delta", "gamma")}
 def _criteria_at(p: Payoff, model: MarketModel, t: float,
                  want) -> dict[str, float]:
     """E over S_t of the decay, gradient and Hessian integrands named in
-    ``want``, from one kink-graded lognormal grid and one engine call.
+    ``want``, from one ``_outer_grid`` of ln S_t and one engine call.
 
     decay: Var(h(S_T) | S_t);  grad: (s dH/ds)^2;
     hess: (s^2 d2H/ds2 + s dH/ds)^2 (log coordinates).
     """
-    if t == 0.0:
-        s, w = np.array([model.s0]), None
-    else:
-        x, w = po._outer_grid(p, model, t, _GRID_TAIL_DEPTH)
-        s = np.exp(x)
+    x, w = po._outer_grid(p, model, t, _GRID_TAIL_DEPTH)
+    s = np.exp(x)
     v = po._valuate(p, model, t, s, {q for c in want for q in _NEEDS[c]})
     f = {}
     if "decay" in want:
@@ -90,7 +87,7 @@ def _criteria_at(p: Payoff, model: MarketModel, t: float,
         f["grad"] = (s * v["delta"]) ** 2
     if "hess" in want:
         f["hess"] = (s * s * v["gamma"] + s * v["delta"]) ** 2
-    return {c: float(y[0]) if w is None else float(w @ y) for c, y in f.items()}
+    return {c: float(w @ y) for c, y in f.items()}
 
 
 def _criteria_curves(p: Payoff, model: MarketModel, t_grid,

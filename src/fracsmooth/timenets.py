@@ -20,7 +20,6 @@ __all__ = ["TimeNet", "make_theta_net"]
 class TimeNet:
     nodes: np.ndarray
     n: int
-    theta: float
     T: float
 
     def __post_init__(self):
@@ -45,4 +44,4 @@ def make_theta_net(n: int, theta: float, T: float) -> TimeNet:
     nodes = T * (1.0 - frac ** (1.0 / theta))
     nodes[0] = 0.0
     nodes[-1] = T
-    return TimeNet(nodes=nodes, n=n, theta=theta, T=T)
+    return TimeNet(nodes=nodes, n=n, T=T)

@@ -68,6 +68,8 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
         raise ConfigError("clock simulation requires the T=1 normalization")
     if not (0.0 < theta <= 1.0):
         raise ConfigError("theta must lie in (0, 1]")
+    if time_order < 1:
+        raise ConfigError("time_order must be >= 1")
     times, w, octv = _clock_grid(time_order)
     paths = simulate_gbm(model, times, m, seed, measure="martingale",
                          threads=threads)

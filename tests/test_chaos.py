@@ -202,7 +202,7 @@ def test_besov_criterion_is_truncation_free():
 def test_projected_expansion_uses_coefficient_path():
     # H_1 / 2 + H_2 has Besov series 1/4 + 2t
     e = project(lambda x: 0.5 * _hermite(1, x) + _hermite(2, x), K=6)
-    assert e.kernel is None
+    assert e.kernel(0.5)[0] == pytest.approx(0.25 + 2.0 * 0.5, rel=1e-10)
     t = np.array([0.0, 0.5, 0.9])
     _, phi, _ = besov_criterion(e, 0.5, t_grid=t)
     np.testing.assert_allclose(phi, np.sqrt(1.0 - t) * (0.25 + 2.0 * t),
@@ -211,6 +211,31 @@ def test_projected_expansion_uses_coefficient_path():
     step = project(lambda x: (x >= 0.5).astype(float), K=64)
     with pytest.raises(QuadratureError):
         besov_criterion(step, 0.5)
+
+
+@pytest.mark.parametrize("e", [
+    project(lambda x: (x >= 0.5).astype(float), K=64),
+    ChaosExpansion(alpha=np.array([0.3, 1.0, 0.2, 0.1]), tail_l2=0.01),
+], ids=["projected", "hand-built"])
+def test_series_kernel_is_the_coefficient_sums(e):
+    # B and D in ascending magnitude, B with the tail bound
+    # tail^2 t^K ((K+1) - K t) / (1-t)^2 and D with the whole tail mass
+    K = e.alpha.size - 1
+    k = np.arange(1, K + 1, dtype=float)
+    a2 = e.alpha[1:] ** 2
+    tail = e.tail_l2 ** 2
+    assert e.kernel(0.0) == (a2[0], float(a2.sum()) + tail)
+    for t in (0.001, 0.3, 0.5, 0.9):
+        lt = math.log(t)
+        b = float((k * np.exp((k - 1) * lt) * a2)[::-1].sum())
+        b_tail = tail * t ** K * ((K + 1) - K * t) / (1.0 - t) ** 2
+        d = float((a2 * (-np.expm1(k * lt)))[::-1].sum())
+        got_b, got_d = e.kernel(t)
+        assert got_d == d + tail
+        if b_tail > 1e-3 * b:
+            assert math.isnan(got_b)
+        else:
+            assert got_b == b + b_tail
 
 
 def test_decay_from_chaos_limits():

@@ -142,6 +142,33 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--payoff", "affine", "--c0", "nan"],
+    ["price", "--strike", "inf"],
+    ["price", "--payoff", "power_holder", "--strike", "inf"],
+    ["chaos", "--chaos_center", "nan"],
+    ["chaos", "--chaos_kind", "exp_call", "--chaos_strike", "inf"],
+    ["weaklimit", "--payoff", "binary", "--time_order", "0"],
+    ["chaos", "--coeff_limit", "-5"],
+    ["zreg", "--n_list", ""],
+], ids=lambda a: " ".join(a[1:]))
+def test_exit_code_bad_numbers(argv, tmp_path, capsys):
+    # non-finite payoff and chaos parameters, and numbers no command can
+    # use, are configuration errors that write no file
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_header_echoes_defaults_used(tmp_path):
+    out = tmp_path / "zr.csv"
+    assert main(["zreg", "--payoff", "call", "--out", str(out)]) == 0
+    comments, rows = _read_csv(out)
+    assert "# n_list=8,16,32,64" in comments
+    assert "# net_theta=1.0" in comments
+    assert [r[0] for r in rows[1:]] == ["8", "16", "32", "64"]
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     # the analytic kinds read the closed-form Besov series, so even a
     # tiny truncation order succeeds

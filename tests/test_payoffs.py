@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
@@ -57,15 +57,42 @@ def test_binary_price_reference():
         float(ndtr(-0.5)), rel=1e-14)
 
 
-def test_put_call_parity():
-    s = np.array([0.4, 1.0, 3.0])
-    for t in (0.0, 0.7):
-        c = price(Payoff.call(1.2), MODEL, t, s)
-        p = price(Payoff.put(1.2), MODEL, t, s)
-        np.testing.assert_allclose(c - p, s - 1.2, rtol=1e-13)
-        dc = delta(Payoff.call(1.2), MODEL, t, s)
-        dp = delta(Payoff.put(1.2), MODEL, t, s)
-        np.testing.assert_allclose(dc - dp, 1.0, rtol=1e-13)
+@settings(max_examples=40)
+@given(s=st.floats(0.2, 5.0), strike=st.floats(0.5, 2.0),
+       sigma=st.floats(0.1, 2.0), t=st.floats(0.0, 0.99))
+def test_put_call_parity(s, strike, sigma, t):
+    # C - P = s - K, so the deltas differ by one and the gammas agree
+    model = MarketModel(s0=1.0, sigma=sigma, T=1.0)
+    c, p = Payoff.call(strike), Payoff.put(strike)
+    assert price(c, model, t, s) - price(p, model, t, s) == pytest.approx(
+        s - strike, rel=1e-13, abs=1e-14 * (s + strike))
+    assert delta(c, model, t, s) - delta(p, model, t, s) == pytest.approx(
+        1.0, rel=1e-15)
+    assert gamma(c, model, t, s) == gamma(p, model, t, s)
+
+
+_FD_PAYOFFS = {
+    "call": Payoff.call(1.0), "put": Payoff.put(1.0),
+    "binary": Payoff.binary(1.0), "affine": Payoff.affine(1.0, 0.5),
+    "chaos": Payoff.chaos(exp_call_expansion(math.exp(-0.5), 1.0, 1.0, 64)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FD_PAYOFFS))
+@settings(max_examples=25)
+@given(s=st.floats(0.3, 3.0), sigma=st.floats(0.2, 1.5),
+       t=st.floats(0.0, 0.9))
+def test_delta_is_central_difference_of_price(kind, s, sigma, t):
+    # a step of 1e-4 kernel sds; delta is compared on the scale of the
+    # quantity it differentiates, as in the power-Holder test below
+    p = _FD_PAYOFFS[kind]
+    model = MarketModel(s0=1.0, sigma=sigma, T=1.0)
+    v = sigma * math.sqrt(1.0 - t)
+    ds = 1e-4 * s * v
+    pr = price(p, model, t, np.array([s - ds, s, s + ds]))
+    fd = (pr[2] - pr[0]) / (2.0 * ds)
+    de = delta(p, model, t, s)
+    assert abs(de - fd) <= 1e-6 * (abs(de) + np.abs(pr).max() / (s * v)) + 1e-12
 
 
 def _fd_check(p, t, s_values, rtol_d, rtol_g):
@@ -178,6 +205,22 @@ def test_outer_grid_graded_at_kink():
     x_flat, _ = po._outer_grid(Payoff.affine(1.0, 1.0), MODEL, 0.75, 40)
     np.testing.assert_array_equal(x_flat, lognormal_grid(mean, std, None, 40)[0])
     assert x.size > x_flat.size
+    # at t = 0, the point mass of ln s0
+    x0, w0 = po._outer_grid(Payoff.call(2.0), MarketModel(1.3, 0.7), 0.0, 40)
+    assert x0.tolist() == [math.log(1.3)] and w0.tolist() == [1.0]
+
+
+def test_equal_spots_get_equal_power_holder_values():
+    # one valuation per run of equal spots: the engine's matrix products
+    # would otherwise give some copies different last bits, and a batch
+    # of copies of s0 would not reproduce the value at s0 alone
+    p = Payoff.power_holder(1.0, 0.5)
+    want = ("price", "delta", "gamma")
+    runs = po._valuate(p, MODEL, 0.0, np.array([1.0] * 4 + [2.0] * 5), want)
+    alone = po._valuate(p, MODEL, 0.0, np.full(9, 1.0), want)
+    for q in want:
+        assert np.unique(runs[q][:4]).size == np.unique(runs[q][4:]).size == 1
+        np.testing.assert_array_equal(alone[q], po._one(p, MODEL, 0.0, 1.0, q))
 
 
 def _spots_around_cutoff(t, strike=1.0):

@@ -51,9 +51,9 @@ def test_theta_net_validation():
 
 def test_timenet_node_validation():
     with pytest.raises(ConfigError):
-        TimeNet(nodes=np.array([0.1, 1.0]), n=1, theta=1.0, T=1.0)
+        TimeNet(nodes=np.array([0.1, 1.0]), n=1, T=1.0)
     with pytest.raises(ConfigError):
-        TimeNet(nodes=np.array([0.0, 0.5, 0.5, 1.0]), n=3, theta=1.0, T=1.0)
+        TimeNet(nodes=np.array([0.0, 0.5, 0.5, 1.0]), n=3, T=1.0)
 
 
 def test_net_collapse_rejected():

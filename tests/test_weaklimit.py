@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fracsmooth import model, weaklimit
 from fracsmooth.errors import ConfigError
-from fracsmooth.model import MarketModel
+from fracsmooth.model import (BLOCK_PATHS, STREAM_AUX, MarketModel,
+                              gaussian_increments)
 from fracsmooth.payoffs import Payoff
-from fracsmooth.weaklimit import (clock_A, clock_to_csv, ks_distance,
-                                  mixed_normal_sample)
+from fracsmooth.weaklimit import (ClockSample, clock_A, clock_to_csv,
+                                  ks_distance, mixed_normal_sample)
 
 MODEL = MarketModel(s0=1.0, sigma=1.0, mu=0.0, T=1.0)
 
@@ -37,6 +39,18 @@ def test_clock_positive_and_deterministic():
     assert clock.flagged_fraction <= 0.01
     again = clock_A(Payoff.call(1.0), MODEL, 1.0, 2000, 9, threads=4)
     np.testing.assert_array_equal(clock.A_values, again.A_values)
+
+
+@pytest.mark.parametrize("m", [1, 6, BLOCK_PATHS + 3])
+def test_mixed_normal_sample_thread_invariant(m, monkeypatch):
+    # the same bits on a thread pool as serially, and as one AUX stream
+    clock = ClockSample(A_values=np.linspace(0.5, 2.0, m), flagged_fraction=0.0)
+    serial = mixed_normal_sample(clock, 31)
+    monkeypatch.setattr(weaklimit, "map_blocks",
+                        lambda fn, n: model.map_blocks(fn, n, threads=3))
+    np.testing.assert_array_equal(mixed_normal_sample(clock, 31), serial)
+    xi = gaussian_increments(31, 0, 0, m, stream=STREAM_AUX)
+    np.testing.assert_array_equal(serial, np.sqrt(clock.A_values) * xi)
 
 
 def test_mixed_normal_moments():
