@@ -110,10 +110,15 @@ def project(g, K: int, quad_order: int | None = None) -> ChaosExpansion:
         raise ConfigError("quad_order must exceed 2K")
     x, w = gauss_normal_nodes(quad_order)
     gx = np.asarray(g(x), dtype=float)
+    # the recurrence overflows at outer nodes whose weights underflow to 0
+    keep = w > 0.0
+    x, w, gx = x[keep], w[keep], gx[keep]
     wg = w * gx
     alpha = np.fromiter((wg @ h for h in hermite_recurrence(x, K + 1)), float, K + 1)
     norm_sq = float(w @ (gx * gx))
     resid = norm_sq - float(alpha @ alpha)
+    if not math.isfinite(resid):
+        raise QuadratureError("Parseval residual is not finite")
     if resid < -1e-8 * max(norm_sq, 1.0):
         raise QuadratureError("Parseval residual is negative: quadrature underflow")
     return ChaosExpansion(alpha=alpha, tail_l2=math.sqrt(max(resid, 0.0)))

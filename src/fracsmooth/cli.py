@@ -2,10 +2,10 @@
 
 Each experiment is a subcommand reading a flat key=value config file with
 command-line overrides, writing deterministic CSV outputs (prefixed with
-the resolved config, defaults included, as # comments) and a one-line
-JSON summary.  Every value is computed before an output file is opened,
-so a failed run writes none, and each file replaces its target only once
-complete.
+the resolved config, defaults included and the output path left out, as
+# comments) and a one-line JSON summary.  Every value is computed before
+an output file is opened, so a failed run writes none, and each file
+replaces its target only once complete.
 """
 
 from __future__ import annotations
@@ -83,8 +83,11 @@ class ExperimentConfig:
         return out
 
     def echo_lines(self) -> list[str]:
+        """The version and every entry but ``out``, so that the bytes
+        written do not depend on where they are written."""
         lines = [f"fracsmooth_version={__version__}"]
-        lines += [f"{k}={v}" for k, v in sorted(self.entries.items())]
+        lines += [f"{k}={v}" for k, v in sorted(self.entries.items())
+                  if k != "out"]
         return lines
 
 

@@ -5,8 +5,10 @@ The tracking error of a payoff h rebalanced on a time net is
     C_T = h(S_T) - H(0, s0) - sum_i delta(t_i, S_{t_i}) (S_{t_i+1} - S_{t_i})
 
 with risk-neutral deltas even when paths follow the historical measure.
-``z_regularity`` computes the same squared L2 norm by quadrature through
-the Ito isometry, without any Monte Carlo.
+``z_regularity`` computes the same squared L2 norm without any Monte
+Carlo: the one-step hedging errors are orthogonal, and each one's mean
+square has a closed form in the price and delta at the step's start,
+left to average over one quadrature grid of ln S per net interval.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ __all__ = [
     "l2_tracking_error",
     "z_regularity",
 ]
-
-#: z_regularity's time rule: Gauss-Legendre nodes per panel, and the
-#: halvings of the last net interval toward maturity
-_T_QUAD_ORDER = 8
-_T_TAIL_DEPTH = 40
-
 
 @dataclass(frozen=True)
 class TrackingErrorSample:
@@ -195,89 +191,45 @@ def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
 
 
 # ---------------------------------------------------------------------------
-# quadrature route: squared L2 tracking error through the Ito isometry
-
-
-def _bridge_mean(p: Payoff, model: MarketModel, a: float, t: float, x):
-    """E[delta(a, S_a) | ln S_t = x] for 0 <= a < t, by the bridge identity
-    of ``z_regularity``: one delta per spot, at time a^2/t.  At a = 0
-    every spot is s0."""
-    sigma, x0 = model.sigma, math.log(model.s0)
-    mu = x0 - 0.5 * sigma * sigma * a + (a / t) * (
-        x - x0 + 0.5 * sigma * sigma * t)
-    v = sigma * math.sqrt(a * (t - a) / t)
-    return po.delta(p, model, a * a / t, np.exp(mu - 0.5 * v * v))
+# quadrature route: squared L2 tracking error from the one-step errors
 
 
 def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
-    """Squared L2 norm of the tracking error, by nested quadrature.
+    """Squared L2 norm of the tracking error, by quadrature over ln S.
 
-    By the Ito isometry (zero-drift pricing measure),
+    Under the zero-drift pricing measure C_T is the sum of the one-step
+    errors D_i = H(t_i, S_{t_i}) - H(a, S_a) - delta(a, S_a) dS_i with
+    a = t_{i-1}.  Three facts give each E[D_i^2] in closed form at time a:
 
-        ||C_T||^2 = sum_i int_{t_i-1}^{t_i}
-                      E[ sigma^2 S_t^2 (delta(t,S_t) - delta(t_i-1,S_t_i-1))^2 ] dt.
+    * the D_i are orthogonal martingale increments, and the squared
+      price increments telescope to Var h(S_T);
+    * E[dS_i^2 | S_a] = (g - 1) S_a^2 with g = exp(sigma^2 (t_i - a));
+    * E[H(t_i, S_{t_i}) S_{t_i} | S_a] = S_a H(a, g S_a), the price
+      under the share measure, whose log-drift is sigma^2.
 
-    Each integrand expands into G(t) + e^{sigma^2 (t-a)} G(a) - 2 X(a,t)
-    with G(u) = E (sigma S_u delta(u,S_u))^2 and the cross term
-    X(a,t) = sigma^2 E[S_t^2 delta(t,S_t) E[delta(a,S_a) | S_t]].  The time
-    integral is graded geometrically toward maturity on the last net
-    interval.
+    Hence, with S = S_a, H = H(a, S) and delta = delta(a, S),
 
-    Given ln S_t = x, the Brownian bridge makes ln S_a ~ N(mu, v^2) with
-    mu = x0 - sigma^2 a/2 + (a/t)(x - x0 + sigma^2 t/2) and
-    v^2 = sigma^2 a (t-a)/t.  Since delta(a, .) is the s-derivative of
-    the price, a Gaussian average of it in ln s is again a delta, at the
-    earlier time whose remaining variance is larger by v^2:
+        ||C_T||^2 = Var h(S_T)
+                    - sum_i E[ 2 delta S (H(a, g S) - H) - (g - 1)(delta S)^2 ],
 
-        E[delta(a, S_a) | S_t] = delta(a^2/t, exp(mu - v^2/2)),
-
-    exactly and for every payoff: one delta per grid node.
+    one kink-graded grid of ln S_a per net interval (the point mass s0
+    at a = 0).  A chaos payoff's Var h(S_T) comes from its unchecked
+    E[h^2] rule, so its result is only as accurate as ``second_moment``.
     """
     if abs(net.T - model.T) > 1e-12:
         raise ConfigError("net maturity must match the model maturity")
-    sigma = model.sigma
-    gx, gw = np.polynomial.legendre.leggauss(_T_QUAD_ORDER)
-
-    def at(t):
-        """Grid nodes, weights, spots and deltas of ln S_t."""
-        x, w = po._outer_grid(p, model, t, tail_depth=32)
+    total = float(po.conditional_variance(p, model, 0.0, model.s0))
+    for a, b in zip(net.nodes[:-1], net.nodes[1:]):
+        g = math.exp(model.sigma ** 2 * (b - a))
+        x, w = po._outer_grid(p, model, a)
         s = np.exp(x)
-        return x, w, s, po.delta(p, model, t, s)
-
-    def g_of(node):
-        """G(t) = E (sigma S_t delta(t, S_t))^2 on the nodes of ``at(t)``."""
-        _, w, s, d = node
-        return sigma * sigma * float(w @ (s * s * d * d))
-
-    def cross(a, t, node):
-        """X(a,t) = sigma^2 E[ S_t^2 delta_t(S_t) delta_a(S_a) ]."""
-        x, w, st, d_t = node
-        inner = _bridge_mean(p, model, a, t, x)
-        return sigma * sigma * float(w @ (st * st * d_t * inner))
-
-    total = 0.0
-    nodes = net.nodes
-    for i in range(net.n):
-        a, b = float(nodes[i]), float(nodes[i + 1])
-        g_a = g_of(at(a))
-        if b < net.T:
-            mids = [a, 0.5 * (a + b), b]
-        else:
-            mids = [a] + [b - (b - a) * 2.0 ** -j
-                          for j in range(1, _T_TAIL_DEPTH + 1)] + [b]
-            # drop panels that collapse in double precision near t = T
-            mids = [mids[0]] + [t for u, t in zip(mids[:-1], mids[1:]) if t > u]
-        for lo, hi in zip(mids[:-1], mids[1:]):
-            tq = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
-            # keep quadrature times strictly below maturity under rounding
-            tq = np.minimum(tq, np.nextafter(b, 0.0) if b >= net.T else hi)
-            wq = 0.5 * (hi - lo) * gw
-            for t, w in zip(tq, wq):
-                node = at(t)
-                val = g_of(node) + math.exp(sigma * sigma * (t - a)) * g_a \
-                    - 2.0 * cross(a, t, node)
-                if not math.isfinite(val):
-                    raise QuadratureError(
-                        f"non-finite regularity integrand at t={t:.6g}")
-                total += w * val
-    return float(total)
+        v = po._valuate(p, model, a, s, ("price", "delta"))
+        ds = v["delta"] * s
+        gain = po.price(p, model, a, g * s) - v["price"]
+        total -= float(w @ (2.0 * ds * gain - (g - 1.0) * ds * ds))
+    # a difference of two sums: a Var h(S_T) that is too low shows as a
+    # negative mean square, which is reported rather than returned
+    if not 0.0 <= total < math.inf:
+        raise QuadratureError(f"squared hedging error {total!r} is negative "
+                              "or not finite")
+    return total

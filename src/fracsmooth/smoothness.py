@@ -37,7 +37,6 @@ __all__ = [
 
 #: octave ratio below which truncated-integral increments count as decaying
 RATIO_FINITE = 0.95
-_GRID_TAIL_DEPTH = 40
 #: octaves of T - t in the integral criteria, Gauss-Legendre nodes in each
 _OCTAVES = 18
 _OCTAVE_ORDER = 8
@@ -77,7 +76,7 @@ def _criteria_at(p: Payoff, model: MarketModel, t: float,
     decay: Var(h(S_T) | S_t);  grad: (s dH/ds)^2;
     hess: (s^2 d2H/ds2 + s dH/ds)^2 (log coordinates).
     """
-    x, w = po._outer_grid(p, model, t, _GRID_TAIL_DEPTH)
+    x, w = po._outer_grid(p, model, t)
     s = np.exp(x)
     v = po._valuate(p, model, t, s, {q for c in want for q in _NEEDS[c]})
     f = {}

@@ -48,6 +48,18 @@ def test_hermite_orthonormal_under_projection():
     assert e.tail_l2 < 1e-6
 
 
+def test_projection_finite_at_high_order():
+    # the Hermite recurrence overflows at outer nodes whose weights
+    # underflow, so those nodes are left out rather than giving inf * 0
+    e = project(lambda x: (x >= 0.5).astype(float), K=512)
+    assert np.all(np.isfinite(e.alpha)) and math.isfinite(e.tail_l2)
+
+
+def test_projection_rejects_nan_function():
+    with pytest.raises(QuadratureError):
+        project(lambda x: np.full_like(x, math.nan), K=8)
+
+
 def test_indicator_expansion_matches_projection():
     c = 0.7
     exact = indicator_expansion(c, 24)

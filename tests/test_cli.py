@@ -169,6 +169,21 @@ def test_header_echoes_defaults_used(tmp_path):
     assert [r[0] for r in rows[1:]] == ["8", "16", "32", "64"]
 
 
+def test_outputs_do_not_depend_on_output_directory(tmp_path):
+    # the echoed configuration leaves out the output path, so the same
+    # run writes the same bytes wherever it writes them
+    files = []
+    for sub in ("a", "a_much_longer_directory_name"):
+        (tmp_path / sub).mkdir()
+        out = tmp_path / sub / "ch.csv"
+        assert main(["chaos", "--chaos_order", "64", "--out", str(out)]) == 0
+        files.append([(tmp_path / sub / name).read_bytes() for name in
+                      ("ch.csv", "ch.csv.coeffs.csv", "ch.csv.summary")])
+    assert files[0] == files[1]
+    assert not any(line.startswith(b"# out=")
+                   for line in files[0][0].splitlines())
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     # the analytic kinds read the closed-form Besov series, so even a
     # tiny truncation order succeeds

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from fracsmooth import hedging as hg
 from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
-from fracsmooth.errors import ConfigError
+from fracsmooth.errors import ConfigError, QuadratureError
 from fracsmooth.hedging import (l2_tracking_error, tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
@@ -16,6 +16,10 @@ from fracsmooth.ratefit import sweep
 from fracsmooth.timenets import make_theta_net
 
 MODEL = MarketModel(s0=1.0, sigma=1.0, mu=0.0, T=1.0)
+_KINDS = [
+    Payoff.binary(1.0), Payoff.call(1.0), Payoff.put(1.0),
+    Payoff.affine(0.5, 2.0), Payoff.chaos(indicator_expansion(0.5, 64)),
+    Payoff.power_holder(1.0, 0.25)]
 
 
 def test_affine_hedge_is_exact():
@@ -98,6 +102,17 @@ def test_z_regularity_affine_vanishes():
     assert abs(z_regularity(p, MODEL, net)) < 1e-5
 
 
+def test_z_regularity_rejects_negative_or_non_finite(monkeypatch):
+    # the result is Var h(S_T) less the one-step terms, so a variance
+    # that is too low turns negative instead of being returned
+    p = Payoff.call(1.0)
+    net = make_theta_net(4, 1.0, 1.0)
+    for var in (0.0, math.nan):
+        monkeypatch.setattr(po, "conditional_variance", lambda *a: var)
+        with pytest.raises(QuadratureError):
+            z_regularity(p, MODEL, net)
+
+
 def test_z_regularity_refinement_halves_error():
     p = Payoff.call(1.0)
     a = z_regularity(p, MODEL, make_theta_net(8, 1.0, 1.0))
@@ -120,10 +135,7 @@ def _bridge_average(p, a, mu, v):
     return np.asarray(po.delta(p, MODEL, a, sa.ravel())).reshape(sa.shape) @ wi
 
 
-@pytest.mark.parametrize("p", [
-    Payoff.binary(1.0), Payoff.call(1.0), Payoff.put(1.0),
-    Payoff.affine(0.5, 2.0), Payoff.chaos(indicator_expansion(0.5, 64)),
-    Payoff.power_holder(1.0, 0.25)], ids=lambda p: p.kind)
+@pytest.mark.parametrize("p", _KINDS, ids=lambda p: p.kind)
 def test_bridge_average_of_delta_is_a_delta(p):
     # E[delta(a, S_a) | S_t] = delta(a^2/t, e^{mu - v^2/2}) for any payoff
     s = np.array([0.7, 0.95, 1.05, 1.4])
@@ -134,16 +146,86 @@ def test_bridge_average_of_delta_is_a_delta(p):
                                    rtol=1e-12, atol=0.0, err_msg=f"{a}, {t}")
 
 
-def test_z_regularity_bridge_identity_matches_bridge_quadrature(monkeypatch):
+@pytest.mark.parametrize("p", _KINDS, ids=lambda p: p.kind)
+def test_share_measure_identity(p):
+    # E[H(b, S_b) S_b | S_a = s] = s H(a, s e^{sigma^2 (b - a)}): the
+    # price under the share measure, on which z_regularity rests
+    s = np.array([0.7, 0.95, 1.05, 1.4])
+    z, wz = gauss_normal_nodes(96)
+    for a, b in ((0.0, 0.5), (0.3, 0.7), (0.6, 0.9)):
+        v = MODEL.sigma * math.sqrt(b - a)
+        sb = s[:, None] * np.exp(v * z - 0.5 * v * v)
+        hb = np.asarray(po.price(p, MODEL, b, sb.ravel())).reshape(sb.shape)
+        exact = s * po.price(p, MODEL, a, s * math.exp(v * v))
+        np.testing.assert_allclose((hb * sb) @ wz, exact, rtol=1e-12,
+                                   atol=0.0, err_msg=f"{a}, {b}")
+
+
+def _binary_step_error(a, b, s):
+    """E[(H(b, S_b) - H(a, s) - delta(a, s)(S_b - s))^2 | S_a = s] for the
+    binary of strike 1 under MODEL: 96-node Gauss-Hermite before maturity, and the lognormal
+    moments E 1{S_T >= K} = Phi(d2), E S_T 1{S_T >= K} = s Phi(d1) and
+    E S_T^2 = s^2 e^{v^2} on the last interval."""
     p = Payoff.binary(1.0)
-    net = make_theta_net(32, 0.4, 1.0)
-    exact = z_regularity(p, MODEL, net)
+    h, d = po.price(p, MODEL, a, s), po.delta(p, MODEL, a, s)
+    v = MODEL.sigma * math.sqrt(b - a)
+    if b < MODEL.T:
+        z, wz = gauss_normal_nodes(96)
+        sb = s[:, None] * np.exp(v * z - 0.5 * v * v)
+        hb = np.reshape(po.price(p, MODEL, b, sb.ravel()), sb.shape)
+        e = hb - h[:, None] - d[:, None] * (sb - s[:, None])
+        return (e * e) @ wz
+    d2 = (np.log(s) - 0.5 * v * v) / v
+    ex, exs, c = ndtr(d2), s * ndtr(d2 + v), h - d * s
+    return (ex - 2.0 * c * ex - 2.0 * d * exs + c * c + 2.0 * c * d * s
+            + d * d * s * s * math.exp(v * v))
 
-    def bridge_mean(p, model, a, t, x):
-        return _bridge_average(p, a, *_bridge_law(a, t, np.exp(x)))
 
-    monkeypatch.setattr(hg, "_bridge_mean", bridge_mean)
-    assert z_regularity(p, MODEL, net) == pytest.approx(exact, rel=1e-12)
+def _binary_reference(net):
+    """sum_i E[D_i^2] from the definition, the outer expectation over
+    ln S_a ~ N(-a/2, a) by 20-node Legendre panels split at the strike, each at most
+    half the sd of ln S_a and half the kink width sigma sqrt(T - a)."""
+    gx, gw = np.polynomial.legendre.leggauss(20)
+    total = 0.0
+    for a, b in zip(net.nodes[:-1], net.nodes[1:]):
+        if a == 0.0:
+            total += float(_binary_step_error(0.0, b, np.array([MODEL.s0]))[0])
+            continue
+        m, sd = -0.5 * a, math.sqrt(a)
+        width = 0.5 * min(sd, math.sqrt(MODEL.T - a))
+        edges = np.arange(-math.ceil(12.0 * sd / width) - 1,
+                          math.ceil(12.0 * sd / width) + 2) * width
+        x = (edges[:-1, None] + 0.5 * width * (1.0 + gx)).ravel()
+        w = np.tile(0.5 * width * gw, edges.size - 1)
+        dens = np.exp(-0.5 * ((x - m) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+        total += float((w * dens) @ _binary_step_error(a, b, np.exp(x)))
+    return total
+
+
+@pytest.mark.parametrize("n, theta", [(4, 1.0), (8, 0.4)])
+def test_z_regularity_binary_matches_definition(n, theta):
+    net = make_theta_net(n, theta, 1.0)
+    assert z_regularity(Payoff.binary(1.0), MODEL, net) == pytest.approx(
+        _binary_reference(net), rel=1e-9)
+
+
+def test_z_regularity_matches_monte_carlo_power_holder():
+    p = Payoff.power_holder(1.0, 0.25)
+    net = make_theta_net(8, 1.0, 1.0)
+    quad = z_regularity(p, MODEL, net)
+    m = 20_000
+    sq = tracking_error_terminal(p, MODEL, net, m, 23).terminal_errors ** 2
+    se = sq.std(ddof=1) / math.sqrt(m)
+    assert abs(sq.mean() - quad) < 3.0 * se
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.4])
+@pytest.mark.parametrize("n", [4, 16])
+def test_z_regularity_put_call_parity(n, theta):
+    # call - put = S - K is hedged exactly, so both leave the same error
+    net = make_theta_net(n, theta, 1.0)
+    assert z_regularity(Payoff.call(1.0), MODEL, net) == pytest.approx(
+        z_regularity(Payoff.put(1.0), MODEL, net), rel=1e-6)
 
 
 def test_sweep_shares_delta_tables_across_nested_nets(monkeypatch):
