@@ -67,13 +67,17 @@ def _log_range(model: MarketModel) -> tuple[float, float]:
 
 
 class _Tables(dict):
-    """t -> vectorized s -> delta evaluator, for one (payoff, model).
+    """t -> delta evaluator ``fn(x, s, out)`` at ln-spots x = ln s, for one
+    (payoff, model).
 
-    Closed-form payoffs and chaos series evaluate directly; the
+    The binary and call deltas are computed from x by
+    ``payoffs._log_delta`` into the buffer ``out``, with the time and
+    volatility checked once, when the evaluator is built.  The
     power-Holder payoff is tabulated once per t on a log-price grid
-    refined around the strike and linearly interpolated.  Nested nets
-    share their nodes bit for bit, so one instance reused across nets
-    tabulates each time only once.
+    refined around the strike and linearly interpolated in x.  Other
+    payoffs are valued at s by ``payoffs.delta``.  Nested nets share
+    their nodes bit for bit, so one instance reused across nets builds
+    each time's evaluator only once.
     """
 
     def __init__(self, p: Payoff, model: MarketModel):
@@ -82,8 +86,13 @@ class _Tables(dict):
 
     def __missing__(self, t: float):
         p, model = self.p, self.model
-        if p.kind != "power_holder":
-            fn = lambda s: po.delta(p, model, t, s)
+        if p.kind in ("binary", "call"):
+            po._check_sigma(model)
+            v = model.sigma * math.sqrt(po._tau(model, t, greek=True))
+            lk = math.log(p.strike)
+            fn = lambda x, s, out: po._log_delta(p.kind, x, lk, v, out)
+        elif p.kind != "power_holder":
+            fn = lambda x, s, out: po.delta(p, model, t, s)
         else:
             v = model.sigma * math.sqrt(max(model.T - t, po._TAU_FLOOR))
             lo, hi = _log_range(model)
@@ -94,7 +103,7 @@ class _Tables(dict):
                 np.linspace(lo, hi, 512),
             ]))
             vals = po.delta(p, model, t, np.exp(x))
-            fn = lambda s: np.interp(np.log(s), x, vals)
+            fn = lambda xs, s, out: np.interp(xs, x, vals)
         self[t] = fn
         return fn
 
@@ -102,6 +111,14 @@ class _Tables(dict):
 def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
          measure: str, eval_times, threads: int,
          deltas: _Tables | None = None) -> TrackingErrorSample:
+    """Simulate the hedge on the union of the net and ``eval_times``.
+
+    Each path block carries x = ln S in preallocated buffers: per step
+    one ``x += increment`` and one exp into S, whose change, times the
+    delta held, accumulates the hedge gains.  Deltas at the net's nodes
+    come from the evaluators of ``deltas`` (built per t, shared across
+    calls), which read x and write into the block's delta buffer.
+    """
     if abs(net.T - model.T) > 1e-12:
         raise ConfigError("net maturity must match the model maturity")
     if m < 1:
@@ -131,22 +148,30 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
     proc = np.empty((m, ev.size)) if ev.size else None
 
     def block(start, count):
-        s = np.full(count, model.s0)
-        acc = np.zeros(count)
-        dvec = np.zeros(count)
+        x = np.full(count, math.log(model.s0))
+        s, s_old = np.full(count, model.s0), np.empty(count)
+        acc, dvec, ds = np.zeros(count), np.zeros(count), np.empty(count)
         col = 0
         for j in range(nt):
             if j > 0:
-                s_new = s * np.exp(_log_step(grid[j - 1], grid[j], j, seed,
-                                             start, count, drift, sigma))
-                acc = acc + dvec * (s_new - s)
-                s = s_new
+                x += _log_step(grid[j - 1], grid[j], j, seed, start, count,
+                               drift, sigma)
+                s, s_old = s_old, s
+                np.exp(x, out=s)
+                np.subtract(s, s_old, out=ds)
+                ds *= dvec
+                acc += ds
             if is_eval[j]:
                 proc[start:start + count, col] = (
                     po.price(p, model, grid[j], s) - h0 - acc)
                 col += 1
             if is_node[j] and j < nt - 1:
-                dvec = np.asarray(dfns[j](s))
+                # the evaluators read x, which stays finite where S
+                # underflows, so a zero spot is rejected here
+                if not s.all():
+                    raise ConfigError("a simulated spot underflowed to 0: "
+                                      "price argument s must be > 0")
+                dvec = dfns[j](x, s, dvec)
         terminal[start:start + count] = po.payoff_eval(p, s) - h0 - acc
 
     map_blocks(block, m, threads=threads)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from fracsmooth import model
 from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
 from fracsmooth.errors import ConfigError, QuadratureError
-from fracsmooth.hedging import (l2_tracking_error, tracking_error_process,
+from fracsmooth.hedging import (_Tables, l2_tracking_error,
+                                tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
@@ -73,6 +77,55 @@ def test_thread_invariance():
     a = tracking_error_terminal(p, MODEL, net, 5000, 3, threads=1)
     b = tracking_error_terminal(p, MODEL, net, 5000, 3, threads=8)
     np.testing.assert_array_equal(a.terminal_errors, b.terminal_errors)
+
+
+def test_process_identical_across_threads_on_many_blocks(monkeypatch):
+    # the power-Holder C_t prices every block's spots by quadrature, whose
+    # matrix products round a spot by its row in the block, so only a
+    # layout fixed across thread counts keeps the bits
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+    p = Payoff.power_holder(1.0, 0.25)
+    net = make_theta_net(8, 1.0, 1.0)
+    runs = [tracking_error_process(p, MODEL, net, 500, 29, [0.3, 0.6],
+                                   threads=threads)
+            for threads in (1, 2, 3)]
+    for r in runs[1:]:
+        np.testing.assert_array_equal(r.process_values,
+                                      runs[0].process_values)
+        np.testing.assert_array_equal(r.terminal_errors,
+                                      runs[0].terminal_errors)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["binary", "call"]), s=st.floats(1e-3, 1e3),
+       strike=st.floats(0.05, 20.0), sigma=st.floats(0.01, 5.0),
+       t=st.floats(0.0, 0.999))
+def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
+    # the hedging loop's evaluator reads x = ln s and shares its formula
+    # with payoffs.delta, so the bits agree; the binary's one-exp form is
+    # also checked against phi(d2) / (s v) as written in s
+    p = Payoff(kind=kind, strike=strike)
+    m = MarketModel(s0=1.0, sigma=sigma, T=1.0)
+    spots = s * np.array([0.5, 1.0, 2.0])
+    got = _Tables(p, m)[t](np.log(spots), spots, np.empty(3))
+    np.testing.assert_array_equal(got, po.delta(p, m, t, spots))
+    if kind == "binary":
+        v = sigma * math.sqrt(1.0 - t)
+        d2 = (np.log(spots / strike) - 0.5 * v * v) / v
+        ref = np.exp(-0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * spots * v)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["binary", "call"])
+def test_underflowing_spot_rejected(kind):
+    # with mu = -1000, ln S falls by 125 a step and S underflows to 0
+    # by the sixth node; the log state stays finite there, but a zero
+    # spot is still refused where its delta is needed, not hedged on
+    p = Payoff(kind=kind, strike=1.0)
+    m = MarketModel(s0=1.0, sigma=1.0, mu=-1000.0, T=1.0)
+    with pytest.raises(ConfigError, match="price argument s must be > 0"):
+        tracking_error_terminal(p, m, make_theta_net(8, 1.0, 1.0), 100, 0,
+                                measure="historical")
 
 
 def test_net_maturity_mismatch_rejected():

@@ -60,10 +60,21 @@ def test_gaussian_increments_offset_alignment():
 
 
 def test_map_blocks_order_and_cover():
-    seen = []
-    map_blocks(lambda s, c: seen.append((s, c)), 3 * BLOCK_PATHS + 5)
-    assert seen == [(0, BLOCK_PATHS), (BLOCK_PATHS, BLOCK_PATHS),
-                    (2 * BLOCK_PATHS, BLOCK_PATHS), (3 * BLOCK_PATHS, 5)]
+    # the smallest even number of near-equal blocks, each at a Philox
+    # counter boundary, covering [0, m) in order, whatever the threads
+    for m in (1, 5, BLOCK_PATHS, BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 5):
+        seen = []
+        map_blocks(lambda s, c: seen.append((s, c)), m)
+        starts, counts = zip(*seen)
+        assert starts[0] == 0 and sum(counts) == m
+        assert all(s + c == nxt for (s, c), nxt in zip(seen, starts[1:]))
+        assert all(s % 4 == 0 for s in starts)
+        assert max(counts) <= BLOCK_PATHS
+        assert max(counts) - min(counts) <= 4
+        if m > 4:
+            assert len(seen) % 2 == 0
+            assert len(seen) - 2 < m / BLOCK_PATHS
+        assert map_blocks(lambda s, c: (s, c), m, threads=3) == seen
 
 
 def test_map_blocks_rejects_thread_count_below_one():

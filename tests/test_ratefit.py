@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsmooth import model
 from fracsmooth.errors import ConfigError, ExactHedgeError
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
@@ -80,6 +81,23 @@ def test_sweep_deterministic_across_threads():
     for ea, eb in zip(a.estimates, b.estimates):
         assert ea.l2_error == eb.l2_error
         assert ea.stderr == eb.stderr
+
+
+@pytest.mark.parametrize("p, theta", [(Payoff.binary(1.0), 0.4),
+                                      (Payoff.power_holder(1.0, 0.25), 1.0)],
+                         ids=["binary", "power_holder"])
+def test_sweep_csv_identical_across_threads_on_many_blocks(
+        p, theta, tmp_path, monkeypatch):
+    # 64-path blocks put 5 to 19 blocks in every net, so a block boundary
+    # falls inside each run at any thread count
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+    out = []
+    for threads in (1, 2, 3):
+        path = tmp_path / f"sweep{threads}.csv"
+        sweep_to_csv(path, sweep(p, MODEL, theta, [4, 8, 16, 32, 64], 300,
+                                 21, threads=threads))
+        out.append(path.read_bytes())
+    assert out[0] == out[1] == out[2]
 
 
 @settings(max_examples=20)
