@@ -20,7 +20,7 @@ import numpy as np
 
 from . import payoffs as po
 from .errors import ConfigError, QuadratureError
-from .model import MarketModel, _check_grid, _log_step, map_blocks
+from .model import MarketModel, _check_grid, _walk, map_blocks
 from .payoffs import Payoff
 from .timenets import TimeNet
 
@@ -94,7 +94,7 @@ class _Tables(dict):
         elif p.kind != "power_holder":
             fn = lambda x, s, out: po.delta(p, model, t, s)
         else:
-            v = model.sigma * math.sqrt(max(model.T - t, po._TAU_FLOOR))
+            v = model.sigma * math.sqrt(po._tau(model, t, greek=True))
             lo, hi = _log_range(model)
             lk = math.log(p.strike)
             u = np.arange(-16.0, 16.0 + 1e-9, 1.0 / 16.0)
@@ -113,9 +113,9 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
          deltas: _Tables | None = None) -> TrackingErrorSample:
     """Simulate the hedge on the union of the net and ``eval_times``.
 
-    Each path block carries x = ln S in preallocated buffers: per step
-    one ``x += increment`` and one exp into S, whose change, times the
-    delta held, accumulates the hedge gains.  Deltas at the net's nodes
+    Each path block reads x = ln S from ``model._walk`` and takes one
+    exp per step into a preallocated S, whose change, times the delta
+    held, accumulates the hedge gains.  Deltas at the net's nodes
     come from the evaluators of ``deltas`` (built per t, shared across
     calls), which read x and write into the block's delta buffer.
     """
@@ -126,7 +126,6 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
     if deltas is None:
         deltas = _Tables(p, model)
     drift = model.drift(measure)
-    sigma = model.sigma
 
     if eval_times is None:
         ev = np.empty(0)
@@ -148,14 +147,11 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
     proc = np.empty((m, ev.size)) if ev.size else None
 
     def block(start, count):
-        x = np.full(count, math.log(model.s0))
         s, s_old = np.full(count, model.s0), np.empty(count)
         acc, dvec, ds = np.zeros(count), np.zeros(count), np.empty(count)
         col = 0
-        for j in range(nt):
+        for j, x in _walk(model, grid, seed, start, count, drift):
             if j > 0:
-                x += _log_step(grid[j - 1], grid[j], j, seed, start, count,
-                               drift, sigma)
                 s, s_old = s_old, s
                 np.exp(x, out=s)
                 np.subtract(s, s_old, out=ds)

@@ -2,11 +2,12 @@
 
 Random numbers come from a counter-based Philox stream keyed by
 ``(seed, stream, step)``; the path index selects the position inside the
-stream.  Blocks of paths can therefore be simulated independently (and in
-parallel) while producing bit-identical output for any worker count.
-``map_blocks`` splits m paths into the smallest even number of equal
-blocks of at most ``BLOCK_PATHS`` paths, a layout that depends on m
-alone, so two workers get equal shares of every Monte Carlo run.
+stream, so blocks of paths run independently (and in parallel) with
+bit-identical output for any worker count.  ``map_blocks`` splits m
+paths into the smallest even number of equal blocks of at most
+``BLOCK_PATHS`` paths, a layout that depends on m alone, so two workers
+get equal shares of every Monte Carlo run.  ``_walk`` is the one stepping
+of ln S in a block, and of its callers only ``simulate_gbm`` stores paths.
 """
 
 from __future__ import annotations
@@ -143,6 +144,24 @@ def _check_grid(model: MarketModel, times: np.ndarray) -> np.ndarray:
     return times
 
 
+def _walk(model: MarketModel, times: np.ndarray, seed: int, start: int,
+          count: int, drift: float):
+    """Yield ``(j, x)`` with x = ln S at ``times[j]`` for paths from
+    ``start``: one buffer from ln s0, moved in place by step j's draws
+    where ``times[j] > 0``.  Read x before asking for the next step."""
+    sigma = model.sigma
+    x = np.full(count, math.log(model.s0))
+    t0 = 0.0
+    for j, t in enumerate(times):
+        if t > 0.0:
+            z = gaussian_increments(seed, j, start, count)
+            z *= sigma * math.sqrt(t - t0)
+            z += (drift - 0.5 * sigma * sigma) * (t - t0)
+            x += z
+        t0 = t
+        yield j, x
+
+
 def simulate_gbm(model: MarketModel, times, m: int, seed: int,
                  measure: str = "martingale", threads: int = 1) -> np.ndarray:
     """Exact lognormal path simulation on an arbitrary increasing grid.
@@ -154,30 +173,11 @@ def simulate_gbm(model: MarketModel, times, m: int, seed: int,
     if m < 1:
         raise ConfigError("path count m must be >= 1")
     drift = model.drift(measure)
-    sigma = model.sigma
-
-    nt = times.size
-    out = np.empty((m, nt))
+    out = np.empty((m, times.size))
 
     def block(start, count):
-        x = np.full(count, math.log(model.s0))
-        if times[0] > 0.0:
-            x += _log_step(0.0, times[0], 0, seed, start, count, drift, sigma)
-        out[start:start + count, 0] = np.exp(x)
-        for j in range(1, nt):
-            x += _log_step(times[j - 1], times[j], j, seed, start, count,
-                           drift, sigma)
+        for j, x in _walk(model, times, seed, start, count, drift):
             out[start:start + count, j] = np.exp(x)
-        return None
 
     map_blocks(block, m, threads=threads)
     return out
-
-
-def _log_step(t0, t1, step, seed, start, count, drift, sigma):
-    """Increment of ln S over [t0, t1] for paths ``start..start+count``."""
-    dt = t1 - t0
-    z = gaussian_increments(seed, step, start, count)
-    z *= sigma * math.sqrt(dt)
-    z += (drift - 0.5 * sigma * sigma) * dt
-    return z

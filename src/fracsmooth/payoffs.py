@@ -538,9 +538,9 @@ def _outer_grid(p: Payoff, model: MarketModel, t: float):
     """Nodes and weights ``(x, w)`` of ln S_t under the pricing measure.
 
     At t = 0 this is the point mass of ln s0.  For t > 0 it is a
-    ``lognormal_grid`` of tail depth 40, whose last panels reach 2^-40 of
-    the mass on either side; for a payoff with a kink (call, put,
-    binary, power-Holder) the grid is graded at ln K down to the width
+    ``lognormal_grid``, whose last panels reach 2^-40 of the mass on
+    either side; for a payoff with a kink (call, put, binary,
+    power-Holder) the grid is graded at ln K down to the width
     sigma sqrt(T - t) over which the delta and gamma localize as t
     approaches maturity.
     """
@@ -550,4 +550,4 @@ def _outer_grid(p: Payoff, model: MarketModel, t: float):
     kink = None if p.kind in ("affine", "chaos") else (
         math.log(p.strike), sigma * math.sqrt(_tau(model, t, greek=False)))
     return lognormal_grid(math.log(model.s0) - 0.5 * sigma * sigma * t,
-                          sigma * math.sqrt(t), kink, 40)
+                          sigma * math.sqrt(t), kink)

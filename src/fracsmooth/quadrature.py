@@ -31,10 +31,11 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: lognormal_grid's Gauss-Legendre rule per panel, and the ratio by which
-#: its panels widen away from the kink
+#: lognormal_grid's Gauss-Legendre rule per panel, the ratio by which
+#: its panels widen away from the kink, and its depth 2^-40 into each tail
 _GRID_GX, _GRID_GW = leggauss(8)
 _KINK_RATIO = 2.0
+_TAIL_DEPTH = 40
 
 
 def hermite_recurrence(x, n: int, c: float = -1.0):
@@ -74,8 +75,8 @@ def gauss_normal_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def lognormal_grid(mean: float, std: float, kink=None,
-                   tail_depth: int = 48) -> tuple[np.ndarray, np.ndarray]:
+def lognormal_grid(mean: float, std: float,
+                   kink=None) -> tuple[np.ndarray, np.ndarray]:
     """Graded nodes/weights for ``E f(X)``, ``X ~ N(mean, std^2)``.
 
     Returns ``(x, w)`` with ``sum(w) ~= 1``; evaluate ``w @ f(x)``.
@@ -87,7 +88,7 @@ def lognormal_grid(mean: float, std: float, kink=None,
         raise QuadratureError("lognormal_grid needs std > 0")
     lo, hi = 2.0 ** -53, 1.0 - 2.0 ** -53
     edges = {lo, hi}
-    for j in range(1, tail_depth):
+    for j in range(1, _TAIL_DEPTH):
         edges.add(2.0 ** -j)
         edges.add(1.0 - 2.0 ** -j)
     if kink is not None:

@@ -5,8 +5,9 @@ normal sqrt(A) xi, where the clock
 
     A = int_0^1 (1-t)^(1-theta) / (2 theta) * (S_t^2 d2H/ds2)^2 dt
 
-is simulated pathwise with a time grid geometric in 1-t, and xi is an
-independent standard normal drawn from a separate RNG stream.
+is simulated pathwise on Gauss-Legendre nodes per octave of 1-t, each
+path block adding its octave increments as it walks ln S, with no path
+matrix; xi is an independent normal from a separate RNG stream.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from . import payoffs as po
 from ._output import write_csv
 from .errors import ConfigError
-from .model import (MarketModel, STREAM_AUX, gaussian_increments,
-                    map_blocks, simulate_gbm)
+from .model import (MarketModel, STREAM_AUX, _walk, gaussian_increments,
+                    map_blocks)
 from .payoffs import Payoff
 
 __all__ = [
@@ -60,6 +61,8 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
             time_order: int = 4, threads: int = 1) -> ClockSample:
     """Simulate the clock integral per path, with an extrapolated tail.
 
+    Each path block walks ln S over the grid on the thread pool and adds
+    every node's weighted (S^2 gamma)^2 to that node's octave.
     Octave contributions toward t=1 are extrapolated geometrically; paths
     whose last two octave increments fail to decay are flagged (their
     tails use the maximal admissible ratio) and the fraction is reported.
@@ -70,15 +73,20 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
         raise ConfigError("theta must lie in (0, 1]")
     if time_order < 1:
         raise ConfigError("time_order must be >= 1")
+    if m < 1:
+        raise ConfigError("path count m must be >= 1")
     times, w, octv = _clock_grid(time_order)
-    paths = simulate_gbm(model, times, m, seed, measure="martingale",
-                         threads=threads)
     wt = w * (1.0 - times) ** (1.0 - theta) / (2.0 * theta)
-    inc = np.zeros((m, _CLOCK_DEPTH))
-    for k, t in enumerate(times):
-        s = paths[:, k]
-        g = np.asarray(po.gamma(p, model, float(t), s))
-        inc[:, octv[k]] += wt[k] * (s * s * g) ** 2
+
+    def block(start, count):
+        inc = np.zeros((count, _CLOCK_DEPTH))
+        for k, x in _walk(model, times, seed, start, count, 0.0):
+            s = np.exp(x)
+            g = np.asarray(po.gamma(p, model, float(times[k]), s))
+            inc[:, octv[k]] += wt[k] * (s * s * g) ** 2
+        return inc
+
+    inc = np.concatenate(map_blocks(block, m, threads=threads))
     last, prev = inc[:, -1], inc[:, -2]
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(prev > 0.0, last / prev, 0.0)
@@ -91,15 +99,8 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
 
 def mixed_normal_sample(clock: ClockSample, seed: int) -> np.ndarray:
     """sqrt(A) xi with xi standard normal from a disjoint RNG stream."""
-    m = clock.A_values.size
-    out = np.empty(m)
-
-    def block(start, count):
-        out[start:start + count] = gaussian_increments(
-            seed, 0, start, count, stream=STREAM_AUX)
-
-    map_blocks(block, m)
-    return np.sqrt(clock.A_values) * out
+    a = clock.A_values
+    return np.sqrt(a) * gaussian_increments(seed, 0, 0, a.size, STREAM_AUX)
 
 
 def ks_distance(x, y) -> float:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsmooth.errors import ConfigError, SimulationError
-from fracsmooth.model import (BLOCK_PATHS, MarketModel, STREAM_AUX,
+from fracsmooth.model import (BLOCK_PATHS, MarketModel, STREAM_AUX, _walk,
                               child_seed, gaussian_increments, map_blocks,
                               simulate_gbm)
 
@@ -92,6 +92,25 @@ def test_simulate_gbm_thread_invariance():
     b = simulate_gbm(model, times, m, 11, threads=8)
     assert a.shape == (m, times.size)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.25, 1.0], [0.3, 0.7]])
+def test_walk_moves_by_step_j_draws(times):
+    # ln S at times[j] is ln s0 plus the steps up to j, step j drawing
+    # from Philox step j; a time 0 takes no step and no draws
+    model = MarketModel(s0=1.5, sigma=0.4, mu=0.2)
+    x = np.full(8, math.log(1.5))
+    t0, walked = 0.0, []
+    for j, t in enumerate(times):
+        if t > 0.0:
+            z = gaussian_increments(3, j, 4, 8)
+            x = x + (0.4 * math.sqrt(t - t0) * z + (0.2 - 0.08) * (t - t0))
+        walked.append(x)
+        t0 = t
+    got = [x.copy() for _, x in _walk(model, np.array(times), 3, 4, 8, 0.2)]
+    np.testing.assert_allclose(got, walked, rtol=0, atol=1e-14)
+    paths = simulate_gbm(model, times, 12, 3, measure="historical")
+    np.testing.assert_array_equal(paths[4:12], np.exp(got).T)
 
 
 def test_simulate_gbm_lognormal_law():

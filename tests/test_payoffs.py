@@ -197,13 +197,13 @@ def test_outer_grid_graded_at_kink():
     # kinked payoff grades the grid at ln K down to sigma sqrt(T - t)
     mean, std = -0.375, math.sqrt(0.75)
     x, w = po._outer_grid(Payoff.call(2.0), MODEL, 0.75)
-    ref = lognormal_grid(mean, std, (math.log(2.0), 0.5), tail_depth=40)
+    ref = lognormal_grid(mean, std, (math.log(2.0), 0.5))
     np.testing.assert_array_equal(x, ref[0])
     np.testing.assert_array_equal(w, ref[1])
     assert w @ x == pytest.approx(mean, abs=1e-12)
     assert w @ (x - mean) ** 2 == pytest.approx(std ** 2, rel=1e-12)
     x_flat, _ = po._outer_grid(Payoff.affine(1.0, 1.0), MODEL, 0.75)
-    np.testing.assert_array_equal(x_flat, lognormal_grid(mean, std, None, 40)[0])
+    np.testing.assert_array_equal(x_flat, lognormal_grid(mean, std)[0])
     assert x.size > x_flat.size
     # at t = 0, the point mass of ln s0
     x0, w0 = po._outer_grid(Payoff.call(2.0), MarketModel(1.3, 0.7), 0.0)

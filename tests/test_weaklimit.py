@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fracsmooth import model, weaklimit
+from fracsmooth import model, payoffs as po, weaklimit
 from fracsmooth.errors import ConfigError
 from fracsmooth.model import (BLOCK_PATHS, STREAM_AUX, MarketModel,
-                              gaussian_increments)
+                              gaussian_increments, simulate_gbm)
 from fracsmooth.payoffs import Payoff
 from fracsmooth.weaklimit import (ClockSample, clock_A, clock_to_csv,
                                   ks_distance, mixed_normal_sample)
@@ -42,15 +42,56 @@ def test_clock_positive_and_deterministic():
 
 
 @pytest.mark.parametrize("m", [1, 6, BLOCK_PATHS + 3])
-def test_mixed_normal_sample_thread_invariant(m, monkeypatch):
-    # the same bits on a thread pool as serially, and as one AUX stream
+def test_mixed_normal_sample_thread_invariant(m):
+    # xi is the seed's AUX stream, bit for bit the same when it is drawn
+    # in map_blocks blocks on a thread pool
     clock = ClockSample(A_values=np.linspace(0.5, 2.0, m), flagged_fraction=0.0)
-    serial = mixed_normal_sample(clock, 31)
-    monkeypatch.setattr(weaklimit, "map_blocks",
-                        lambda fn, n: model.map_blocks(fn, n, threads=3))
-    np.testing.assert_array_equal(mixed_normal_sample(clock, 31), serial)
-    xi = gaussian_increments(31, 0, 0, m, stream=STREAM_AUX)
-    np.testing.assert_array_equal(serial, np.sqrt(clock.A_values) * xi)
+    blocks = model.map_blocks(
+        lambda s, c: gaussian_increments(31, 0, s, c, stream=STREAM_AUX),
+        m, threads=3)
+    xi = np.concatenate(blocks)
+    np.testing.assert_array_equal(mixed_normal_sample(clock, 31),
+                                  np.sqrt(clock.A_values) * xi)
+
+
+@pytest.mark.parametrize("p, theta", [(Payoff.call(1.0), 1.0),
+                                      (Payoff.binary(1.0), 0.4)])
+def test_clock_matches_path_matrix_reference(p, theta, monkeypatch):
+    # the clock built from a stored path matrix, one gamma call per time
+    # column: the walk in blocks must give the same bits
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+    m = 301
+    times, w, octv = weaklimit._clock_grid(4)
+    paths = simulate_gbm(MODEL, times, m, 5)
+    wt = w * (1.0 - times) ** (1.0 - theta) / (2.0 * theta)
+    inc = np.zeros((m, weaklimit._CLOCK_DEPTH))
+    for k, t in enumerate(times):
+        s = paths[:, k]
+        g = po.gamma(p, MODEL, float(t), s)
+        inc[:, octv[k]] += wt[k] * (s * s * g) ** 2
+    last, prev = inc[:, -1], inc[:, -2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(np.where(prev > 0.0, last / prev, 0.0), 0.0, 0.95)
+    ref = inc.sum(axis=1) + last * r / (1.0 - r)
+    clock = clock_A(p, MODEL, theta, m, 5, threads=2)
+    np.testing.assert_array_equal(clock.A_values, ref)
+
+
+def test_power_holder_clock_thread_invariant(monkeypatch):
+    # the gamma calls now run per block on the pool; the fixed block
+    # layout keeps the batch-dependent quadrature bits the same
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+    p = Payoff.power_holder(1.0, 0.5)
+    runs = [clock_A(p, MODEL, 0.5, 300, 13, threads=t) for t in (1, 2, 3)]
+    for run in runs[1:]:
+        assert run.A_values.tobytes() == runs[0].A_values.tobytes()
+        assert run.flagged_fraction == runs[0].flagged_fraction
+
+
+@pytest.mark.parametrize("m, threads", [(0, 1), (10, 0)])
+def test_clock_rejects_empty_sample_and_zero_threads(m, threads):
+    with pytest.raises(ConfigError):
+        clock_A(Payoff.call(1.0), MODEL, 1.0, m, 0, threads=threads)
 
 
 def test_mixed_normal_moments():
