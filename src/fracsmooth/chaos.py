@@ -15,8 +15,8 @@ criterion depends on the truncation order.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -55,22 +55,33 @@ def hermite_series(alpha: np.ndarray, x):
     return sum(a * h for a, h in zip(alpha, hermite_recurrence(x, alpha.size)))
 
 
-@dataclass(frozen=True)
 class ChaosExpansion:
     """Truncated coefficient vector (alpha_0..alpha_K) plus tail L2 mass.
 
     ``kernel(t)`` returns the Mehler pair (B(t), D(t)) of the whole
-    series.  Analytic constructors pass their closed form; any other
-    expansion gets ``_series_kernel``, which sums the coefficients.
+    series.  Analytic constructors pass their closed form and, in place
+    of ``alpha`` and ``tail_l2``, ``build``: a function of no arguments
+    that returns the pair, called on the first read of either, so the
+    kernel's readers never build coefficients.  Any other expansion gets
+    ``_series_kernel``, which sums the coefficients.
     """
 
-    alpha: np.ndarray
-    tail_l2: float = 0.0
-    kernel: object = field(default=None, compare=False, repr=False)
+    def __init__(self, alpha: np.ndarray | None = None, tail_l2: float = 0.0,
+                 kernel=None, *, build=None):
+        self._build = build or (lambda: (alpha, tail_l2))
+        self.kernel = kernel or _series_kernel(self.alpha, self.tail_l2)
 
-    def __post_init__(self):
-        object.__setattr__(self, "kernel",
-                           self.kernel or _series_kernel(self.alpha, self.tail_l2))
+    @functools.cached_property
+    def _coeffs(self) -> tuple[np.ndarray, float]:
+        return self._build()
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._coeffs[0]
+
+    @property
+    def tail_l2(self) -> float:
+        return self._coeffs[1]
 
 
 def _series_kernel(alpha: np.ndarray, tail_l2: float):
@@ -134,24 +145,27 @@ def indicator_expansion(c: float, K: int) -> ChaosExpansion:
         raise ConfigError("indicator center c must be finite")
     if K < 1:
         raise ConfigError("K must be >= 1")
-    # H_0..H_{K-1} at c behind a slot for alpha_0, then one scaling pass
-    # by phi(c) / sqrt(k), in blocks so that no temporary grows with K
-    # (K reaches 2^21)
-    alpha = np.fromiter(chain((0.0,), hermite_recurrence(c, K)), float, K + 1)
-    phi_c = _phi(c)
-    for i in range(1, K + 1, _SCALE_BLOCK):
-        blk = alpha[i:i + _SCALE_BLOCK]
-        blk *= phi_c
-        blk /= np.sqrt(np.arange(float(i), float(i) + blk.size))
-    alpha[0] = ndtr(-c)
     m2 = float(ndtr(-c))
+
+    def coefficients():
+        # H_0..H_{K-1} at c behind a slot for alpha_0, then one scaling
+        # pass by phi(c) / sqrt(k), in blocks so that no temporary grows
+        # with K (K reaches 2^21)
+        alpha = np.fromiter(chain((0.0,), hermite_recurrence(c, K)), float, K + 1)
+        phi_c = _phi(c)
+        for i in range(1, K + 1, _SCALE_BLOCK):
+            blk = alpha[i:i + _SCALE_BLOCK]
+            blk *= phi_c
+            blk /= np.sqrt(np.arange(float(i), float(i) + blk.size))
+        alpha[0] = ndtr(-c)
+        return alpha
 
     def kernel(t):
         # B is the bivariate normal density at (c, c) with correlation t
         b = math.exp(-c * c / (1.0 + t)) / (2.0 * math.pi * math.sqrt(1.0 - t * t))
         return b, m2 - _bvn_cdf(-c, -c, t)
 
-    return _analytic(alpha, m2, kernel)
+    return _analytic(coefficients, m2, kernel)
 
 
 def exp_call_expansion(a: float, b: float, strike: float, K: int) -> ChaosExpansion:
@@ -166,19 +180,22 @@ def exp_call_expansion(a: float, b: float, strike: float, K: int) -> ChaosExpans
         raise ConfigError("K must be >= 1")
     x0 = math.log(strike / a) / b
     d = x0 - b
-    # I_k = int_{x0}^oo H_k phi ; E_k = int_{x0}^oo e^{bx} H_k phi
     ind = indicator_expansion(x0, K)
-    i_k = ind.alpha
-    e_k = np.empty(K + 1)
-    g_val = float(ndtr(-d))
-    phi_d = _phi(d)
-    e_k[0] = g_val
-    for k, hk1 in enumerate(hermite_recurrence(d + b, K), 1):
-        # G_{k} = (b G_{k-1} + H_{k-1}(d+b) phi(d)) / sqrt(k)
-        g_val = (b * g_val + hk1 * phi_d) / math.sqrt(k)
-        e_k[k] = g_val
-    e_k *= math.exp(0.5 * b * b)
-    alpha = a * e_k - strike * i_k
+
+    def coefficients():
+        # I_k = int_{x0}^oo H_k phi ; E_k = int_{x0}^oo e^{bx} H_k phi
+        i_k = ind.alpha
+        e_k = np.empty(K + 1)
+        g_val = float(ndtr(-d))
+        phi_d = _phi(d)
+        e_k[0] = g_val
+        for k, hk1 in enumerate(hermite_recurrence(d + b, K), 1):
+            # G_{k} = (b G_{k-1} + H_{k-1}(d+b) phi(d)) / sqrt(k)
+            g_val = (b * g_val + hk1 * phi_d) / math.sqrt(k)
+            e_k[k] = g_val
+        e_k *= math.exp(0.5 * b * b)
+        return a * e_k - strike * i_k
+
     # E[g^2] and E[g(X) g(X_t)]: each term of (a e^{bx} - strike)^2 on
     # {x >= x0} is a Gaussian tilt of the indicator, whose shifted
     # thresholds go into the bivariate normal CDF
@@ -193,7 +210,7 @@ def exp_call_expansion(a: float, b: float, strike: float, K: int) -> ChaosExpans
                + strike * strike * _bvn_cdf(-x0, -x0, t))
         return b * b * tilt, m2 - ggt
 
-    return _analytic(alpha, m2, kernel)
+    return _analytic(coefficients, m2, kernel)
 
 
 def _bvn_cdf(h: float, k: float, rho: float) -> float:
@@ -218,11 +235,14 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
     return 0.5 * float(ndtr(h) + ndtr(k)) - owen(h, k) - owen(k, h) - beta
 
 
-def _analytic(alpha: np.ndarray, m2: float, kernel) -> ChaosExpansion:
-    """Expansion with its Mehler kernel and the exact tail mass E[g^2] - |alpha|^2."""
-    resid = m2 - float(alpha @ alpha)
-    return ChaosExpansion(alpha=alpha, tail_l2=math.sqrt(max(resid, 0.0)),
-                          kernel=kernel)
+def _analytic(coefficients, m2: float, kernel) -> ChaosExpansion:
+    """Expansion with its Mehler kernel whose ``coefficients()`` are built on
+    first read, with the exact tail mass E[g^2] - |alpha|^2."""
+    def build():
+        alpha = coefficients()
+        return alpha, math.sqrt(max(m2 - float(alpha @ alpha), 0.0))
+
+    return ChaosExpansion(kernel=kernel, build=build)
 
 
 def d12_norm(e: ChaosExpansion) -> tuple[float, bool]:

@@ -66,6 +66,76 @@ def _log_range(model: MarketModel) -> tuple[float, float]:
     return lo, hi
 
 
+def _holder_nodes(p: Payoff, model: MarketModel, t: float):
+    """The power-Holder delta table's nodes in x = ln s at time t, and the
+    interval where they are dense: 16 per kernel sd v within 16 v of
+    ln K, plus 512 evenly over ``_log_range``."""
+    v = model.sigma * math.sqrt(po._tau(model, t, greek=True))
+    lo, hi = _log_range(model)
+    lk = math.log(p.strike)
+    u = np.arange(-16.0, 16.0 + 1e-9, 1.0 / 16.0)
+    x = np.unique(np.concatenate([np.clip(lk + v * u, lo, hi),
+                                  np.linspace(lo, hi, 512)]))
+    return x, (lk - 16.0 * v, lk + 16.0 * v)
+
+
+def _linear_lookup(x: np.ndarray, vals: np.ndarray, dense: tuple[float, float]):
+    """``f(xc, out)``, which writes ``np.interp(xc, x, vals)`` into out bit
+    for bit, for xc in [x[0], x[-1]] and strictly increasing x (at least
+    two nodes) on which every slope is finite, at O(1) cost a point.
+
+    Buckets are uniform in g(x) = c (x - x[0]) + d (clip(x, a, b) - a),
+    with (a, b) = ``dense``, c = 2 n / (x[-1] - x[0]) for n nodes and
+    d = 2 m / (b - a) for the m nodes in [a, b], so the buckets follow
+    the nodes' density inside the dense interval however narrow it is,
+    and the pass count below stays small.  Each bucket stores the first
+    node that any xc in it can lie on, and a fixed number of passes of
+    ``j += xc >= x[j + 1]`` then reaches the node j with
+    x[j] <= xc < x[j + 1] (or the last node at xc = x[-1]).  One
+    function computes buckets at build and at run time, monotone in x,
+    so the nodes that an xc in bucket k can lie on are fixed by the
+    nodes' own buckets: from the last node below bucket k to the last
+    node in it.  The first of these is stored, and the pass count is
+    the widest such span, with no margin to guess.  The value
+    slope[j] (xc - x[j]) + vals[j] is np.interp's, with its slopes,
+    and a zero slope at the last node.
+    """
+    lo = x[0]
+    a, b = dense
+    c = 2.0 * x.size / (x[-1] - lo)
+    d = 2.0 * np.count_nonzero((x >= a) & (x <= b)) / (b - a) if b > a else 0.0
+
+    def bucket(xs):
+        g = np.subtract(xs, lo)
+        g *= c
+        z = np.clip(xs, a, b)
+        z -= a
+        z *= d
+        g += z
+        return g.astype(np.intp)
+
+    node_k = bucket(x)
+    ks = np.arange(node_k[-1] + 1)
+    first = np.maximum(np.searchsorted(node_k, ks, "left") - 1, 0)
+    passes = int((np.searchsorted(node_k, ks, "right") - 1 - first).max())
+    slope = np.zeros(x.size)
+    slope[:-1] = np.diff(vals) / np.diff(x)
+    # upper[j] = x[j + 1], with no node to pass beyond the last
+    padded = np.append(x, np.inf)
+    upper = padded[1:]
+
+    def lookup(xc, out):
+        j = first.take(bucket(xc))
+        for _ in range(passes):
+            j += xc >= upper.take(j)
+        f = np.subtract(xc, padded.take(j))
+        np.multiply(slope.take(j), f, out=out)
+        out += vals.take(j, out=f)
+        return out
+
+    return lookup
+
+
 class _Tables(dict):
     """t -> delta evaluator ``fn(x, s, out)`` at ln-spots x = ln s, for one
     (payoff, model).
@@ -73,11 +143,12 @@ class _Tables(dict):
     The binary and call deltas are computed from x by
     ``payoffs._log_delta`` into the buffer ``out``, with the time and
     volatility checked once, when the evaluator is built.  The
-    power-Holder payoff is tabulated once per t on a log-price grid
-    refined around the strike and linearly interpolated in x.  Other
-    payoffs are valued at s by ``payoffs.delta``.  Nested nets share
-    their nodes bit for bit, so one instance reused across nets builds
-    each time's evaluator only once.
+    power-Holder payoff is tabulated once per t on ``_holder_nodes`` and
+    linearly interpolated in x by ``_linear_lookup`` into ``out``; a spot
+    beyond the table is valued by ``payoffs.delta``.  Other payoffs are
+    valued at s by ``payoffs.delta``.  Nested nets share their nodes bit
+    for bit, so one instance reused across nets builds each time's
+    evaluator only once.
     """
 
     def __init__(self, p: Payoff, model: MarketModel):
@@ -94,16 +165,18 @@ class _Tables(dict):
         elif p.kind != "power_holder":
             fn = lambda x, s, out: po.delta(p, model, t, s)
         else:
-            v = model.sigma * math.sqrt(po._tau(model, t, greek=True))
-            lo, hi = _log_range(model)
-            lk = math.log(p.strike)
-            u = np.arange(-16.0, 16.0 + 1e-9, 1.0 / 16.0)
-            x = np.unique(np.concatenate([
-                np.clip(lk + v * u, lo, hi),
-                np.linspace(lo, hi, 512),
-            ]))
-            vals = po.delta(p, model, t, np.exp(x))
-            fn = lambda xs, s, out: np.interp(xs, x, vals)
+            nodes, dense = _holder_nodes(p, model, t)
+            lookup = _linear_lookup(
+                nodes, po.delta(p, model, t, np.exp(nodes)), dense)
+            lo, hi = nodes[0], nodes[-1]
+
+            def fn(x, s, out):
+                xc = np.clip(x, lo, hi)
+                lookup(xc, out)
+                off = xc != x
+                if off.any():
+                    out[off] = po.delta(p, model, t, s[off])
+                return out
         self[t] = fn
         return fn
 

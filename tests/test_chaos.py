@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fracsmooth.chaos import (ChaosExpansion, besov_criterion, d12_norm,
                               decay_from_chaos, exp_call_expansion,
                               hermite_series, indicator_expansion, project)
 from fracsmooth.errors import ConfigError, QuadratureError
+from fracsmooth.quadrature import hermite_recurrence
 
 
 def _hermite(n, x):
@@ -202,6 +204,67 @@ def test_mehler_kernel_matches_coefficient_series(kind, c):
         if kind == "indicator":
             # the truncated sum alone misses the slow k^-3/2 tail
             assert abs(d - d_series) > 1e-3 * d
+
+
+def _eager_coefficients(kind, c, K):
+    """(alpha, tail_l2) built eagerly, step for step as the constructors
+    build them; exp_call is a = e^-1/2, b = 1, strike 1."""
+    a, b, strike = math.exp(-0.5), 1.0, 1.0
+    if kind == "exp_call":
+        c = math.log(strike / a) / b
+    i_k = np.fromiter(chain((0.0,), hermite_recurrence(c, K)), float, K + 1)
+    phi_c = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    for i in range(1, K + 1, chaos._SCALE_BLOCK):
+        blk = i_k[i:i + chaos._SCALE_BLOCK]
+        blk *= phi_c
+        blk /= np.sqrt(np.arange(float(i), float(i) + blk.size))
+    i_k[0] = ndtr(-c)
+    if kind == "indicator":
+        alpha, m2 = i_k, float(ndtr(-c))
+    else:
+        d = c - b
+        e_k = np.empty(K + 1)
+        g_val = float(ndtr(-d))
+        phi_d = math.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
+        e_k[0] = g_val
+        for k, hk1 in enumerate(hermite_recurrence(d + b, K), 1):
+            g_val = (b * g_val + hk1 * phi_d) / math.sqrt(k)
+            e_k[k] = g_val
+        e_k *= math.exp(0.5 * b * b)
+        alpha = a * e_k - strike * i_k
+        ea = a * strike * math.exp(0.5 * b * b)
+        m2 = (a * a * math.exp(2.0 * b * b) * float(ndtr(2.0 * b - c))
+              - 2.0 * ea * float(ndtr(b - c)) + strike * strike * float(ndtr(-c)))
+    return alpha, math.sqrt(max(m2 - float(alpha @ alpha), 0.0))
+
+
+@pytest.mark.parametrize("kind,c", [("indicator", 0.0), ("indicator", 0.5),
+                                    ("exp_call", None)])
+def test_lazy_coefficients_match_eager_build(kind, c):
+    # the kernel is read first; the coefficients built afterwards are
+    # the eager build's, bit for bit
+    e, _ = _analytic_case(kind, c, 4096)
+    e.kernel(0.5)
+    alpha, tail_l2 = _eager_coefficients(kind, c, 4096)
+    np.testing.assert_array_equal(e.alpha, alpha)
+    assert e.tail_l2 == tail_l2
+    assert e.alpha is e.alpha
+
+
+@pytest.mark.parametrize("kind", ["indicator", "exp_call"])
+def test_kernel_readers_build_no_coefficients(kind, monkeypatch):
+    # the decay surrogate and the Besov criterion read only the Mehler
+    # kernel, so 2^21 coefficients are never computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficients built")
+
+    monkeypatch.setattr(chaos, "hermite_recurrence", refuse)
+    e, _ = _analytic_case(kind, 0.5, 1 << 21)
+    for t in 1.0 - 2.0 ** -np.arange(21.0):
+        assert decay_from_chaos(e, float(t)) > 0.0
+    assert besov_criterion(e, 0.5)[2] == "bounded"
+    with pytest.raises(AssertionError, match="coefficients built"):
+        e.alpha
 
 
 def test_besov_criterion_is_truncation_free():

@@ -10,7 +10,8 @@ from fracsmooth import model
 from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
 from fracsmooth.errors import ConfigError, QuadratureError
-from fracsmooth.hedging import (_Tables, l2_tracking_error,
+from fracsmooth.hedging import (_holder_nodes, _linear_lookup, _Tables,
+                                l2_tracking_error,
                                 tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
@@ -114,6 +115,65 @@ def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
         d2 = (np.log(spots / strike) - 0.5 * v * v) / v
         ref = np.exp(-0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * spots * v)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x0=st.floats(-100.0, 100.0),
+       gaps=st.lists(st.one_of(st.just(1e-12), st.floats(1e-3, 10.0)),
+                     min_size=1, max_size=60),
+       a=st.floats(-150.0, 700.0),
+       width=st.one_of(st.just(0.0), st.floats(1e-12, 100.0)),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_linear_lookup_is_np_interp(x0, gaps, a, width, data, seed):
+    # np.interp is the oracle of the O(1) table lookup, bit for bit, on
+    # strictly increasing nodes (pairs 1e-12 apart among them) at every
+    # node, its float neighbours, both ends and beyond, and inside
+    # points; the dense interval only places the buckets, so any one,
+    # empty or off the nodes, gives the same values
+    x = x0 + np.cumsum([0.0] + gaps)
+    assert np.all(np.diff(x) > 0.0)
+    vals = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=x.size,
+                                       max_size=x.size)))
+    rng = np.random.default_rng(seed)
+    q = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        [x[0] - 1.0, x[-1] + 1.0],
+                        rng.uniform(x[0], x[-1], 200)])
+    lookup = _linear_lookup(x, vals, (a, a + width))
+    got = lookup(np.clip(q, x[0], x[-1]), np.empty(q.size))
+    np.testing.assert_array_equal(got, np.interp(q, x, vals))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 127.0 / 128.0, 1.0 - 2.0 ** -10])
+def test_power_holder_evaluator_is_np_interp(t):
+    # the hedging loop's power-Holder delta is linear interpolation of
+    # the delta at the table's own nodes, as np.interp computes it
+    p = Payoff.power_holder(1.0, 0.25)
+    x, _ = _holder_nodes(p, MODEL, t)
+    vals = po.delta(p, MODEL, t, np.exp(x))
+    rng = np.random.default_rng(17)
+    q = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        0.5 * (x[1:] + x[:-1]),
+                        rng.uniform(x[0], x[-1], 4000)])
+    q = q[(q >= x[0]) & (q <= x[-1])]
+    got = _Tables(p, MODEL)[t](q, np.exp(q), np.empty(q.size))
+    np.testing.assert_array_equal(got, np.interp(q, x, vals))
+
+
+def test_power_holder_evaluator_values_off_table_spots():
+    # spots beyond the table's ln-price range are valued by the engine,
+    # not given the delta at the nearer end
+    p = Payoff.power_holder(1.0, 0.25)
+    t = 0.5
+    x, _ = _holder_nodes(p, MODEL, t)
+    off = np.array([x[0] - 2.0, np.nextafter(x[0], -np.inf),
+                    np.nextafter(x[-1], np.inf), x[-1] + 2.0])
+    q = np.concatenate([off[:2], [0.0], off[2:]])
+    got = _Tables(p, MODEL)[t](q, np.exp(q), np.empty(q.size))
+    is_off = np.arange(q.size) != 2
+    np.testing.assert_array_equal(got[is_off],
+                                  po.delta(p, MODEL, t, np.exp(off)))
+    assert got[2] == np.interp(0.0, x, po.delta(p, MODEL, t, np.exp(x)))
+    assert got[0] != got[1] and got[-1] != got[-2]
 
 
 @pytest.mark.parametrize("kind", ["binary", "call"])
