@@ -13,6 +13,7 @@ of ln S in a block, and of its callers only ``simulate_gbm`` stores paths.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -100,6 +101,13 @@ def gaussian_increments(seed: int, step: int, start: int, count: int,
     return ndtri(u, out=u)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (the affinity mask where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_blocks(fn, m: int, threads: int = 1) -> list:
     """Apply ``fn(start, count)`` over the path blocks of m paths, in order.
 
@@ -112,6 +120,10 @@ def map_blocks(fn, m: int, threads: int = 1) -> list:
     number keep both of two workers busy to the end: full-size blocks
     and a short last one would take 160,000 paths in three rounds of
     32,768 on two workers, where six blocks of 26,668 take 2 x 80,000.
+    The pool has ``min(threads, usable cores)`` workers: more threads
+    than cores only trade the interpreter lock back and forth (at
+    threads 8 on 2 cores a power-Holder sweep took 17.8 s wall and
+    30.1 s CPU, against 14.3 s and 25.3 s at threads 2).
     """
     if threads < 1:
         raise ConfigError("thread count must be >= 1")
@@ -125,9 +137,10 @@ def map_blocks(fn, m: int, threads: int = 1) -> list:
     for c in counts:
         spans.append((start, c))
         start += c
-    if threads <= 1 or len(spans) == 1:
+    workers = min(threads, _usable_cores())
+    if workers <= 1 or len(spans) == 1:
         return [fn(s, c) for s, c in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda sc: fn(*sc), spans))
 
 

@@ -7,7 +7,7 @@ Three quadrature-based views of the same index theta:
 * the growth of the mean-square log-coordinate Hessian,
 
 plus finiteness verdicts for the integral-type criteria obtained from
-octave-wise truncated integrals.
+the deepest octaves of T - t, the only ones that can make them infinite.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ RATIO_FINITE = 0.95
 #: octaves of T - t in the integral criteria, Gauss-Legendre nodes in each
 _OCTAVES = 18
 _OCTAVE_ORDER = 8
+#: deepest octaves whose increments decide a verdict, and the only ones
+#: evaluated: octaves 14..17, T - t in [T 2^-18, T 2^-14]
+_TAIL_OCTAVES = 4
 
 
 @dataclass(frozen=True)
@@ -155,15 +158,19 @@ def hessian_growth_curve(p: Payoff, model: MarketModel, t_grid) -> np.ndarray:
 
 def _octave_integrals(p, model,
                       weight_exps: dict[str, float]) -> dict[str, np.ndarray]:
-    """I_j = int over T-t in [T 2^-j-1, T 2^-j] of (T-t)^e f(t) dt.
+    """I_j = int over T-t in [T 2^-j-1, T 2^-j] of (T-t)^e f(t) dt for the
+    deepest ``_TAIL_OCTAVES`` octaves j of ``_OCTAVES``, in order of j.
 
     One array of octave integrals per criterion f named in
     ``weight_exps`` (mapped to its weight exponent e); all criteria share
-    each time node's engine call.
+    each time node's engine call.  Every octave is a finite integral, so
+    only the behaviour as t -> T can make a criterion infinite;
+    ``_verdict`` reads the tail alone, and the shallower octaves are
+    never evaluated.
     """
     gx, gw = np.polynomial.legendre.leggauss(_OCTAVE_ORDER)
-    vals = {c: np.empty(_OCTAVES) for c in weight_exps}
-    for j in range(_OCTAVES):
+    vals = {c: np.empty(_TAIL_OCTAVES) for c in weight_exps}
+    for i, j in enumerate(range(_OCTAVES - _TAIL_OCTAVES, _OCTAVES)):
         hi, lo = model.T * 2.0 ** -j, model.T * 2.0 ** -(j + 1)
         # integrate in log(T-t) for resolution across the octave
         la, lb = math.log(lo), math.log(hi)
@@ -176,13 +183,13 @@ def _octave_integrals(p, model,
             for c, e in weight_exps.items():
                 acc[c] += ww * uu ** e * f[c]
         for c in weight_exps:
-            vals[c][j] = acc[c]
+            vals[c][i] = acc[c]
     return vals
 
 
 def _verdict(increments: np.ndarray) -> str:
     """finite if the deepest octave increments decay geometrically."""
-    tail = increments[-4:]
+    tail = increments[-_TAIL_OCTAVES:]
     if np.any(tail <= 0.0):
         return "finite"
     ratios = tail[1:] / tail[:-1]
@@ -194,7 +201,10 @@ def integral_criteria_verdicts(p: Payoff, model: MarketModel,
     """Finiteness verdicts of the three equivalent integral criteria.
 
     decay: int (T-t)^(-1-theta) D(t)^2 dt;  grad: int (T-t)^(-theta)
-    E|grad u|^2 dt;  hess: int (T-t)^(1-theta) E|D^2 u|^2 dt.
+    E|grad u|^2 dt;  hess: int (T-t)^(1-theta) E|D^2 u|^2 dt.  Only
+    t -> T can make these infinite, so each verdict reads, and only
+    evaluates, the deepest ``_TAIL_OCTAVES`` = 4 octaves of T - t
+    (T 2^-18 to T 2^-14): 32 engine calls.
     """
     if not (0.0 < theta < 1.0):
         raise ConfigError("theta must lie in (0, 1)")

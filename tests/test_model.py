@@ -1,10 +1,13 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsmooth import model as model_mod
 from fracsmooth.errors import ConfigError, SimulationError
 from fracsmooth.model import (BLOCK_PATHS, MarketModel, STREAM_AUX, _walk,
                               child_seed, gaussian_increments, map_blocks,
@@ -82,6 +85,34 @@ def test_map_blocks_rejects_thread_count_below_one():
     for threads in (0, -1):
         with pytest.raises(ConfigError):
             map_blocks(lambda s, c: None, 10, threads=threads)
+
+
+def test_map_blocks_pool_stops_at_the_core_count(monkeypatch):
+    # more threads than cores only contend for the interpreter lock, and
+    # the block layout does not depend on threads, so neither do results
+    workers = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    def cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", Recording)
+    m = 3 * BLOCK_PATHS + 5
+    block = lambda s, c: float(gaussian_increments(5, 0, s, c).sum())
+    serial = map_blocks(block, m, threads=1)
+    assert workers == []
+    cores(1)
+    assert map_blocks(block, m, threads=8) == serial
+    assert all(w <= 1 for w in workers)
+    cores(2)
+    assert map_blocks(block, m, threads=2) == serial
+    assert workers[-1] == 2
 
 
 def test_simulate_gbm_thread_invariance():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from fracsmooth import smoothness
 from fracsmooth.errors import ConfigError, DegenerateCurveError
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
@@ -89,6 +90,51 @@ def test_integral_criteria_verdicts_agree_binary():
     assert len(set(v.values())) == 1 and v["decay"] == "finite"
     v = integral_criteria_verdicts(Payoff.binary(1.0), MODEL, 0.7)
     assert len(set(v.values())) == 1 and v["decay"] == "divergent"
+
+
+def _all_octave_integrals(p, weight_exps):
+    """Every one of the _OCTAVES octave integrals, shallowest first."""
+    gx, gw = np.polynomial.legendre.leggauss(smoothness._OCTAVE_ORDER)
+    vals = {c: np.empty(smoothness._OCTAVES) for c in weight_exps}
+    for j in range(smoothness._OCTAVES):
+        hi, lo = MODEL.T * 2.0 ** -j, MODEL.T * 2.0 ** -(j + 1)
+        la, lb = math.log(lo), math.log(hi)
+        lt = 0.5 * (la + lb) + 0.5 * (lb - la) * gx
+        u = np.exp(lt)
+        w = 0.5 * (lb - la) * gw * u
+        acc = dict.fromkeys(weight_exps, 0.0)
+        for uu, ww in zip(u, w):
+            f = smoothness._criteria_at(p, MODEL, MODEL.T - uu, weight_exps)
+            for c, e in weight_exps.items():
+                acc[c] += ww * uu ** e * f[c]
+        for c in weight_exps:
+            vals[c][j] = acc[c]
+    return vals
+
+
+@pytest.mark.parametrize("p, theta", [(Payoff.binary(1.0), 0.3),
+                                      (Payoff.power_holder(1.0, 0.25), 0.5)])
+def test_verdicts_evaluate_only_the_tail_octaves(p, theta, monkeypatch):
+    # the verdict reads the deepest _TAIL_OCTAVES increments, so those
+    # are the only octaves evaluated, with the bits of the full loop
+    exps = {"decay": -1.0 - theta, "grad": -theta, "hess": 1.0 - theta}
+    full = _all_octave_integrals(p, exps)
+    calls = []
+    criteria_at = smoothness._criteria_at
+
+    def recording(p, model, t, want):
+        calls.append(t)
+        return criteria_at(p, model, t, want)
+
+    monkeypatch.setattr(smoothness, "_criteria_at", recording)
+    verdicts = integral_criteria_verdicts(p, MODEL, theta)
+    assert len(calls) == smoothness._TAIL_OCTAVES * smoothness._OCTAVE_ORDER == 32
+    shallowest = MODEL.T * 2.0 ** -(smoothness._OCTAVES - smoothness._TAIL_OCTAVES)
+    assert all(MODEL.T - t <= shallowest for t in calls)
+    tail = smoothness._octave_integrals(p, MODEL, exps)
+    for c, v in full.items():
+        np.testing.assert_array_equal(tail[c], v[-smoothness._TAIL_OCTAVES:])
+        assert verdicts[c] == smoothness._verdict(v)
 
 
 def test_growth_criteria_exponents_call():
