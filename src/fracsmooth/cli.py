@@ -173,7 +173,7 @@ def cmd_hedge_sweep(cfg: ExperimentConfig) -> None:
                    measure=cfg.get("measure"),
                    threads=cfg.get_int("threads"))
     rf.sweep_to_csv(cfg.get("out"), res, header_lines=cfg.echo_lines())
-    _emit_summary(cfg, json.loads(rf.fit_summary(res.fit)))
+    _emit_summary(cfg, {**json.loads(rf.fit_summary(res.fit)), **res.tables})
 
 
 def cmd_smoothness(cfg: ExperimentConfig) -> None:

@@ -92,8 +92,12 @@ def fit_rate(pairs) -> RateFit:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The per-n estimates, their rate fit and the delta tables' health
+    (``_Tables.health``: empty but for the power-Holder payoff)."""
+
     estimates: tuple
     fit: RateFit
+    tables: dict
 
 
 def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
@@ -127,7 +131,8 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
             f"every L2 error is round-off (at most {_ROUNDOFF_REL:g} of the "
             f"payoff's L2 norm {scale:.6g}): the hedge is exact")
     fit = fit_rate([(e.n, e.l2_error, e.stderr) for e in estimates[1:]])
-    return SweepResult(estimates=tuple(estimates), fit=fit)
+    return SweepResult(estimates=tuple(estimates), fit=fit,
+                       tables=deltas.health())
 
 
 def sweep_to_csv(path, result: SweepResult, header_lines=()) -> None:

@@ -58,6 +58,49 @@ def test_hedge_sweep_summary(tmp_path, capsys):
     assert summary_file == payload
 
 
+def test_power_holder_sweep_summary_reports_table_health(tmp_path, capsys):
+    # the power-Holder summary adds the worst table's estimated error over
+    # its tolerance and the count of spots valued beyond the tables; the
+    # other payoffs' summaries keep their four fit fields
+    out = tmp_path / "ph.csv"
+    rc = main(["hedge-sweep", "--payoff", "power_holder", "--m", "200",
+               "--n_list", "4,8,16,32,64", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"slope", "slope_lo", "slope_hi", "r2",
+                            "table_error_ratio", "off_table_spots"}
+    assert 0.0 < payload["table_error_ratio"] <= 1.0
+    assert payload["off_table_spots"] == 0
+    assert json.loads((tmp_path / "ph.csv.summary").read_text()) == payload
+
+
+def test_power_holder_table_check_failure_exits_3(tmp_path, capsys,
+                                                  monkeypatch):
+    # a table whose estimated error stays above the tolerance, or whose
+    # gamma does not converge (the x-slopes need it), fails the sweep
+    # with a numerical error and writes no file
+    from fracsmooth import hedging
+    from fracsmooth import payoffs as po
+    argv = ["hedge-sweep", "--payoff", "power_holder", "--m", "200",
+            "--out", str(tmp_path / "ph.csv")]
+    monkeypatch.setattr(hedging, "_TABLE_RTOL", 1e-30)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: numerical: the power-Holder delta table")
+    monkeypatch.undo()
+    monkeypatch.setitem(po._TOLS, "gamma", (0.0, 0.0))
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
+    monkeypatch.undo()
+    # at sigma = 1e-100 the delta near the kink is ~5e49 on cells ~1e-101
+    # wide, and its cubic overflows: refused, where a linear table hedged
+    # paths that never move
+    assert main(argv + ["--sigma", "1e-100"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: numerical: the power-Holder delta table")
+    assert not any(tmp_path.iterdir())
+
+
 def test_hedge_sweep_data_thread_invariant(tmp_path):
     outs = []
     for threads in ("1", "8"):

@@ -1,17 +1,21 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ndtr
 
 from fracsmooth import model
 from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
 from fracsmooth.errors import ConfigError, QuadratureError
-from fracsmooth.hedging import (_holder_nodes, _linear_lookup, _Tables,
-                                l2_tracking_error,
+from fracsmooth import hedging
+from fracsmooth.hedging import (_cell_finder, _hermite_lookup, _holder_nodes,
+                                _holder_table, _Tables, l2_tracking_error,
                                 tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
@@ -121,59 +125,157 @@ def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
 @given(x0=st.floats(-100.0, 100.0),
        gaps=st.lists(st.one_of(st.just(1e-12), st.floats(1e-3, 10.0)),
                      min_size=1, max_size=60),
-       a=st.floats(-150.0, 700.0),
-       width=st.one_of(st.just(0.0), st.floats(1e-12, 100.0)),
-       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
-def test_linear_lookup_is_np_interp(x0, gaps, a, width, data, seed):
-    # np.interp is the oracle of the O(1) table lookup, bit for bit, on
-    # strictly increasing nodes (pairs 1e-12 apart among them) at every
-    # node, its float neighbours, both ends and beyond, and inside
-    # points; the dense interval only places the buckets, so any one,
-    # empty or off the nodes, gives the same values
+       zones=st.lists(st.tuples(st.floats(-150.0, 700.0),
+                                st.one_of(st.just(0.0),
+                                          st.floats(1e-12, 100.0))),
+                      max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_finder_brackets_every_point(x0, gaps, zones, seed):
+    # the O(1) cell finder returns j with x[j] <= xc < x[j + 1], and the
+    # last node at xc = x[-1], on strictly increasing nodes (pairs 1e-12
+    # apart among them) at every node, its float neighbours, both ends
+    # and inside points; the zones only place the buckets, so any, empty
+    # or off the nodes, give the same cells
     x = x0 + np.cumsum([0.0] + gaps)
     assert np.all(np.diff(x) > 0.0)
-    vals = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=x.size,
-                                       max_size=x.size)))
     rng = np.random.default_rng(seed)
     q = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                        [x[0] - 1.0, x[-1] + 1.0],
                         rng.uniform(x[0], x[-1], 200)])
-    lookup = _linear_lookup(x, vals, (a, a + width))
-    got = lookup(np.clip(q, x[0], x[-1]), np.empty(q.size))
-    np.testing.assert_array_equal(got, np.interp(q, x, vals))
+    q = np.clip(q, x[0], x[-1])
+    j = _cell_finder(x, [(a, a + w) for a, w in zones])(q)
+    assert np.all(x[j] <= q)
+    last = j == x.size - 1
+    np.testing.assert_array_equal(q[last], x[-1])
+    assert np.all(q[~last] < x[np.minimum(j + 1, x.size - 1)][~last])
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 127.0 / 128.0, 1.0 - 2.0 ** -10])
-def test_power_holder_evaluator_is_np_interp(t):
-    # the hedging loop's power-Holder delta is linear interpolation of
-    # the delta at the table's own nodes, as np.interp computes it
+def test_power_holder_evaluator_is_cubic_hermite(t):
+    # the hedging loop's power-Holder delta is the cubic Hermite
+    # interpolant of the table's deltas and x-slopes gamma s, as scipy
+    # builds it on the same nodes, and it returns the nodes' own deltas
     p = Payoff.power_holder(1.0, 0.25)
-    x, _ = _holder_nodes(p, MODEL, t)
-    vals = po.delta(p, MODEL, t, np.exp(x))
+    x, vals, slopes, _, _ = _holder_table(p, MODEL, t)
     rng = np.random.default_rng(17)
-    q = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+    q = np.concatenate([np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
                         0.5 * (x[1:] + x[:-1]),
                         rng.uniform(x[0], x[-1], 4000)])
     q = q[(q >= x[0]) & (q <= x[-1])]
-    got = _Tables(p, MODEL)[t](q, np.exp(q), np.empty(q.size))
-    np.testing.assert_array_equal(got, np.interp(q, x, vals))
+    fn = _Tables(p, MODEL)[t]
+    got = fn(q, np.exp(q), np.empty(q.size))
+    ref = CubicHermiteSpline(x, vals, slopes)(q)
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-13 * np.abs(vals).max())
+    np.testing.assert_array_equal(fn(x, np.exp(x), np.empty(x.size)), vals)
 
 
 def test_power_holder_evaluator_values_off_table_spots():
     # spots beyond the table's ln-price range are valued by the engine,
-    # not given the delta at the nearer end
+    # not given the delta at the nearer end, and counted
     p = Payoff.power_holder(1.0, 0.25)
     t = 0.5
-    x, _ = _holder_nodes(p, MODEL, t)
+    x, vals, slopes, _, _ = _holder_table(p, MODEL, t)
     off = np.array([x[0] - 2.0, np.nextafter(x[0], -np.inf),
                     np.nextafter(x[-1], np.inf), x[-1] + 2.0])
     q = np.concatenate([off[:2], [0.0], off[2:]])
-    got = _Tables(p, MODEL)[t](q, np.exp(q), np.empty(q.size))
+    tables = _Tables(p, MODEL)
+    got = tables[t](q, np.exp(q), np.empty(q.size))
     is_off = np.arange(q.size) != 2
     np.testing.assert_array_equal(got[is_off],
                                   po.delta(p, MODEL, t, np.exp(off)))
-    assert got[2] == np.interp(0.0, x, po.delta(p, MODEL, t, np.exp(x)))
+    assert got[2] == pytest.approx(
+        float(CubicHermiteSpline(x, vals, slopes)(0.0)), rel=1e-12)
     assert got[0] != got[1] and got[-1] != got[-2]
+    assert tables.health()["off_table_spots"] == 4
+
+
+def test_off_table_count_is_exact_across_threads():
+    # block workers share one evaluator, so the count of off-table spots
+    # is updated under a lock: more threads than cores, switching every
+    # few microseconds, lose no update
+    p = Payoff.power_holder(1.0, 0.25)
+    tables = _Tables(p, MODEL)
+    fn = tables[0.5]
+    q = np.array([-40.0, 0.0, 40.0])
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(lambda: [fn(q, np.exp(q), np.empty(3))
+                                            for _ in range(200)])
+                       for _ in range(16)]
+            for f in futures:
+                f.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert tables.health()["off_table_spots"] == 16 * 200 * 2
+
+
+@pytest.mark.parametrize("holder, theta, n", [(0.25, 0.4, 512),
+                                              (0.25, 1.0, 512),
+                                              (0.5, 0.4, 64)])
+def test_power_holder_table_error_within_tolerance(holder, theta, n):
+    # the hedged delta against the engine's at the cell midpoints of the
+    # last three tables of a net, where the delta is steepest; relative
+    # to max(|delta|, 1), as the table's own check measures it
+    p = Payoff.power_holder(1.0, holder)
+    tables = _Tables(p, MODEL)
+    worst = 0.0
+    for t in make_theta_net(n, theta, 1.0).nodes[-4:-1]:
+        x = _holder_nodes(p, MODEL, t)[0]
+        q = 0.5 * (x[1:] + x[:-1])
+        got = tables[t](q, np.exp(q), np.empty(q.size))
+        ref = po.delta(p, MODEL, t, np.exp(q))
+        worst = max(worst, float(np.max(np.abs(got - ref)
+                                        / np.maximum(np.abs(ref), 1.0))))
+    assert worst <= hedging._TABLE_RTOL
+
+
+@pytest.mark.parametrize("holder", [0.1, 0.25, 0.5, 0.9])
+def test_table_error_estimate_tracks_midpoint_error(holder):
+    # the every-other-node gap over 16 is within a factor 1.5 of the true
+    # error at the cell midpoints, from T - t = 1 down to 1.7e-7 (the
+    # last interval of a theta = 0.4 net at n = 512)
+    p = Payoff.power_holder(1.0, holder)
+    for tau in (1.0, 1.0 / 128.0, 3e-5, 512.0 ** -2.5):
+        t = 1.0 - tau
+        x, vals, slopes, _, ratio = _holder_table(p, MODEL, t)
+        q = 0.5 * (x[1:] + x[:-1])
+        ref = po.delta(p, MODEL, t, np.exp(q))
+        got = CubicHermiteSpline(x, vals, slopes)(q)
+        true = float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)))
+        est = ratio * hedging._TABLE_RTOL
+        assert est / 1.5 <= true <= 1.5 * est, (tau, est, true)
+
+
+def test_table_beyond_tolerance_refines_then_raises(monkeypatch):
+    # a table halves its cells while its estimate exceeds the tolerance,
+    # calling the engine only at the new midpoints, and raises once the
+    # refinements run out
+    p = Payoff.power_holder(1.0, 0.25)
+    x0, _ = _holder_nodes(p, MODEL, 0.5)
+    x, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
+    assert x.size == x0.size and ratio <= 1.0
+    calls = []
+    valuate = po._valuate
+
+    def counting(p, model, t, s, want):
+        calls.append(np.size(s))
+        return valuate(p, model, t, s, want)
+
+    monkeypatch.setattr(po, "_valuate", counting)
+    monkeypatch.setattr(hedging, "_TABLE_RTOL",
+                        0.1 * ratio * hedging._TABLE_RTOL)
+    x, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
+    assert x.size == 2 * x0.size - 1 and ratio <= 1.0
+    assert calls == [x0.size, x0.size - 1]
+    monkeypatch.setattr(hedging, "_TABLE_RTOL", 1e-30)
+    with pytest.raises(QuadratureError, match="delta table"):
+        _Tables(p, MODEL)[0.5]
+    # a cubic that overflows on a cell narrower than the check's is refused
+    with pytest.raises(QuadratureError, match="not finite"):
+        _hermite_lookup(np.array([0.0, 1e-300, 1.0]),
+                        np.array([0.0, 1.0, 0.0]), np.zeros(3), [])
 
 
 @pytest.mark.parametrize("kind", ["binary", "call"])
@@ -344,15 +446,19 @@ def test_z_regularity_put_call_parity(n, theta):
 def test_sweep_shares_delta_tables_across_nested_nets(monkeypatch):
     # equidistant dyadic nets are nested with bit-identical nodes, so the
     # sweep over n = 8..128 tabulates each of the 128 distinct times once
-    # (not 8 + 16 + ... + 128 = 248 times); a cheap stand-in delta keeps
-    # the count, not the hedge, under test
+    # (not 8 + 16 + ... + 128 = 248 times); a cheap stand-in for the
+    # tables' delta-and-gamma engine calls keeps the count, not the
+    # hedge, under test
     times = []
+    valuate = po._valuate
 
-    def counting_delta(p, model, t, s, **kw):
+    def counting(p, model, t, s, want):
+        if "gamma" not in want:
+            return valuate(p, model, t, s, want)
         times.append(float(t))
-        return np.zeros_like(s)
+        return {q: np.zeros_like(s) for q in want}
 
-    monkeypatch.setattr(po, "delta", counting_delta)
+    monkeypatch.setattr(po, "_valuate", counting)
     sweep(Payoff.power_holder(1.0, 0.25), MODEL, 1.0, [8, 16, 32, 64, 128],
           50, 1)
     assert len(times) == 128
