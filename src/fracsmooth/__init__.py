@@ -4,8 +4,9 @@ Brownian motion."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DegenerateCurveError, ExactHedgeError,
-                     FracsmoothError, QuadratureError, SimulationError)
+from .errors import (ConfigError, DegenerateCurveError, DegeneratePathsError,
+                     ExactHedgeError, FracsmoothError, QuadratureError,
+                     SimulationError)
 from .model import MarketModel, child_seed, simulate_gbm
 from .timenets import TimeNet, make_theta_net
 from .payoffs import Payoff, delta, gamma, payoff_eval, price
@@ -24,7 +25,7 @@ from .ratefit import RateFit, SweepResult, fit_rate, fit_summary, sweep
 __all__ = [
     "__version__",
     "FracsmoothError", "ConfigError", "QuadratureError", "SimulationError",
-    "DegenerateCurveError", "ExactHedgeError",
+    "DegenerateCurveError", "DegeneratePathsError", "ExactHedgeError",
     "MarketModel", "child_seed", "simulate_gbm",
     "TimeNet", "make_theta_net",
     "Payoff", "payoff_eval", "price", "delta", "gamma",

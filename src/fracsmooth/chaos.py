@@ -237,9 +237,12 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
 
 def _analytic(coefficients, m2: float, kernel) -> ChaosExpansion:
     """Expansion with its Mehler kernel whose ``coefficients()`` are built on
-    first read, with the exact tail mass E[g^2] - |alpha|^2."""
+    first read, with the exact tail mass E[g^2] - |alpha|^2; coefficients
+    that are not all finite raise ``QuadratureError``."""
     def build():
         alpha = coefficients()
+        if not np.isfinite(alpha).all():
+            raise QuadratureError("chaos coefficients are not finite")
         return alpha, math.sqrt(max(m2 - float(alpha @ alpha), 0.0))
 
     return ChaosExpansion(kernel=kernel, build=build)

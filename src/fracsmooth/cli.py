@@ -23,8 +23,8 @@ from . import ratefit as rf
 from . import smoothness as sm
 from . import weaklimit as wl
 from ._output import open_output, write_csv
-from .errors import (ConfigError, DegenerateCurveError, ExactHedgeError,
-                     QuadratureError, SimulationError)
+from .errors import (ConfigError, DegenerateCurveError, DegeneratePathsError,
+                     ExactHedgeError, QuadratureError, SimulationError)
 from .model import MarketModel, child_seed
 from .timenets import make_theta_net
 
@@ -199,11 +199,11 @@ def cmd_chaos(cfg: ExperimentConfig) -> None:
     limit = cfg.get_int("coeff_limit", "1024")
     if limit < 0:
         raise ConfigError("coeff_limit must be >= 0")
+    d12, fat = ch.d12_norm(e)
     write_csv(cfg.get("out"), cfg.echo_lines(), ["t", "phi"],
               ([repr(float(t)), repr(float(v))] for t, v in zip(tg, phi)))
     write_csv(cfg.get("out") + ".coeffs.csv", cfg.echo_lines(), ["k", "alpha"],
               ([k, repr(float(a))] for k, a in enumerate(e.alpha[:limit])))
-    d12, fat = ch.d12_norm(e)
     _emit_summary(cfg, {"besov_verdict": verdict, "theta": theta,
                         "d12_truncated": d12, "d12_fat_tail": bool(fat)})
 
@@ -298,7 +298,8 @@ def main(argv=None) -> int:
     except (QuadratureError, SimulationError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateCurveError, ExactHedgeError) as exc:
+    except (DegenerateCurveError, DegeneratePathsError,
+            ExactHedgeError) as exc:
         print(f"error: degenerate: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

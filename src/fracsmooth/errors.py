@@ -21,5 +21,9 @@ class DegenerateCurveError(FracsmoothError):
     """A diagnostic curve is identically zero (constant payoff)."""
 
 
+class DegeneratePathsError(FracsmoothError):
+    """No simulated spot moves: the paths carry no hedging error."""
+
+
 class ExactHedgeError(FracsmoothError):
     """Rate fit refused: the hedge is exact and errors are zero."""

@@ -48,6 +48,7 @@ _TAU_FLOOR = 1e-12
 #: underflows and the closed-form Greeks overflow or turn NaN
 _SIGMA_DEGENERATE = 1e-100
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 _CLOSED_FORM = frozenset({"call", "put", "binary", "affine"})
 _KINDS = frozenset({"call", "put", "binary", "power_holder", "affine", "chaos"})
 #: default (rtol, atol) of each quadrature-computed quantity
@@ -155,6 +156,13 @@ def _check_sigma(model: MarketModel) -> None:
     if model.sigma < _SIGMA_DEGENERATE:
         raise ConfigError(f"pricing needs sigma >= {_SIGMA_DEGENERATE:g}, "
                           f"got {model.sigma:g}")
+
+
+def _exp_var(var: float) -> float:
+    """exp(var) for a variance var of ln S; refused where it overflows."""
+    if not var <= _LOG_FLOAT_MAX:
+        raise ConfigError(f"exp of the ln-price variance {var:g} overflows")
+    return math.exp(var)
 
 
 def _log_delta(kind: str, x, lk: float, v: float, out=None):
@@ -478,7 +486,7 @@ def _closed_form(p, model, tau, s, q):
         if q == "delta":
             return np.full_like(s, p.c1)
         if q == "m2":
-            ev2 = math.exp((model.sigma ** 2) * tau)
+            ev2 = _exp_var((model.sigma ** 2) * tau)
             return p.c0 ** 2 + 2.0 * p.c0 * p.c1 * s + p.c1 ** 2 * s * s * ev2
         return np.zeros_like(s)
     K = p.strike
@@ -491,7 +499,7 @@ def _closed_form(p, model, tau, s, q):
         if q == "price":
             return s * ndtr(d1) - K * ndtr(d2)
         if q == "m2":
-            m2 = (s * s * math.exp(v * v) * ndtr(d1 + v)
+            m2 = (s * s * _exp_var(v * v) * ndtr(d1 + v)
                   - 2.0 * K * s * ndtr(d1) + K * K * ndtr(d2))
             return np.maximum(m2, 0.0)
         return _phi(d1) / (s * v)
@@ -500,7 +508,7 @@ def _closed_form(p, model, tau, s, q):
             return K * ndtr(-d2) - s * ndtr(-d1)
         if q == "m2":
             m2 = (K * K * ndtr(-d2) - 2.0 * K * s * ndtr(-d1)
-                  + s * s * math.exp(v * v) * ndtr(-(d1 + v)))
+                  + s * s * _exp_var(v * v) * ndtr(-(d1 + v)))
             return np.maximum(m2, 0.0)
         return _phi(d1) / (s * v)
     # binary: h^2 = h

@@ -92,12 +92,11 @@ def test_power_holder_table_check_failure_exits_3(tmp_path, capsys,
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: numerical:")
     monkeypatch.undo()
-    # at sigma = 1e-100 the delta near the kink is ~5e49 on cells ~1e-101
-    # wide, and its cubic overflows: refused, where a linear table hedged
-    # paths that never move
-    assert main(argv + ["--sigma", "1e-100"]) == 3
-    assert capsys.readouterr().err.startswith(
-        "error: numerical: the power-Holder delta table")
+    # at sigma = 1e-100 the tables build (cells widen geometrically away
+    # from the kink, so none is too narrow for its cubic), but no path
+    # moves from s0: there is no error to hedge, and the sweep says so
+    assert main(argv + ["--sigma", "1e-100"]) == 2
+    assert capsys.readouterr().err.startswith("error: degenerate:")
     assert not any(tmp_path.iterdir())
 
 
@@ -269,6 +268,60 @@ def test_exit_code_degenerate_errors(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: degenerate:")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["hedge-sweep", "--payoff", "binary", "--sigma", "1e-20", "--m", "200"],
+    ["weaklimit", "--payoff", "binary", "--sigma", "1e-20", "--n", "8",
+     "--m", "200"]])
+def test_paths_that_never_move_exit_degenerate(argv, tmp_path, capsys):
+    # at s0 = 1 and sigma 1e-20, ln S moves by 1e-20 z but S = exp(ln S)
+    # stays 1.0: a rate fitted to such errors, or a clock compared with
+    # them, means nothing, at any thread count
+    for threads in ("1", "2"):
+        rc = main(argv + ["--threads", threads,
+                          "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: degenerate:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_overflowing_second_moment_exits_config(tmp_path, capsys):
+    # E[h^2] of a call grows as exp(sigma^2 T), a float overflow at
+    # T = 1e300: refused, not raised as a traceback
+    rc = main(["smoothness", "--payoff", "call", "--T", "1e300",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("kind, key, value, rc_want", [
+    ("indicator", "chaos_order", "64", 0),
+    ("exp_call", "chaos_order", "64", 0),
+    # the indicator inside sits at c = ln(1e-300) + 1/2, where H_k(c)
+    # overflows and phi(c) underflows to 0: NaN coefficients
+    ("exp_call", "chaos_strike", "1e-300", 3)])
+def test_chaos_summary_is_strict_json(kind, key, value, rc_want, tmp_path,
+                                      capsys):
+    # a summary holds no NaN or Infinity: coefficients that are not
+    # finite fail the run with a numerical error and no file
+    out = tmp_path / "ch.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["chaos", "--chaos_kind", kind, f"--{key}", value,
+                   "--out", str(out)])
+    if rc == 0:
+        _strict_json((tmp_path / "ch.csv.summary").read_text())
+    assert rc == rc_want
+    if rc_want:
+        assert capsys.readouterr().err.startswith("error: numerical:")
+        assert not any(tmp_path.iterdir())
 
 
 def test_exit_code_bad_time_and_threads(tmp_path, capsys):

@@ -14,8 +14,8 @@ from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
 from fracsmooth.errors import ConfigError, QuadratureError
 from fracsmooth import hedging
-from fracsmooth.hedging import (_cell_finder, _hermite_lookup, _holder_nodes,
-                                _holder_table, _Tables, l2_tracking_error,
+from fracsmooth.hedging import (_hermite_lookup, _holder_nodes, _holder_table,
+                                _Tables, l2_tracking_error,
                                 tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
@@ -121,52 +121,70 @@ def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(x0=st.floats(-100.0, 100.0),
-       gaps=st.lists(st.one_of(st.just(1e-12), st.floats(1e-3, 10.0)),
-                     min_size=1, max_size=60),
-       zones=st.lists(st.tuples(st.floats(-150.0, 700.0),
-                                st.one_of(st.just(0.0),
-                                          st.floats(1e-12, 100.0))),
-                      max_size=3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_cell_finder_brackets_every_point(x0, gaps, zones, seed):
-    # the O(1) cell finder returns j with x[j] <= xc < x[j + 1], and the
-    # last node at xc = x[-1], on strictly increasing nodes (pairs 1e-12
-    # apart among them) at every node, its float neighbours, both ends
-    # and inside points; the zones only place the buckets, so any, empty
-    # or off the nodes, give the same cells
-    x = x0 + np.cumsum([0.0] + gaps)
-    assert np.all(np.diff(x) > 0.0)
+def _table_ref(p, m, t):
+    """The table at t as scipy's cubic Hermite in xi: ``(xi, vals, ref,
+    from_xi)`` with ``ref(q)`` the spline at the xi of ln-spots q and
+    ``from_xi(u)`` the ln-spot ln K + a sinh(u) of xi = u."""
+    xi, vals, slopes, a, _ = _holder_table(p, m, t)
+    lk = math.log(p.strike)
+    spline = CubicHermiteSpline(xi, vals, slopes)
+
+    def to_xi(q):
+        return np.arcsinh((q - lk) / a)
+
+    return xi, vals, lambda q: spline(to_xi(q)), lambda u: lk + a * np.sinh(u)
+
+
+@settings(max_examples=40)
+@given(sigma=st.floats(0.02, 4.0), strike=st.floats(0.2, 5.0),
+       s0=st.floats(0.2, 5.0), t=st.floats(0.0, 0.999),
+       holder=st.floats(0.1, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+def test_power_holder_lookup_is_cubic_hermite_in_xi(sigma, strike, s0, t,
+                                                    holder, seed):
+    # the table's nodes are uniform in xi = asinh((ln s - ln K) / a), an
+    # even number of cells covering the paths' ln-price range [lo, hi],
+    # and the O(1) lookup (a floor for the cell) is the cubic Hermite in
+    # xi that scipy builds from the same values and xi-slopes: at every
+    # node, its float neighbours, both ends and inside points
+    p = Payoff.power_holder(strike, holder)
+    m = MarketModel(s0=s0, sigma=sigma, T=1.0)
+    xi, vals, ref, from_xi = _table_ref(p, m, t)
+    lo, hi = hedging._log_range(m)
+    assert (xi.size - 1) % 2 == 0
+    np.testing.assert_allclose(np.diff(xi), (xi[-1] - xi[0]) / (xi.size - 1),
+                               rtol=1e-9)
+    x = from_xi(xi)
+    np.testing.assert_allclose(x[[0, -1]], [lo, hi], rtol=1e-13, atol=1e-13)
     rng = np.random.default_rng(seed)
     q = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                        rng.uniform(x[0], x[-1], 200)])
-    q = np.clip(q, x[0], x[-1])
-    j = _cell_finder(x, [(a, a + w) for a, w in zones])(q)
-    assert np.all(x[j] <= q)
-    last = j == x.size - 1
-    np.testing.assert_array_equal(q[last], x[-1])
-    assert np.all(q[~last] < x[np.minimum(j + 1, x.size - 1)][~last])
+                        [lo, hi], rng.uniform(lo, hi, 400)])
+    q = np.clip(q, lo, hi)
+    tables = _Tables(p, m)
+    got = tables[t](q, np.exp(q), np.empty(q.size))
+    np.testing.assert_allclose(got, ref(q), rtol=1e-12,
+                               atol=1e-13 * np.abs(vals).max())
+    assert tables.health()["off_table_spots"] == 0
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 127.0 / 128.0, 1.0 - 2.0 ** -10])
 def test_power_holder_evaluator_is_cubic_hermite(t):
     # the hedging loop's power-Holder delta is the cubic Hermite
-    # interpolant of the table's deltas and x-slopes gamma s, as scipy
+    # interpolant in xi of the table's deltas and xi-slopes, as scipy
     # builds it on the same nodes, and it returns the nodes' own deltas
     p = Payoff.power_holder(1.0, 0.25)
-    x, vals, slopes, _, _ = _holder_table(p, MODEL, t)
+    xi, vals, ref, from_xi = _table_ref(p, MODEL, t)
+    x = from_xi(xi)
     rng = np.random.default_rng(17)
     q = np.concatenate([np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                        0.5 * (x[1:] + x[:-1]),
+                        from_xi(0.5 * (xi[1:] + xi[:-1])),
                         rng.uniform(x[0], x[-1], 4000)])
     q = q[(q >= x[0]) & (q <= x[-1])]
     fn = _Tables(p, MODEL)[t]
     got = fn(q, np.exp(q), np.empty(q.size))
-    ref = CubicHermiteSpline(x, vals, slopes)(q)
-    np.testing.assert_allclose(got, ref, rtol=1e-12,
-                               atol=1e-13 * np.abs(vals).max())
-    np.testing.assert_array_equal(fn(x, np.exp(x), np.empty(x.size)), vals)
+    atol = 1e-13 * np.abs(vals).max()
+    np.testing.assert_allclose(got, ref(q), rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(fn(x, np.exp(x), np.empty(x.size)), vals,
+                               rtol=1e-12, atol=atol)
 
 
 def test_power_holder_evaluator_values_off_table_spots():
@@ -174,17 +192,17 @@ def test_power_holder_evaluator_values_off_table_spots():
     # not given the delta at the nearer end, and counted
     p = Payoff.power_holder(1.0, 0.25)
     t = 0.5
-    x, vals, slopes, _, _ = _holder_table(p, MODEL, t)
-    off = np.array([x[0] - 2.0, np.nextafter(x[0], -np.inf),
-                    np.nextafter(x[-1], np.inf), x[-1] + 2.0])
+    _, _, ref, _ = _table_ref(p, MODEL, t)
+    lo, hi = hedging._log_range(MODEL)
+    off = np.array([lo - 2.0, np.nextafter(lo, -np.inf),
+                    np.nextafter(hi, np.inf), hi + 2.0])
     q = np.concatenate([off[:2], [0.0], off[2:]])
     tables = _Tables(p, MODEL)
     got = tables[t](q, np.exp(q), np.empty(q.size))
     is_off = np.arange(q.size) != 2
     np.testing.assert_array_equal(got[is_off],
                                   po.delta(p, MODEL, t, np.exp(off)))
-    assert got[2] == pytest.approx(
-        float(CubicHermiteSpline(x, vals, slopes)(0.0)), rel=1e-12)
+    assert got[2] == pytest.approx(float(ref(0.0)), rel=1e-12)
     assert got[0] != got[1] and got[-1] != got[-2]
     assert tables.health()["off_table_spots"] == 4
 
@@ -222,8 +240,8 @@ def test_power_holder_table_error_within_tolerance(holder, theta, n):
     tables = _Tables(p, MODEL)
     worst = 0.0
     for t in make_theta_net(n, theta, 1.0).nodes[-4:-1]:
-        x = _holder_nodes(p, MODEL, t)[0]
-        q = 0.5 * (x[1:] + x[:-1])
+        xi, a = _holder_nodes(p, MODEL, t)
+        q = a * np.sinh(0.5 * (xi[1:] + xi[:-1]))   # ln K = 0
         got = tables[t](q, np.exp(q), np.empty(q.size))
         ref = po.delta(p, MODEL, t, np.exp(q))
         worst = max(worst, float(np.max(np.abs(got - ref)
@@ -239,10 +257,10 @@ def test_table_error_estimate_tracks_midpoint_error(holder):
     p = Payoff.power_holder(1.0, holder)
     for tau in (1.0, 1.0 / 128.0, 3e-5, 512.0 ** -2.5):
         t = 1.0 - tau
-        x, vals, slopes, _, ratio = _holder_table(p, MODEL, t)
-        q = 0.5 * (x[1:] + x[:-1])
-        ref = po.delta(p, MODEL, t, np.exp(q))
-        got = CubicHermiteSpline(x, vals, slopes)(q)
+        xi, vals, slopes, a, ratio = _holder_table(p, MODEL, t)
+        mid = 0.5 * (xi[1:] + xi[:-1])
+        ref = po.delta(p, MODEL, t, np.exp(a * np.sinh(mid)))
+        got = CubicHermiteSpline(xi, vals, slopes)(mid)
         true = float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)))
         est = ratio * hedging._TABLE_RTOL
         assert est / 1.5 <= true <= 1.5 * est, (tau, est, true)
@@ -253,9 +271,9 @@ def test_table_beyond_tolerance_refines_then_raises(monkeypatch):
     # calling the engine only at the new midpoints, and raises once the
     # refinements run out
     p = Payoff.power_holder(1.0, 0.25)
-    x0, _ = _holder_nodes(p, MODEL, 0.5)
-    x, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
-    assert x.size == x0.size and ratio <= 1.0
+    xi0, _ = _holder_nodes(p, MODEL, 0.5)
+    xi, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
+    assert xi.size == xi0.size and ratio <= 1.0
     calls = []
     valuate = po._valuate
 
@@ -266,16 +284,16 @@ def test_table_beyond_tolerance_refines_then_raises(monkeypatch):
     monkeypatch.setattr(po, "_valuate", counting)
     monkeypatch.setattr(hedging, "_TABLE_RTOL",
                         0.1 * ratio * hedging._TABLE_RTOL)
-    x, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
-    assert x.size == 2 * x0.size - 1 and ratio <= 1.0
-    assert calls == [x0.size, x0.size - 1]
+    xi, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
+    assert xi.size == 2 * xi0.size - 1 and ratio <= 1.0
+    assert calls == [xi0.size, xi0.size - 1]
     monkeypatch.setattr(hedging, "_TABLE_RTOL", 1e-30)
     with pytest.raises(QuadratureError, match="delta table"):
         _Tables(p, MODEL)[0.5]
     # a cubic that overflows on a cell narrower than the check's is refused
     with pytest.raises(QuadratureError, match="not finite"):
         _hermite_lookup(np.array([0.0, 1e-300, 1.0]),
-                        np.array([0.0, 1.0, 0.0]), np.zeros(3), [])
+                        np.array([0.0, 1.0, 0.0]), np.zeros(3), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["binary", "call"])
