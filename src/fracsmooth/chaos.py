@@ -48,11 +48,19 @@ def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def hermite_series(alpha: np.ndarray, x):
-    """Evaluate sum_k alpha_k H_k(x) with a running recurrence."""
+def hermite_series(alpha: np.ndarray, x, c: float = -1.0):
+    """Evaluate sum_k alpha_k h_k(x) over the h_k of
+    ``hermite_recurrence(x, K + 1, c)``, by default H_k(x).
+
+    A 2-D ``alpha`` is a stack of coefficient rows: the result holds one
+    sum per row along a leading axis, all from one recurrence pass.
+    """
     x = np.asarray(x, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    return sum(a * h for a, h in zip(alpha, hermite_recurrence(x, alpha.size)))
+    if alpha.ndim == 2:
+        # one column per order, shaped to broadcast against x
+        alpha = alpha.T.reshape(alpha.shape[::-1] + (1,) * x.ndim)
+    return sum(a * h for a, h in zip(alpha, hermite_recurrence(x, len(alpha), c)))
 
 
 class ChaosExpansion:
@@ -238,9 +246,11 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
 def _analytic(coefficients, m2: float, kernel) -> ChaosExpansion:
     """Expansion with its Mehler kernel whose ``coefficients()`` are built on
     first read, with the exact tail mass E[g^2] - |alpha|^2; coefficients
-    that are not all finite raise ``QuadratureError``."""
+    that are not all finite raise ``QuadratureError``, with no warning of
+    the overflow that made them."""
     def build():
-        alpha = coefficients()
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = coefficients()
         if not np.isfinite(alpha).all():
             raise QuadratureError("chaos coefficients are not finite")
         return alpha, math.sqrt(max(m2 - float(alpha @ alpha), 0.0))

@@ -89,7 +89,7 @@ def _holder_nodes(p: Payoff, model: MarketModel, t: float):
     even number of cells, so that every other node is a table of its own
     (``_table_error``).
     """
-    v = model.sigma * math.sqrt(po._tau(model, t, greek=True))
+    v, _ = po._resolve(model, t, greek=True)
     a = v / (8.0 * _TABLE_STEP)
     lk = math.log(p.strike)
     lo, hi = (math.asinh((x - lk) / a) for x in _log_range(model))
@@ -244,8 +244,7 @@ class _Tables(dict):
     def __missing__(self, t: float):
         p, model = self.p, self.model
         if p.kind in ("binary", "call"):
-            po._check_sigma(model)
-            v = model.sigma * math.sqrt(po._tau(model, t, greek=True))
+            v, _ = po._resolve(model, t, greek=True)
             lk = math.log(p.strike)
             fn = lambda x, s, out: po._log_delta(p.kind, x, lk, v, out)
         elif p.kind != "power_holder":

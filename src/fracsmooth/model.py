@@ -64,6 +64,9 @@ class MarketModel:
             raise ConfigError("MarketModel.s0 must be > 0")
         if self.sigma <= 0.0:
             raise ConfigError("MarketModel.sigma must be > 0")
+        # sigma ** 2 raises OverflowError above sqrt(float max) ~ 1.34e154
+        if math.isinf(self.sigma * self.sigma):
+            raise ConfigError("MarketModel.sigma squared overflows a float")
         if self.T <= 0.0:
             raise ConfigError("MarketModel.T must be > 0")
 

@@ -8,14 +8,18 @@ by quadrature against the lognormal transition kernel.
 One valuation engine, ``_valuate``, returns any of price, E[h^2 | S_t],
 delta, gamma and the conditional variance at one time for an array of
 spots; ``price``, ``delta``, ``gamma``, ``second_moment`` and
-``conditional_variance`` are thin callers.  The power-Holder payoff
-vanishes below its kink, so near the kink it is integrated above it
-only: a Gauss-Jacobi rule with the payoff's root y^theta as its weight
-on the first kernel sd, then unit Gauss-Legendre panels, one kernel
-matrix per rule and weight for every quantity.  Far above the kink the
-Greeks differentiate the payoff under a Gauss-Hermite rule instead of
-the kernel.  Every quantity is checked against its own tolerance by
-comparing two orders of its rule.
+``conditional_variance`` are thin callers.  ``_resolve`` checks sigma
+and t once and derives the kernel sd v = sigma sqrt(T - t) and its
+variance sigma^2 (T - t), which the rules take in place of the model.  The power-Holder payoff vanishes
+below its kink, so near the kink it is integrated above it only: a
+Gauss-Jacobi rule with the payoff's root y^theta as its weight on the
+first kernel sd, then unit Gauss-Legendre panels, one kernel matrix per
+rule and weight for every quantity.  Far above the kink the Greeks
+differentiate the payoff under a Gauss-Hermite rule instead of the
+kernel.  Every quadrature rule runs at two orders through one check,
+``_checked``, which holds each quantity to its own tolerance.  The chaos
+payoff's closed form sums its price and Greeks in one
+``chaos.hermite_series`` pass.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from scipy.special import ndtr, roots_jacobi
 from .chaos import ChaosExpansion, hermite_series
 from .errors import ConfigError, QuadratureError
 from .model import MarketModel
-from .quadrature import gauss_normal_nodes, hermite_recurrence, lognormal_grid
+from .quadrature import gauss_normal_nodes, lognormal_grid
 
 __all__ = [
     "Payoff",
@@ -134,28 +138,33 @@ def payoff_eval(p: Payoff, s):
     return out if np.ndim(s) else float(out)
 
 
-def _tau(model: MarketModel, t: float, greek: bool) -> float:
+def _resolve(model: MarketModel, t: float, greek: bool) -> tuple[float, float]:
+    """(v, var) at valuation time t: the sd v = sigma sqrt(tau) of ln S_T
+    given S_t and its variance var = sigma^2 tau, for tau = T - t floored
+    at ``_TAU_FLOOR``.
+
+    The one place where sigma and t are checked and v and var are
+    derived.  Every engine rule takes v; the affine E[h^2] and the chaos
+    route also read var.  Greeks (``greek``) need t < T.
+    """
+    if model.sigma < _SIGMA_DEGENERATE:
+        raise ConfigError(f"pricing needs sigma >= {_SIGMA_DEGENERATE:g}, "
+                          f"got {model.sigma:g}")
     if not 0.0 <= t <= model.T:
         raise ConfigError("valuation time t must be finite and lie in [0, T]")
     if greek and t >= model.T:
         raise ConfigError("Greeks are not defined at t = T")
-    return max(model.T - t, _TAU_FLOOR)
+    tau = max(model.T - t, _TAU_FLOOR)
+    return model.sigma * math.sqrt(tau), model.sigma ** 2 * tau
 
 
-def _d12(model: MarketModel, tau: float, s, strike: float):
-    v = model.sigma * math.sqrt(tau)
+def _d12(v: float, s, strike: float):
     d1 = (np.log(s / strike) + 0.5 * v * v) / v
-    return v, d1, d1 - v
+    return d1, d1 - v
 
 
 def _phi(x):
     return np.exp(-0.5 * np.asarray(x) ** 2) / _SQRT_2PI
-
-
-def _check_sigma(model: MarketModel) -> None:
-    if model.sigma < _SIGMA_DEGENERATE:
-        raise ConfigError(f"pricing needs sigma >= {_SIGMA_DEGENERATE:g}, "
-                          f"got {model.sigma:g}")
 
 
 def _exp_var(var: float) -> float:
@@ -199,9 +208,8 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s <= 0.0):
         raise ConfigError("price argument s must be > 0")
-    _check_sigma(model)
     want = set(want)
-    tau = _tau(model, t, greek=bool(want & {"delta", "gamma"}))
+    v, var = _resolve(model, t, greek=bool(want & {"delta", "gamma"}))
     exact_var = "var" in want and p.kind == "binary" and t < model.T
     need = want - {"var"}
     if "var" in want and not exact_var:
@@ -211,13 +219,13 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s,
         h = payoff_eval(p, s)
         out = {"price": h, "m2": h ** 2}
     elif p.closed_form:
-        out = {q: _closed_form(p, model, tau, s, q) for q in need}
+        out = {q: _closed_form(p, v, var, s, q) for q in need}
     elif p.kind == "power_holder":
-        out = _kinked(p, model, tau, s, tols)
+        out = _kinked(p, v, s, tols)
     else:
-        out = _chaos(p, model, tau, s, tols)
+        out = _chaos(p, v, var, s, tols)
     if exact_var:
-        _, _, d2 = _d12(model, tau, s, p.strike)
+        _, d2 = _d12(v, s, p.strike)
         out["var"] = ndtr(d2) * ndtr(-d2)
     elif "var" in want:
         out["var"] = np.maximum(out["m2"] - out["price"] * out["price"], 0.0)
@@ -229,13 +237,24 @@ def _one(p, model, t, s, q):
     return out if np.ndim(s) else float(out[0])
 
 
-def _converged(q: str, a, b, tol, what: str) -> None:
-    """Raise unless both rules are finite and agree within ``tol``."""
-    rtol, atol = tol
-    ok = (np.isfinite(a) & np.isfinite(b)
-          & (np.abs(a - b) <= atol + rtol * np.maximum(np.abs(b), 1.0)))
-    if not np.all(ok):
-        raise QuadratureError(f"{what} did not converge for the {q}")
+def _checked(rule, orders, tols, what: str) -> dict[str, np.ndarray]:
+    """The higher order's values of ``rule(n)``, run at both ``orders``.
+
+    Each quantity q in ``tols`` must come out finite at both orders, and
+    the two must agree within its ``(rtol, atol)``; otherwise
+    ``QuadratureError`` is raised.  Floating-point warnings (overflow,
+    division by zero, 0/0) are silenced: a value they leave non-finite
+    fails the check instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo, hi = (rule(n) for n in orders)
+        for q, (rtol, atol) in tols.items():
+            a, b = lo[q], hi[q]
+            ok = (np.isfinite(a) & np.isfinite(b)
+                  & (np.abs(a - b) <= atol + rtol * np.maximum(np.abs(b), 1.0)))
+            if not np.all(ok):
+                raise QuadratureError(f"{what} did not converge for the {q}")
+    return hi
 
 
 #: y = ln(S_T/K)/v range of the kink rule: 12 kernel sds past the last
@@ -352,9 +371,9 @@ def _pathwise_rule(p: Payoff, v: float, s, tols, order: int) -> dict:
     st, _, w = _gh_spots(s, v, order)
     u = np.maximum(st - K, 0.0)
     hv = u ** th
-    # S_T / (S_T - K), zero below the kink where h and its derivatives are
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(u > 0.0, st / u, 0.0)
+    # S_T / (S_T - K), zero below the kink where h and its derivatives
+    # are (``_checked`` silences the 0/0 that np.where discards)
+    r = np.where(u > 0.0, st / u, 0.0)
     vals = {}
     for q in tols:
         if q == "price":
@@ -368,31 +387,30 @@ def _pathwise_rule(p: Payoff, v: float, s, tols, order: int) -> dict:
     return vals
 
 
-def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
+def _kinked(p: Payoff, v: float, s: np.ndarray,
             tols: dict) -> dict[str, np.ndarray]:
     """Every quantity in ``tols`` for the power-Holder payoff.
 
     With d2 = (E[ln S_T] - ln K)/v, the kernel sds by which the kink lies
     below the mean, spots with d2 <= 8 take ``_kink_rule`` and spots far
     above the kink (d2 > 8, where it carries less than Phi(-8) of the
-    mass) ``_pathwise_rule``.  Each rule runs at two orders, which must
-    agree within each quantity's tolerance.  Spots with d2 < -40 get
-    zeros: every kernel weight is under e^-800 there.  A run of equal
-    spots, such as the point mass at s0 that ``z_regularity`` averages
-    over at a = 0, is valued once: the matrix products can give equal
-    rows different last bits.  Distinct spots keep that dependence on
-    their row and batch size: of 997 spots valued as one batch, 455 to
-    511 differ from the same spots valued one at a time, by at most
-    6.6e-16 relative.  Row-independent reductions (``einsum``, or
-    ``(kern * f).sum(1)``) took 2.4x and 8x the matrix product on a
-    1,000 x 200 kernel, so callers that need fixed bits fix the batches
-    instead, as ``model.map_blocks`` does.
+    mass) ``_pathwise_rule``.  Each rule runs at two orders through
+    ``_checked``.  Spots with d2 < -40 get zeros: every kernel weight is
+    under e^-800 there.  A run of equal spots, as from a caller that
+    passes copies of one spot, is valued once, so that the copies get
+    equal bits: the matrix products can give equal rows different last
+    bits.  Distinct spots keep that dependence on their row and batch
+    size: of 997 spots valued as one batch, 455 to 511 differ from the
+    same spots valued one at a time, by at most 6.6e-16 relative.
+    Row-independent reductions (``einsum``, or ``(kern * f).sum(1)``)
+    took 2.4x and 8x the matrix product on a 1,000 x 200 kernel, so
+    callers that need fixed bits fix the batches instead, as
+    ``model.map_blocks`` does.
     """
     new = np.ones(s.size, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=new[1:])
     back = np.cumsum(new) - 1
     s = s[new]
-    v = model.sigma * math.sqrt(tau)
     d2 = (np.log(s / p.strike) - 0.5 * v * v) / v
     out = {q: np.zeros_like(s) for q in tols}
     far = d2 > _D2_NEAR
@@ -403,42 +421,44 @@ def _kinked(p: Payoff, model: MarketModel, tau: float, s: np.ndarray,
              "pathwise Gauss-Hermite quadrature")):
         if not np.any(spots):
             continue
-        lo, hi = (rule(p, v, s[spots], tols, n) for n in orders)
-        for q, tol in tols.items():
-            _converged(q, lo[q], hi[q], tol, f"{what} under refinement")
-            out[q][spots] = hi[q]
+        vals = _checked(functools.partial(rule, p, v, s[spots], tols),
+                        orders, tols, f"{what} under refinement")
+        for q in tols:
+            out[q][spots] = vals[q]
     return {q: val[back] for q, val in out.items()}
 
 
-def _chaos_closed(p, model, tau, s, want):
+def _chaos_closed(p, v, s, want):
     """Closed-form chaos price/Greeks via Q_k = E[H_k(N(m, v^2))].
 
     Q satisfies Q_{k+1} = (m Q_k + (v^2-1) sqrt(k) Q_{k-1}) / sqrt(k+1),
     stable and geometrically convergent for v <= 1; derivatives in m
-    follow from d/dm Q_k = sqrt(k) Q_{k-1}.  Only the sums that the
-    quantities in ``want`` read are accumulated.
+    follow from d/dm Q_k = sqrt(k) Q_{k-1}, so the i-th m-derivative of
+    the price is the series of alpha_{k+i} sqrt((k+i)!/k!), zero past
+    K - i.  One ``hermite_series`` pass sums the rows that the
+    quantities in ``want`` read.
     """
     alpha = p.expansion.alpha
-    n = alpha.size
-    v = model.sigma * math.sqrt(tau)
+    k = np.arange(float(alpha.size))
+    rows = {}
+    if "price" in want:
+        rows[0] = alpha
+    if "delta" in want or "gamma" in want:
+        rows[1] = np.zeros_like(alpha)
+        rows[1][:-1] = alpha[1:] * np.sqrt(k[1:])
+    if "gamma" in want:
+        rows[2] = np.zeros_like(alpha)
+        rows[2][:-2] = alpha[2:] * np.sqrt(k[2:] * k[1:-1])
     m = np.log(s) + 0.5 - 0.5 * v * v
-    sum0, sum2 = "price" in want, "gamma" in want
-    sum1 = sum2 or "delta" in want
-    f = f1 = f2 = 0.0
-    for k, q in enumerate(hermite_recurrence(m, n, v * v - 1.0)):
-        if sum0:
-            f = f + alpha[k] * q
-        if sum1 and k + 1 < n:
-            f1 = f1 + alpha[k + 1] * math.sqrt(k + 1) * q
-        if sum2 and k + 2 < n:
-            f2 = f2 + alpha[k + 2] * math.sqrt((k + 2) * (k + 1)) * q
+    f = dict(zip(rows, hermite_series(np.stack(list(rows.values())), m,
+                                      v * v - 1.0)))
     out = {}
-    if sum0:
-        out["price"] = f
+    if "price" in want:
+        out["price"] = f[0]
     if "delta" in want:
-        out["delta"] = f1 / s
-    if sum2:
-        out["gamma"] = (f2 - f1) / (s * s)
+        out["delta"] = f[1] / s
+    if "gamma" in want:
+        out["gamma"] = (f[2] - f[1]) / (s * s)
     return out
 
 
@@ -446,75 +466,73 @@ def _chaos_closed(p, model, tau, s, want):
 _GH_NODES = 201
 
 
-def _chaos(p, model, tau, s, tols):
-    """Chaos-payoff quantities: the closed form while sigma^2 tau <= 1,
-    else Gauss-Hermite checked under node doubling.  E[h^2] is not
-    checked under node doubling, but raises when its sum overflows."""
+def _chaos(p, v, var, s, tols):
+    """Chaos-payoff quantities: the closed form while var = sigma^2 tau
+    <= 1, else Gauss-Hermite checked under node doubling.  E[h^2] is not
+    checked under node doubling, but raises ``QuadratureError``, with no
+    warning, when its sum overflows."""
     h = lambda st: hermite_series(p.expansion.alpha, np.log(st) + 0.5)
-    v = model.sigma * math.sqrt(tau)
     out = {}
     if "m2" in tols:
         st, _, w = _gh_spots(s, v, _GH_NODES)
-        out["m2"] = h(st) ** 2 @ w
+        with np.errstate(over="ignore", invalid="ignore"):
+            out["m2"] = h(st) ** 2 @ w
         if not np.all(np.isfinite(out["m2"])):
             raise QuadratureError("Gauss-Hermite E[h^2] of the chaos series "
                                   "is not finite")
     rest = {q: tol for q, tol in tols.items() if q != "m2"}
     if not rest:
         return out
-    if model.sigma ** 2 * tau <= 1.0:
-        return {**out, **_chaos_closed(p, model, tau, s, rest)}
-    raw = []
-    for n in (_GH_NODES, 2 * _GH_NODES + 1):
+    if var <= 1.0:
+        return {**out, **_chaos_closed(p, v, s, rest)}
+
+    def rule(n):
         st, z, w = _gh_spots(s, v, n)
         hv = h(st)
         # kernel weights before the 1/(s^k v) of each Greek
         kern = {"price": w, "delta": w * z, "gamma": w * ((z * z - 1.0) / v - z)}
-        raw.append({q: hv @ kern[q] for q in rest})
-    scale = {"delta": s * v, "gamma": s * s * v}
-    for q, tol in rest.items():
-        _converged(q, raw[0][q], raw[1][q], tol,
+        return {q: hv @ kern[q] for q in rest}
+
+    raw = _checked(rule, (_GH_NODES, 2 * _GH_NODES + 1), rest,
                    "lognormal-kernel quadrature under node doubling")
-        out[q] = raw[1][q] / scale[q] if q in scale else raw[1][q]
-    return out
+    scale = {"price": 1.0, "delta": s * v, "gamma": s * s * v}
+    return {**out, **{q: raw[q] / scale[q] for q in rest}}
 
 
-def _closed_form(p, model, tau, s, q):
+def _closed_form(p, v, var, s, q):
     if p.kind == "affine":
         if q == "price":
             return p.c0 + p.c1 * s
         if q == "delta":
             return np.full_like(s, p.c1)
         if q == "m2":
-            ev2 = _exp_var((model.sigma ** 2) * tau)
+            ev2 = _exp_var(var)
             return p.c0 ** 2 + 2.0 * p.c0 * p.c1 * s + p.c1 ** 2 * s * s * ev2
         return np.zeros_like(s)
     K = p.strike
     if q == "delta":
-        d = _log_delta(p.kind, np.log(s), math.log(K),
-                       model.sigma * math.sqrt(tau))
+        d = _log_delta(p.kind, np.log(s), math.log(K), v)
         return d - 1.0 if p.kind == "put" else d
-    v, d1, d2 = _d12(model, tau, s, K)
+    d1, d2 = _d12(v, s, K)
+    if p.kind == "binary":
+        # h^2 = h
+        if q in ("price", "m2"):
+            return ndtr(d2)
+        return -_phi(d2) * d1 / (s * s * v * v)
+    if q == "gamma":
+        # one gamma: the call and the put differ by the affine s - K
+        return _phi(d1) / (s * v)
     if p.kind == "call":
         if q == "price":
             return s * ndtr(d1) - K * ndtr(d2)
-        if q == "m2":
-            m2 = (s * s * _exp_var(v * v) * ndtr(d1 + v)
-                  - 2.0 * K * s * ndtr(d1) + K * K * ndtr(d2))
-            return np.maximum(m2, 0.0)
-        return _phi(d1) / (s * v)
-    if p.kind == "put":
-        if q == "price":
-            return K * ndtr(-d2) - s * ndtr(-d1)
-        if q == "m2":
-            m2 = (K * K * ndtr(-d2) - 2.0 * K * s * ndtr(-d1)
-                  + s * s * _exp_var(v * v) * ndtr(-(d1 + v)))
-            return np.maximum(m2, 0.0)
-        return _phi(d1) / (s * v)
-    # binary: h^2 = h
-    if q in ("price", "m2"):
-        return ndtr(d2)
-    return -_phi(d2) * d1 / (s * s * v * v)
+        m2 = (s * s * _exp_var(v * v) * ndtr(d1 + v)
+              - 2.0 * K * s * ndtr(d1) + K * K * ndtr(d2))
+    elif q == "price":
+        return K * ndtr(-d2) - s * ndtr(-d1)
+    else:
+        m2 = (K * K * ndtr(-d2) - 2.0 * K * s * ndtr(-d1)
+              + s * s * _exp_var(v * v) * ndtr(-(d1 + v)))
+    return np.maximum(m2, 0.0)
 
 
 def price(p: Payoff, model: MarketModel, t: float, s):
@@ -556,6 +574,6 @@ def _outer_grid(p: Payoff, model: MarketModel, t: float):
         return np.array([math.log(model.s0)]), np.ones(1)
     sigma = model.sigma
     kink = None if p.kind in ("affine", "chaos") else (
-        math.log(p.strike), sigma * math.sqrt(_tau(model, t, greek=False)))
+        math.log(p.strike), _resolve(model, t, greek=False)[0])
     return lognormal_grid(math.log(model.s0) - 0.5 * sigma * sigma * t,
                           sigma * math.sqrt(t), kink)

@@ -36,6 +36,26 @@ def test_hermite_series_matches_direct_sum():
     np.testing.assert_allclose(hermite_series(alpha, x), direct, rtol=1e-12)
 
 
+@pytest.mark.parametrize("c", [-1.0, -0.51, 0.0])
+@pytest.mark.parametrize("x", [0.7, np.array([-1e200, -30.0, -0.5, 0.0, 2.0,
+                                         30.0, 1e200]),
+                               np.linspace(-3.0, 3.0, 6).reshape(2, 3)],
+                         ids=["scalar", "vector", "matrix"])
+def test_hermite_series_rows_equal_their_one_row_calls(x, c):
+    # a stack of rows is summed in one recurrence pass, each row to the
+    # same bits as alone, overflowed and NaN sums included
+    rng = np.random.default_rng(3)
+    alpha = rng.standard_normal((3, 200)) * np.exp(-0.01 * np.arange(200))
+    alpha[1, -1] = alpha[2, -2:] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = hermite_series(alpha, x, c)
+        each = [hermite_series(a, x, c) for a in alpha]
+    assert rows.shape == (3,) + np.shape(x)
+    for r, e in zip(rows, each):
+        np.testing.assert_array_equal(np.asarray(r).view(np.int64),
+                                      np.asarray(e).view(np.int64))
+
+
 def _mean_square(e):
     """E[g^2] of an expansion: coefficient energy plus the tail mass."""
     return float(e.alpha @ e.alpha) + e.tail_l2 ** 2

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,35 @@ def test_overflowing_second_moment_exits_config(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["smoothness", "--payoff", "affine", "--sigma", "1e160", "--depth", "10"],
+    ["zreg", "--payoff", "binary", "--sigma", "1e160", "--n_list", "8,16"]],
+    ids=lambda a: a[0])
+def test_sigma_whose_square_overflows_exits_config(argv, tmp_path, capsys):
+    # sigma^2 overflows a float above about 1.34e154: the model refuses
+    # it before any formula raises a Python OverflowError
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_numerical_failure_prints_only_its_error_line(tmp_path, capsys):
+    # at s0 = K = 1e200 and sigma 1e-20 the power-Holder gamma overflows
+    # in s^2 inside the engine's two-order check, which silences the
+    # warning; the delta table then fails its own check, and stderr holds
+    # that one error line and nothing else
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["hedge-sweep", "--payoff", "power_holder",
+                   "--sigma", "1e-20", "--s0", "1e200", "--strike", "1e200",
+                   "--m", "200", "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical:")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not any(tmp_path.iterdir())
 
 

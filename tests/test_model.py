@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ def test_model_validation():
         MarketModel(s0=1.0, sigma=0.2, T=0.0)
     with pytest.raises(ConfigError):
         MarketModel(s0=1.0, sigma=math.inf)
+    # the largest sigma accepted is the largest whose square is finite
+    top = math.sqrt(sys.float_info.max)
+    assert MarketModel(s0=1.0, sigma=top).sigma ** 2 < math.inf
+    with pytest.raises(ConfigError, match="squared overflows"):
+        MarketModel(s0=1.0, sigma=math.nextafter(top, math.inf))
 
 
 def test_drift_select():

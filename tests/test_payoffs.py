@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import (Payoff, conditional_variance,
                                 delta, gamma, payoff_eval,
                                 price, second_moment)
-from fracsmooth.quadrature import lognormal_grid
+from fracsmooth.quadrature import hermite_recurrence, lognormal_grid
 
 MODEL = MarketModel(s0=1.0, sigma=1.0, mu=0.0, T=1.0)
 
@@ -146,6 +147,45 @@ def test_chaos_payoff_matches_call():
             price(pb, MODEL, t, s), rel=1e-7, abs=1e-9)
         assert gamma(pc, MODEL, t, s) == pytest.approx(
             gamma(pb, MODEL, t, s), rel=1e-5)
+
+
+def _chaos_closed_by_order(alpha, v, s):
+    """The chaos closed form summed order by order, one accumulator per
+    sum: the reference for the one-pass ``_chaos_closed``."""
+    n = alpha.size
+    m = np.log(s) + 0.5 - 0.5 * v * v
+    f = f1 = f2 = 0.0
+    for k, q in enumerate(hermite_recurrence(m, n, v * v - 1.0)):
+        f = f + alpha[k] * q
+        if k + 1 < n:
+            f1 = f1 + alpha[k + 1] * math.sqrt(k + 1) * q
+        if k + 2 < n:
+            f2 = f2 + alpha[k + 2] * math.sqrt((k + 2) * (k + 1)) * q
+    return {"price": f, "delta": f1 / s, "gamma": (f2 - f1) / (s * s)}
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+@pytest.mark.parametrize("e", [
+    indicator_expansion(0.5, 3), indicator_expansion(0.5, 64),
+    indicator_expansion(0.5, 4096),
+    exp_call_expansion(math.exp(-0.5), 1.0, 1.0, 512)],
+    ids=["indicator3", "indicator64", "indicator4096", "exp_call512"])
+def test_chaos_closed_form_equals_sum_by_order(e, sigma):
+    # one hermite_series pass over the rows the quantities read gives the
+    # per-order sums' bits, sign bits included, for every subset of
+    # quantities, out to ln s = +-14 where the series cancels terms far
+    # larger than its sum
+    p = Payoff.chaos(e)
+    v, _ = po._resolve(MarketModel(1.0, sigma), 0.0, greek=True)
+    s = np.exp(np.linspace(-14.0, 14.0, 57))
+    ref = _chaos_closed_by_order(e.alpha, v, s)
+    for r in range(1, 4):
+        for want in combinations(("price", "delta", "gamma"), r):
+            got = po._chaos_closed(p, v, s, want)
+            assert list(got) == list(want)
+            for q in want:
+                np.testing.assert_array_equal(got[q].view(np.int64),
+                                              ref[q].view(np.int64))
 
 
 def test_greeks_rejected_at_maturity():
@@ -335,13 +375,23 @@ def test_power_holder_greeks_match_finite_differences(th, strike, sigma, t, d2):
 
 @pytest.mark.parametrize("q", ["price", "m2", "delta", "gamma"])
 def test_engine_tightened_tolerance_raises(q, monkeypatch):
-    p = Payoff.power_holder(1.0, 0.25)
-    s = _spots_around_cutoff(0.5)
+    # both engines' two-order checks: the power-Holder kink and pathwise
+    # rules, and a chaos payoff at sigma^2 tau > 1, which takes the
+    # Gauss-Hermite route; its E[h^2] rule is not checked, so m2 is
+    # tightened for the power-Holder payoff alone
     want = ("price", "m2", "delta", "gamma")
-    po._valuate(p, MODEL, 0.5, s, want)  # default tolerances hold
+    cases = [(Payoff.power_holder(1.0, 0.25), MODEL,
+              _spots_around_cutoff(0.5), want)]
+    if q != "m2":
+        cases.append((Payoff.chaos(indicator_expansion(0.5, 32)),
+                      MarketModel(1.0, 1.5), np.array([0.5, 0.8, 1.2, 2.0]),
+                      ("price", "delta", "gamma")))
+    for p, model, s, qs in cases:
+        po._valuate(p, model, 0.5, s, qs)  # default tolerances hold
     monkeypatch.setitem(po._TOLS, q, (0.0, 0.0))
-    with pytest.raises(QuadratureError):
-        po._valuate(p, MODEL, 0.5, s, want)
+    for p, model, s, qs in cases:
+        with pytest.raises(QuadratureError, match=f"for the {q}$"):
+            po._valuate(p, model, 0.5, s, qs)
 
 
 @pytest.mark.parametrize("sigma", [1e-8, 1e-100])
