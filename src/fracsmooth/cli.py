@@ -3,9 +3,11 @@
 Each experiment is a subcommand reading a flat key=value config file with
 command-line overrides, writing deterministic CSV outputs (prefixed with
 the resolved config, defaults included and the output path left out, as
-# comments) and a one-line JSON summary.  Every value is computed before
-an output file is opened, so a failed run writes none, and each file
-replaces its target only once complete.
+# comments) and a one-line JSON summary.  The defaults are the shared
+``_DEFAULTS`` and, per command, those of the keys only it reads, in
+``_COMMANDS``.  Every value is computed before an output file is opened,
+so a failed run writes none, and each file replaces its target only once
+complete.
 """
 
 from __future__ import annotations
@@ -41,38 +43,29 @@ _DEFAULTS = {
 }
 
 
+#: what a value that fails its cast is said not to be
+_CAST_NAMES = {float: "a number", int: "an integer"}
+
+
 class ExperimentConfig:
     """Resolved key=value configuration with typed, validated access."""
 
     def __init__(self, entries: dict[str, str]):
         self.entries = dict(entries)
 
-    def get(self, key: str, default: str | None = None) -> str:
-        """The value of ``key``; a default handed out is recorded, so
-        that ``echo_lines`` lists it with the rest of the configuration."""
+    def get(self, key: str, cast=str):
+        """The value of ``key`` as ``cast``: str, float or int."""
         if key not in self.entries:
-            if default is None:
-                raise ConfigError(f"missing config key '{key}'")
-            self.entries[key] = default
-        return self.entries[key]
-
-    def get_float(self, key: str, default: str | None = None) -> float:
-        raw = self.get(key, default)
+            raise ConfigError(f"missing config key '{key}'")
+        raw = self.entries[key]
         try:
-            return float(raw)
+            return cast(raw)
         except ValueError:
-            raise ConfigError(f"config key '{key}' is not a number: {raw!r}")
+            raise ConfigError(f"config key '{key}' is not "
+                              f"{_CAST_NAMES[cast]}: {raw!r}")
 
-    def get_int(self, key: str, default: str | None = None) -> int:
-        raw = self.get(key, default)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' is not an integer: {raw!r}")
-
-    def get_list(self, key: str, default: str | None = None,
-                 cast=float) -> list:
-        raw = self.get(key, default)
+    def get_list(self, key: str, cast=float) -> list:
+        raw = self.get(key)
         try:
             out = [cast(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
@@ -91,8 +84,11 @@ class ExperimentConfig:
         return lines
 
 
-def _load_config(path: str | None, overrides: dict[str, str]) -> ExperimentConfig:
-    entries = dict(_DEFAULTS)
+def _load_config(command: str, path: str | None,
+                 overrides: dict[str, str]) -> ExperimentConfig:
+    """The defaults, the command's own defaults, the config file at
+    ``path`` and the overrides, each over the last."""
+    entries = {**_DEFAULTS, **_COMMANDS[command][1]}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -112,36 +108,34 @@ def _load_config(path: str | None, overrides: dict[str, str]) -> ExperimentConfi
 
 
 def _model(cfg: ExperimentConfig) -> MarketModel:
-    return MarketModel(s0=cfg.get_float("s0"), sigma=cfg.get_float("sigma"),
-                       mu=cfg.get_float("mu"), T=cfg.get_float("T"))
+    return MarketModel(s0=cfg.get("s0", float), sigma=cfg.get("sigma", float),
+                       mu=cfg.get("mu", float), T=cfg.get("T", float))
+
+
+#: the keys of each payoff kind's constructor, in its argument order
+_PAYOFF_KEYS = {"call": ("strike",), "put": ("strike",), "binary": ("strike",),
+                "power_holder": ("strike", "holder_theta"),
+                "affine": ("c0", "c1")}
 
 
 def _payoff(cfg: ExperimentConfig) -> po.Payoff:
     kind = cfg.get("payoff")
-    if kind == "call":
-        return po.Payoff.call(cfg.get_float("strike"))
-    if kind == "put":
-        return po.Payoff.put(cfg.get_float("strike"))
-    if kind == "binary":
-        return po.Payoff.binary(cfg.get_float("strike"))
-    if kind == "power_holder":
-        return po.Payoff.power_holder(cfg.get_float("strike"),
-                                      cfg.get_float("holder_theta"))
-    if kind == "affine":
-        return po.Payoff.affine(cfg.get_float("c0"), cfg.get_float("c1"))
     if kind == "chaos":
         return po.Payoff.chaos(_expansion(cfg))
-    raise ConfigError(f"config key 'payoff' has unknown kind {kind!r}")
+    if kind not in _PAYOFF_KEYS:
+        raise ConfigError(f"config key 'payoff' has unknown kind {kind!r}")
+    return getattr(po.Payoff, kind)(*(cfg.get(k, float)
+                                      for k in _PAYOFF_KEYS[kind]))
 
 
 def _expansion(cfg: ExperimentConfig) -> ch.ChaosExpansion:
     kind = cfg.get("chaos_kind")
-    order = cfg.get_int("chaos_order")
+    order = cfg.get("chaos_order", int)
     if kind == "indicator":
-        return ch.indicator_expansion(cfg.get_float("chaos_center"), order)
+        return ch.indicator_expansion(cfg.get("chaos_center", float), order)
     if kind == "exp_call":
         return ch.exp_call_expansion(math.exp(-0.5), 1.0,
-                                     cfg.get_float("chaos_strike"), order)
+                                     cfg.get("chaos_strike", float), order)
     raise ConfigError(f"config key 'chaos_kind' has unknown kind {kind!r}")
 
 
@@ -155,8 +149,8 @@ def _emit_summary(cfg: ExperimentConfig, payload: dict) -> None:
 def cmd_price(cfg: ExperimentConfig) -> None:
     model = _model(cfg)
     p = _payoff(cfg)
-    t_list = cfg.get_list("t_list", "0.0,0.5")
-    s_list = cfg.get_list("s_list", "0.5,1.0,1.5")
+    t_list = cfg.get_list("t_list")
+    s_list = cfg.get_list("s_list")
     rows = [[repr(t), repr(s), repr(po.price(p, model, t, s)),
              repr(po.delta(p, model, t, s)), repr(po.gamma(p, model, t, s))]
             for t in t_list for s in s_list]
@@ -167,11 +161,10 @@ def cmd_price(cfg: ExperimentConfig) -> None:
 def cmd_hedge_sweep(cfg: ExperimentConfig) -> None:
     model = _model(cfg)
     p = _payoff(cfg)
-    res = rf.sweep(p, model, cfg.get_float("net_theta", "1.0"),
-                   cfg.get_list("n_list", "8,16,32,64,128", int),
-                   cfg.get_int("m", "10000"), cfg.get_int("seed"),
-                   measure=cfg.get("measure"),
-                   threads=cfg.get_int("threads"))
+    res = rf.sweep(p, model, cfg.get("net_theta", float),
+                   cfg.get_list("n_list", int), cfg.get("m", int),
+                   cfg.get("seed", int), measure=cfg.get("measure"),
+                   threads=cfg.get("threads", int))
     rf.sweep_to_csv(cfg.get("out"), res, header_lines=cfg.echo_lines())
     _emit_summary(cfg, {**json.loads(rf.fit_summary(res.fit)), **res.tables})
 
@@ -179,7 +172,7 @@ def cmd_hedge_sweep(cfg: ExperimentConfig) -> None:
 def cmd_smoothness(cfg: ExperimentConfig) -> None:
     model = _model(cfg)
     p = _payoff(cfg)
-    grid = sm.default_t_grid(model, cfg.get_int("depth", "20"))
+    grid = sm.default_t_grid(model, cfg.get("depth", int))
     c = sm._criteria_curves(p, model, grid)
     curve = c["decay"]
     est = sm.estimate_theta_sup(curve)
@@ -194,9 +187,9 @@ def cmd_smoothness(cfg: ExperimentConfig) -> None:
 
 def cmd_chaos(cfg: ExperimentConfig) -> None:
     e = _expansion(cfg)
-    theta = cfg.get_float("theta", "0.5")
+    theta = cfg.get("theta", float)
     tg, phi, verdict = ch.besov_criterion(e, theta)
-    limit = cfg.get_int("coeff_limit", "1024")
+    limit = cfg.get("coeff_limit", int)
     if limit < 0:
         raise ConfigError("coeff_limit must be >= 0")
     d12, fat = ch.d12_norm(e)
@@ -211,18 +204,18 @@ def cmd_chaos(cfg: ExperimentConfig) -> None:
 def cmd_weaklimit(cfg: ExperimentConfig) -> None:
     model = _model(cfg)
     p = _payoff(cfg)
-    theta = cfg.get_float("net_theta", "1.0")
-    n = cfg.get_int("n", "256")
-    m = cfg.get_int("m", "20000")
-    seed = cfg.get_int("seed")
+    theta = cfg.get("net_theta", float)
+    n = cfg.get("n", int)
+    m = cfg.get("m", int)
+    seed = cfg.get("seed", int)
     clock = wl.clock_A(p, model, theta, m, child_seed(seed, 1),
-                       time_order=cfg.get_int("time_order", "4"),
-                       threads=cfg.get_int("threads"))
+                       time_order=cfg.get("time_order", int),
+                       threads=cfg.get("threads", int))
     mixed = wl.mixed_normal_sample(clock, child_seed(seed, 2))
     net = make_theta_net(n, theta, model.T)
     errs = hg.tracking_error_terminal(
         p, model, net, m, child_seed(seed, 3), measure=cfg.get("measure"),
-        threads=cfg.get_int("threads")).terminal_errors
+        threads=cfg.get("threads", int)).terminal_errors
     scaled = math.sqrt(n) * errs
     wl.clock_to_csv(cfg.get("out"), clock, header_lines=cfg.echo_lines())
     write_csv(cfg.get("out") + ".cmp.csv", cfg.echo_lines(),
@@ -240,22 +233,25 @@ def cmd_weaklimit(cfg: ExperimentConfig) -> None:
 def cmd_zreg(cfg: ExperimentConfig) -> None:
     model = _model(cfg)
     p = _payoff(cfg)
-    theta = cfg.get_float("net_theta", "1.0")
+    theta = cfg.get("net_theta", float)
     rows = []
-    for n in cfg.get_list("n_list", "8,16,32,64", int):
+    for n in cfg.get_list("n_list", int):
         e = hg.z_regularity(p, model, make_theta_net(n, theta, model.T))
         rows.append([n, repr(float(e)), repr(float(n * e))])
     write_csv(cfg.get("out"), cfg.echo_lines(),
               ["n", "z_regularity", "n_times_e"], rows)
 
 
+#: each command's function, and the defaults of the keys only it reads
 _COMMANDS = {
-    "price": cmd_price,
-    "hedge-sweep": cmd_hedge_sweep,
-    "smoothness": cmd_smoothness,
-    "chaos": cmd_chaos,
-    "weaklimit": cmd_weaklimit,
-    "zreg": cmd_zreg,
+    "price": (cmd_price, {"t_list": "0.0,0.5", "s_list": "0.5,1.0,1.5"}),
+    "hedge-sweep": (cmd_hedge_sweep, {"net_theta": "1.0", "m": "10000",
+                                      "n_list": "8,16,32,64,128"}),
+    "smoothness": (cmd_smoothness, {"depth": "20"}),
+    "chaos": (cmd_chaos, {"theta": "0.5", "coeff_limit": "1024"}),
+    "weaklimit": (cmd_weaklimit, {"net_theta": "1.0", "n": "256",
+                                  "m": "20000", "time_order": "4"}),
+    "zreg": (cmd_zreg, {"net_theta": "1.0", "n_list": "8,16,32,64"}),
 }
 
 
@@ -290,8 +286,8 @@ def main(argv=None) -> int:
     args, rest = parser.parse_known_args(argv)
     try:
         overrides = _parse_overrides(rest)
-        cfg = _load_config(args.config, overrides)
-        _COMMANDS[args.command](cfg)
+        cfg = _load_config(args.command, args.config, overrides)
+        _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,8 @@ class DegenerateCurveError(FracsmoothError):
 
 
 class DegeneratePathsError(FracsmoothError):
-    """No simulated spot moves: the paths carry no hedging error."""
+    """No spot moves: simulated paths that carry no hedging error, or a
+    law of S_t whose quadrature spots all round to one value."""
 
 
 class ExactHedgeError(FracsmoothError):

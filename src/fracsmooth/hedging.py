@@ -180,7 +180,9 @@ def _delta_slope(p: Payoff, model: MarketModel, t: float, xi, a: float):
 
 def _holder_table(p: Payoff, model: MarketModel, t: float):
     """The delta table at t: nodes xi, deltas, xi-slopes, the scale a of
-    ``_holder_nodes`` and the estimated error over ``_TABLE_RTOL``.
+    ``_holder_nodes`` and the estimated error over ``_TABLE_RTOL``; None
+    when the xi range is empty, as where the paths' ln-price range
+    rounds to one point and no table can be built.
 
     Delta and gamma come from one engine call.  While the estimate
     exceeds the tolerance, each cell is halved at its midpoint in xi
@@ -190,6 +192,8 @@ def _holder_table(p: Payoff, model: MarketModel, t: float):
     ``QuadratureError`` is raised.
     """
     xi, a = _holder_nodes(p, model, t)
+    if xi[0] == xi[-1]:
+        return None
     vals, slopes = _delta_slope(p, model, t, xi, a)
     for level in range(_TABLE_REFINE + 1):
         ratio = _table_error(xi, vals, slopes) / _TABLE_RTOL
@@ -217,10 +221,10 @@ class _Tables(dict):
     power-Holder payoff is tabulated once per t by ``_holder_table``,
     whose error is estimated and held within ``_TABLE_RTOL``, and
     interpolated by ``_hermite_lookup`` into ``out``; a spot beyond the
-    table's ``_log_range`` is valued by ``payoffs.delta``.  Other payoffs
-    are valued at s by ``payoffs.delta``.  Nested nets share their nodes
-    bit for bit, so one instance reused across nets builds each time's
-    evaluator only once.
+    table's ``_log_range`` is valued by ``payoffs.delta``.  Other payoffs,
+    and the power-Holder payoff at a t with no table, are valued at s by
+    ``payoffs.delta``.  Nested nets share their nodes bit for bit, so one
+    instance reused across nets builds each time's evaluator only once.
 
     For the power-Holder payoff ``health`` reports the worst table's
     estimated error over the tolerance and the count of spots valued
@@ -243,14 +247,15 @@ class _Tables(dict):
 
     def __missing__(self, t: float):
         p, model = self.p, self.model
+        table = p.kind == "power_holder" and _holder_table(p, model, t)
         if p.kind in ("binary", "call"):
             v, _ = po._resolve(model, t, greek=True)
             lk = math.log(p.strike)
             fn = lambda x, s, out: po._log_delta(p.kind, x, lk, v, out)
-        elif p.kind != "power_holder":
+        elif not table:
             fn = lambda x, s, out: po.delta(p, model, t, s)
         else:
-            xi, vals, slopes, a, ratio = _holder_table(p, model, t)
+            xi, vals, slopes, a, ratio = table
             self.error_ratio = max(self.error_ratio, ratio)
             lookup = _hermite_lookup(xi, vals, slopes, math.log(p.strike), a)
             lo, hi = _log_range(model)

@@ -33,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, roots_jacobi
 
 from .chaos import ChaosExpansion, hermite_series
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, DegeneratePathsError, QuadratureError
 from .model import MarketModel
 from .quadrature import gauss_normal_nodes, lognormal_grid
 
@@ -506,8 +506,12 @@ def _closed_form(p, v, var, s, q):
         if q == "delta":
             return np.full_like(s, p.c1)
         if q == "m2":
-            ev2 = _exp_var(var)
-            return p.c0 ** 2 + 2.0 * p.c0 * p.c1 * s + p.c1 ** 2 * s * s * ev2
+            c0, c1, ev2 = np.float64(p.c0), np.float64(p.c1), _exp_var(var)
+            with np.errstate(over="ignore", invalid="ignore"):
+                m2 = c0 ** 2 + 2.0 * c0 * c1 * s + c1 ** 2 * s * s * ev2
+            if np.all(np.isfinite(m2)):
+                return m2
+            raise ConfigError("the affine payoff's E[h^2] overflows a float")
         return np.zeros_like(s)
     K = p.strike
     if q == "delta":
@@ -568,12 +572,18 @@ def _outer_grid(p: Payoff, model: MarketModel, t: float):
     either side; for a payoff with a kink (call, put, binary,
     power-Holder) the grid is graded at ln K down to the width
     sigma sqrt(T - t) over which the delta and gamma localize as t
-    approaches maturity.
+    approaches maturity.  A t > 0 grid whose spots all round to one
+    value (its end nodes, by monotonicity) raises
+    ``DegeneratePathsError``: that law of S_t has collapsed.
     """
     if t == 0.0:
         return np.array([math.log(model.s0)]), np.ones(1)
     sigma = model.sigma
     kink = None if p.kind in ("affine", "chaos") else (
         math.log(p.strike), _resolve(model, t, greek=False)[0])
-    return lognormal_grid(math.log(model.s0) - 0.5 * sigma * sigma * t,
+    x, w = lognormal_grid(math.log(model.s0) - 0.5 * sigma * sigma * t,
                           sigma * math.sqrt(t), kink)
+    if np.exp(x[0]) == np.exp(x[-1]):
+        raise DegeneratePathsError(f"the law of S_t at t={float(t)!r} has "
+                                   "collapsed: its spots round to one value")
+    return x, w

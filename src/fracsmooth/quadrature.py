@@ -5,6 +5,8 @@
   the chaos payoff's closed form needs.
 * ``gauss_normal_nodes`` -- Gauss-Hermite nodes and weights for
   ``E f(X)`` with ``X ~ N(0, 1)``, cached per order as read-only arrays.
+* ``legendre_panels`` -- Gauss-Legendre nodes and weights mapped onto the
+  panels between consecutive edges, the rule cached per order.
 * ``lognormal_grid`` -- a graded Gauss-Legendre rule in the probability
   variable ``u = Phi((x - mean)/std)``, refined geometrically around an
   optional kink and toward both tails.  Slower but robust for integrands
@@ -26,14 +28,15 @@ from .errors import QuadratureError
 __all__ = [
     "hermite_recurrence",
     "gauss_normal_nodes",
+    "legendre_panels",
     "lognormal_grid",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: lognormal_grid's Gauss-Legendre rule per panel, the ratio by which
+#: lognormal_grid's Gauss-Legendre order per panel, the ratio by which
 #: its panels widen away from the kink, and its depth 2^-40 into each tail
-_GRID_GX, _GRID_GW = leggauss(8)
+_GRID_ORDER = 8
 _KINK_RATIO = 2.0
 _TAIL_DEPTH = 40
 
@@ -75,6 +78,28 @@ def gauss_normal_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of ``order`` on [-1, 1], read-only."""
+    gx, gw = leggauss(order)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
+def legendre_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each panel between consecutive
+    ``edges``, one row per panel: ``(x, w)`` of shape (panels, order).
+
+    Panel [a, b] gets nodes (a + b)/2 + (b - a)/2 gx and weights
+    (b - a)/2 gw, so ``(w * f(x)).sum()`` integrates f over the edges'
+    span, exactly for polynomials of degree up to 2 order - 1.
+    """
+    gx, gw = _legendre(order)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * gx, 0.5 * (b - a) * gw
+
+
 def lognormal_grid(mean: float, std: float,
                    kink=None) -> tuple[np.ndarray, np.ndarray]:
     """Graded nodes/weights for ``E f(X)``, ``X ~ N(mean, std^2)``.
@@ -103,11 +128,5 @@ def lognormal_grid(mean: float, std: float,
                 h *= _KINK_RATIO
     eg = np.array(sorted(edges))
     keep = np.concatenate([[True], np.diff(eg) > 1e-17])
-    eg = eg[keep]
-    a, b = eg[:-1], eg[1:]
-    um = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GRID_GX[None, :]
-    wm = 0.5 * (b - a)[:, None] * _GRID_GW[None, :]
-    u = um.ravel()
-    w = wm.ravel()
-    x = mean + std * ndtri(u)
-    return x, w
+    u, w = legendre_panels(eg[keep], _GRID_ORDER)
+    return mean + std * ndtri(u.ravel()), w.ravel()

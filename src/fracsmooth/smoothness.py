@@ -22,6 +22,7 @@ from . import payoffs as po
 from .errors import ConfigError, DegenerateCurveError
 from .model import MarketModel
 from .payoffs import Payoff
+from .quadrature import legendre_panels
 
 __all__ = [
     "DecayCurve",
@@ -168,22 +169,19 @@ def _octave_integrals(p, model,
     ``_verdict`` reads the tail alone, and the shallower octaves are
     never evaluated.
     """
-    gx, gw = np.polynomial.legendre.leggauss(_OCTAVE_ORDER)
-    vals = {c: np.empty(_TAIL_OCTAVES) for c in weight_exps}
-    for i, j in enumerate(range(_OCTAVES - _TAIL_OCTAVES, _OCTAVES)):
-        hi, lo = model.T * 2.0 ** -j, model.T * 2.0 ** -(j + 1)
-        # integrate in log(T-t) for resolution across the octave
-        la, lb = math.log(lo), math.log(hi)
-        lt = 0.5 * (la + lb) + 0.5 * (lb - la) * gx
-        u = np.exp(lt)
-        w = 0.5 * (lb - la) * gw * u
-        acc = dict.fromkeys(weight_exps, 0.0)
-        for uu, ww in zip(u, w):
+    # integrate in log(T-t) for resolution across each octave; the
+    # panels run from the deepest octave up, so rows are read reversed
+    lt, lw = legendre_panels(
+        [math.log(model.T * 2.0 ** -j)
+         for j in range(_OCTAVES, _OCTAVES - _TAIL_OCTAVES - 1, -1)],
+        _OCTAVE_ORDER)
+    vals = {c: np.zeros(_TAIL_OCTAVES) for c in weight_exps}
+    for i, (lt_j, lw_j) in enumerate(zip(lt[::-1], lw[::-1])):
+        u = np.exp(lt_j)
+        for uu, ww in zip(u, lw_j * u):
             f = _criteria_at(p, model, model.T - uu, weight_exps)
             for c, e in weight_exps.items():
-                acc[c] += ww * uu ** e * f[c]
-        for c in weight_exps:
-            vals[c][i] = acc[c]
+                vals[c][i] += ww * uu ** e * f[c]
     return vals
 
 

@@ -22,6 +22,7 @@ from .errors import ConfigError
 from .model import (MarketModel, STREAM_AUX, _walk, gaussian_increments,
                     map_blocks)
 from .payoffs import Payoff
+from .quadrature import legendre_panels
 
 __all__ = [
     "ClockSample",
@@ -42,19 +43,13 @@ class ClockSample:
 
 
 def _clock_grid(time_order: int):
-    """Gauss-Legendre nodes per octave of 1-t, plus octave assignments."""
-    gx, gw = np.polynomial.legendre.leggauss(time_order)
-    times, weights, octave = [], [], []
-    for j in range(_CLOCK_DEPTH):
-        hi, lo = 2.0 ** -j, 2.0 ** -(j + 1)     # interval of u = 1-t
-        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
-        w = np.full_like(u, 0.5 * (hi - lo)) * gw
-        times.extend(1.0 - u)
-        weights.extend(w)
-        octave.extend([j] * len(u))
-    order = np.argsort(times)
-    return (np.asarray(times)[order], np.asarray(weights)[order],
-            np.asarray(octave)[order])
+    """Gauss-Legendre nodes per octave of 1-t in increasing t, their
+    weights, and the octave j of u = 1-t in [2^-j-1, 2^-j] of each."""
+    # panels in increasing u, so the reversed nodes increase in t
+    u, w = legendre_panels(np.ldexp(1.0, np.arange(-_CLOCK_DEPTH, 1)),
+                           time_order)
+    return (1.0 - u.ravel()[::-1], w.ravel()[::-1],
+            np.repeat(np.arange(_CLOCK_DEPTH), time_order))
 
 
 def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracsmooth.cli import main
+from fracsmooth.cli import _COMMANDS, main
 
 
 def _read_csv(path):
@@ -210,6 +210,19 @@ def test_header_echoes_defaults_used(tmp_path):
     assert "# n_list=8,16,32,64" in comments
     assert "# net_theta=1.0" in comments
     assert [r[0] for r in rows[1:]] == ["8", "16", "32", "64"]
+    # each command's header lists every key of its own defaults, and no
+    # key that only other commands read
+    quick = {"hedge-sweep": ["--payoff", "binary", "--m", "200"],
+             "smoothness": ["--payoff", "binary", "--depth", "10"],
+             "chaos": ["--chaos_order", "64"],
+             "weaklimit": ["--payoff", "binary", "--n", "8", "--m", "200"],
+             "zreg": ["--payoff", "binary", "--n_list", "8,16"]}
+    command_keys = {k for _, own in _COMMANDS.values() for k in own}
+    for command, (_, own) in _COMMANDS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *quick.get(command, ()), "--out", str(out)]) == 0
+        keys = {c[2:].split("=", 1)[0] for c in _read_csv(out)[0]}
+        assert keys & command_keys == set(own), command
 
 
 def test_outputs_do_not_depend_on_output_directory(tmp_path):
@@ -310,19 +323,68 @@ def test_sigma_whose_square_overflows_exits_config(argv, tmp_path, capsys):
 
 
 def test_numerical_failure_prints_only_its_error_line(tmp_path, capsys):
-    # at s0 = K = 1e200 and sigma 1e-20 the power-Holder gamma overflows
-    # in s^2 inside the engine's two-order check, which silences the
-    # warning; the delta table then fails its own check, and stderr holds
-    # that one error line and nothing else
+    # at sigma^2 T > 1 the chaos series' E[h^2] overflows on its
+    # Gauss-Hermite nodes; the rule silences the warning and raises, and
+    # stderr holds that one error line and nothing else
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["hedge-sweep", "--payoff", "power_holder",
-                   "--sigma", "1e-20", "--s0", "1e200", "--strike", "1e200",
-                   "--m", "200", "--out", str(tmp_path / "x.csv")])
+        rc = main(["zreg", "--payoff", "chaos", "--sigma", "1.5",
+                   "--n_list", "8,16", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical:")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_power_holder_paths_with_no_table_range_exit_degenerate(
+        threads, tmp_path, capsys):
+    # at s0 = K = 1e200 and sigma 1e-20 the paths' 10-sd range of ln S is
+    # below the resolution of ln 1e200, so no delta table can be built;
+    # the engine values each spot, and the paths, which never move, are
+    # refused with that one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["hedge-sweep", "--payoff", "power_holder",
+                   "--sigma", "1e-20", "--s0", "1e200", "--strike", "1e200",
+                   "--m", "200", "--threads", threads,
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate:") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["smoothness", "--payoff", "affine", "--c0", "1e200", "--depth", "10"],
+    ["zreg", "--payoff", "affine", "--c1", "1e300", "--n_list", "8,16"],
+    ["hedge-sweep", "--payoff", "affine", "--c0", "1e300", "--m", "200"]],
+    ids=lambda a: a[0])
+def test_affine_second_moment_overflow_exits_config(argv, tmp_path, capsys):
+    # E[h^2] of an affine payoff holds c0^2 and c1^2 s^2: past the float
+    # range it is refused, not raised as a Python OverflowError
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
+    # the payoff itself is accepted: its price is finite
+    out = tmp_path / "px.csv"
+    assert main(["price", "--payoff", "affine", "--c0", "1e300",
+                 "--out", str(out)]) == 0
+    assert float(_read_csv(out)[1][1][2]) == 1e300
+
+
+@pytest.mark.parametrize("argv", [
+    ["smoothness", "--payoff", "binary", "--depth", "10"],
+    ["smoothness", "--payoff", "power_holder"],
+    ["zreg", "--payoff", "binary", "--n_list", "8,16"]],
+    ids=lambda a: " ".join(a[:3]))
+def test_collapsed_outer_law_exits_degenerate(argv, tmp_path, capsys):
+    # at sigma 1e-20 every spot of the law of S_t at t > 0 rounds to s0,
+    # so the curves and errors averaged over it would be made up
+    assert main(argv + ["--sigma", "1e-20",
+                        "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: degenerate:")
     assert not any(tmp_path.iterdir())
 
 

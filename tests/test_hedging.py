@@ -121,6 +121,17 @@ def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
+def test_power_holder_with_no_table_range_is_valued_by_the_engine():
+    # at s0 = K = 1e200 and sigma 1e-20 both ends of the paths' ln-price
+    # range round to ln K: there is no table, and each spot's delta is
+    # the engine's
+    p, m = Payoff.power_holder(1e200, 0.5), MarketModel(1e200, 1e-20)
+    assert _holder_table(p, m, 0.0) is None
+    spots = 1e200 * np.array([1.0 - 1e-15, 1.0, 1.0 + 1e-15])
+    got = _Tables(p, m)[0.0](np.log(spots), spots, np.empty(3))
+    np.testing.assert_array_equal(got, po.delta(p, m, 0.0, spots))
+
+
 def _table_ref(p, m, t):
     """The table at t as scipy's cubic Hermite in xi: ``(xi, vals, ref,
     from_xi)`` with ``ref(q)`` the spline at the xi of ln-spots q and

@@ -10,7 +10,8 @@ from scipy.special import ndtr
 
 from fracsmooth import payoffs as po
 from fracsmooth.chaos import exp_call_expansion, indicator_expansion
-from fracsmooth.errors import ConfigError, QuadratureError
+from fracsmooth.errors import (ConfigError, DegeneratePathsError,
+                               QuadratureError)
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import (Payoff, conditional_variance,
                                 delta, gamma, payoff_eval,
@@ -248,6 +249,31 @@ def test_outer_grid_graded_at_kink():
     # at t = 0, the point mass of ln s0
     x0, w0 = po._outer_grid(Payoff.call(2.0), MarketModel(1.3, 0.7), 0.0)
     assert x0.tolist() == [math.log(1.3)] and w0.tolist() == [1.0]
+
+
+def test_outer_grid_refuses_a_collapsed_law():
+    # at sigma 1e-20 the sd of ln S_t is far below the spacing of floats
+    # at s0, so every spot of a t > 0 grid rounds to s0
+    tiny = MarketModel(1.0, 1e-20)
+    for p in (Payoff.binary(1.0), Payoff.affine(1.0, 1.0)):
+        with pytest.raises(DegeneratePathsError):
+            po._outer_grid(p, tiny, 0.5)
+        # the point mass at t = 0 is not a collapse
+        assert po._outer_grid(p, tiny, 0.0)[0].tolist() == [0.0]
+    # a law whose end spots differ, however narrow, is kept
+    x, _ = po._outer_grid(Payoff.binary(1.0), MarketModel(1.0, 1e-14), 0.5)
+    assert np.exp(x[0]) < np.exp(x[-1])
+
+
+def test_affine_second_moment_overflow_is_a_config_error():
+    # c0^2 and c1^2 s^2 past the float range are refused, not raised as
+    # a Python OverflowError; the price stays finite
+    for p, s in ((Payoff.affine(1e200, 1.0), 1.0),
+                 (Payoff.affine(0.0, 1e300), 1.0),
+                 (Payoff.affine(1.0, 1e100), 1e100)):
+        with pytest.raises(ConfigError):
+            second_moment(p, MODEL, 0.5, s)
+        assert math.isfinite(price(p, MODEL, 0.5, s))
 
 
 def test_equal_spots_get_equal_power_holder_values():

@@ -11,8 +11,9 @@ from fracsmooth.chaos import project
 from fracsmooth.errors import QuadratureError
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff, delta
+from fracsmooth import quadrature
 from fracsmooth.quadrature import (gauss_normal_nodes, hermite_recurrence,
-                                   lognormal_grid)
+                                   legendre_panels, lognormal_grid)
 
 
 def test_hermite_recurrence_orthonormal_and_moments():
@@ -56,6 +57,24 @@ def test_gauss_normal_lognormal_mean_high_order():
 def test_gauss_normal_rejects_bad_order():
     with pytest.raises(QuadratureError):
         gauss_normal_nodes(0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 7, 8])
+def test_legendre_panels_exact_to_degree_2_order_minus_1(order):
+    # each panel's rule integrates x^k exactly for k <= 2 order - 1
+    edges = np.array([-1.5, -0.25, 0.0, 0.5, 2.0])
+    x, w = legendre_panels(edges, order)
+    assert x.shape == w.shape == (edges.size - 1, order)
+    a, b = edges[:-1], edges[1:]
+    for k in range(2 * order):
+        exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        np.testing.assert_allclose((w * x ** k).sum(axis=1), exact,
+                                   rtol=1e-13, atol=1e-14)
+    # the cached rule is shared, so it cannot be written to
+    again = legendre_panels(edges, order)
+    np.testing.assert_array_equal(again[0], x)
+    with pytest.raises(ValueError):
+        quadrature._legendre(order)[0][0] = 0.0
 
 
 def test_lognormal_grid_total_mass_and_moments():

@@ -8,6 +8,7 @@ from fracsmooth.errors import ConfigError
 from fracsmooth.model import (BLOCK_PATHS, STREAM_AUX, MarketModel,
                               gaussian_increments, simulate_gbm)
 from fracsmooth.payoffs import Payoff
+from fracsmooth.quadrature import legendre_panels
 from fracsmooth.weaklimit import (ClockSample, clock_A, clock_to_csv,
                                   ks_distance, mixed_normal_sample)
 
@@ -52,6 +53,48 @@ def test_mixed_normal_sample_thread_invariant(m):
     xi = np.concatenate(blocks)
     np.testing.assert_array_equal(mixed_normal_sample(clock, 31),
                                   np.sqrt(clock.A_values) * xi)
+
+
+def _clock_grid_by_lists(time_order):
+    # the grid as first built: per-octave Python lists, then one argsort
+    gx, gw = np.polynomial.legendre.leggauss(time_order)
+    times, weights, octave = [], [], []
+    for j in range(weaklimit._CLOCK_DEPTH):
+        hi, lo = 2.0 ** -j, 2.0 ** -(j + 1)
+        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
+        w = np.full_like(u, 0.5 * (hi - lo)) * gw
+        times.extend(1.0 - u)
+        weights.extend(w)
+        octave.extend([j] * len(u))
+    order = np.argsort(times)
+    return (np.asarray(times)[order], np.asarray(weights)[order],
+            np.asarray(octave)[order])
+
+
+@pytest.mark.parametrize("time_order", [1, 2, 4, 7])
+def test_clock_grid_equals_list_construction(time_order):
+    got = weaklimit._clock_grid(time_order)
+    for a, b in zip(got, _clock_grid_by_lists(time_order)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_clock_mean_matches_quadrature_oracle():
+    # E[A] = int_0^1 (1-t)^(1-theta)/(2 theta) E[(S_t^2 gamma)^2] dt by
+    # quadrature: 8 Gauss-Legendre nodes on each of 40 octaves of 1 - t,
+    # and the outer grid of ln S_t at each node; the call's clock at
+    # theta 1 has a finite mean, and the Monte Carlo mean must agree
+    # within 4 standard errors
+    p, theta = Payoff.call(1.0), 1.0
+    u, w = legendre_panels(np.ldexp(1.0, np.arange(-40, 1)), 8)
+    oracle = 0.0
+    for uu, ww in zip(u.ravel(), w.ravel()):
+        x, wx = po._outer_grid(p, MODEL, 1.0 - uu)
+        s = np.exp(x)
+        f = (s * s * po.gamma(p, MODEL, 1.0 - uu, s)) ** 2
+        oracle += ww * uu ** (1.0 - theta) / (2.0 * theta) * (wx @ f)
+    a = clock_A(p, MODEL, theta, 20_000, 101).A_values
+    z = (a.mean() - oracle) / (a.std(ddof=1) / math.sqrt(a.size))
+    assert abs(z) <= 4.0
 
 
 @pytest.mark.parametrize("p, theta", [(Payoff.call(1.0), 1.0),
