@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, owens_t
 
 from .errors import ConfigError, QuadratureError
-from .quadrature import gauss_normal_nodes, hermite_recurrence
+from .quadrature import _SQRT_2PI, gauss_normal_nodes, hermite_recurrence
 
 __all__ = [
     "ChaosExpansion",
@@ -36,7 +36,6 @@ __all__ = [
     "decay_from_chaos",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: coefficients per block of the indicator's scaling pass (512 kB)
 _SCALE_BLOCK = 1 << 16
 _D12_TAIL_WARN = 1e-6

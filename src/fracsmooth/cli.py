@@ -1,21 +1,21 @@
-"""Batch command-line driver for the experiment suite.
+"""Batch command-line driver for the experiment suite:
+``fracsmooth COMMAND [--config PATH] [--key value | --key=value ...]``.
 
-Each experiment is a subcommand reading a flat key=value config file with
-command-line overrides, writing deterministic CSV outputs (prefixed with
-the resolved config, defaults included and the output path left out, as
-# comments) and a one-line JSON summary.  The defaults are the shared
-``_DEFAULTS`` and, per command, those of the keys only it reads, in
-``_COMMANDS``.  Every value is computed before an output file is opened,
-so a failed run writes none, and each file replaces its target only once
-complete.
+Each ``_COMMANDS`` row lists every key its command reads, with its
+default; a flat key=value config file, then the command line, override
+them, and any other key is refused.  ``_CASTS`` types each key once.
+Outputs are deterministic CSVs headed by the resolved row (the output
+path left out) as # comments, and a one-line JSON summary, all computed
+before a file is opened; each file replaces its target only once whole.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from . import chaos as ch
@@ -30,86 +30,96 @@ from .errors import (ConfigError, DegenerateCurveError, DegeneratePathsError,
 from .model import MarketModel, child_seed
 from .timenets import make_theta_net
 
-__all__ = ["main", "ExperimentConfig"]
+__all__ = ["main"]
 
-_DEFAULTS = {
-    "s0": "1.0", "sigma": "1.0", "mu": "0.0", "T": "1.0",
-    "payoff": "call", "strike": "1.0", "holder_theta": "0.5",
-    "c0": "0.0", "c1": "1.0",
-    "chaos_kind": "indicator", "chaos_center": "0.5",
-    "chaos_strike": "1.0", "chaos_order": "4096",
-    "seed": "1", "threads": "1", "measure": "martingale",
-    "out": "out.csv",
-}
-
+#: the chaos coefficient rows ``chaos`` writes to ``<out>.coeffs.csv``
+_COEFF_ROWS = 1024
 
 #: what a value that fails its cast is said not to be
 _CAST_NAMES = {float: "a number", int: "an integer"}
 
+#: each key's type: a cast, or [cast] for a comma-separated list of it
+_CASTS = {
+    **dict.fromkeys(("s0", "sigma", "mu", "T", "strike", "holder_theta",
+                     "c0", "c1", "chaos_center", "chaos_strike", "theta",
+                     "net_theta"), float),
+    **dict.fromkeys(("chaos_order", "seed", "threads", "depth", "m", "n"),
+                    int),
+    **dict.fromkeys(("payoff", "chaos_kind", "measure", "out"), str),
+    "t_list": [float], "s_list": [float], "n_list": [int],
+}
 
-class ExperimentConfig:
-    """Resolved key=value configuration with typed, validated access."""
-
-    def __init__(self, entries: dict[str, str]):
-        self.entries = dict(entries)
-
-    def get(self, key: str, cast=str):
-        """The value of ``key`` as ``cast``: str, float or int."""
-        if key not in self.entries:
-            raise ConfigError(f"missing config key '{key}'")
-        raw = self.entries[key]
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' is not "
-                              f"{_CAST_NAMES[cast]}: {raw!r}")
-
-    def get_list(self, key: str, cast=float) -> list:
-        raw = self.get(key)
-        try:
-            out = [cast(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"config key '{key}' is not a {cast.__name__} "
-                              f"list: {raw!r}")
-        if not out:
-            raise ConfigError(f"config key '{key}' is an empty list")
-        return out
-
-    def echo_lines(self) -> list[str]:
-        """The version and every entry but ``out``, so that the bytes
-        written do not depend on where they are written."""
-        lines = [f"fracsmooth_version={__version__}"]
-        lines += [f"{k}={v}" for k, v in sorted(self.entries.items())
-                  if k != "out"]
-        return lines
+#: the key groups that several commands read, with their defaults
+_MODEL = {"s0": "1.0", "sigma": "1.0", "mu": "0.0", "T": "1.0"}
+_CHAOS = {"chaos_kind": "indicator", "chaos_center": "0.5",
+          "chaos_strike": "1.0", "chaos_order": "4096"}
+_PAYOFF = {"payoff": "call", "strike": "1.0", "holder_theta": "0.5",
+           "c0": "0.0", "c1": "1.0", **_CHAOS}
+_PATHS = {"seed": "1", "threads": "1", "measure": "martingale"}
+_OUT = {"out": "out.csv"}
 
 
-def _load_config(command: str, path: str | None,
-                 overrides: dict[str, str]) -> ExperimentConfig:
-    """The defaults, the command's own defaults, the config file at
-    ``path`` and the overrides, each over the last."""
-    entries = {**_DEFAULTS, **_COMMANDS[command][1]}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for ln, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(
-                            f"config line {ln} is not key=value: {line!r}")
-                    k, v = line.split("=", 1)
-                    entries[k.strip()] = v.strip()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-    entries.update(overrides)
-    return ExperimentConfig(entries)
+def _cast(key: str, raw: str):
+    """The value of ``key`` typed by its ``_CASTS`` entry."""
+    cast = _CASTS[key]
+    many = isinstance(cast, list)
+    item = cast[0] if many else cast
+    try:
+        if not many:
+            return item(raw)
+        out = [item(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"config key '{key}' is not {_CAST_NAMES[item]}"
+                          f"{' list' if many else ''}: {raw!r}")
+    if not out:
+        raise ConfigError(f"config key '{key}' is an empty list")
+    return out
 
 
-def _model(cfg: ExperimentConfig) -> MarketModel:
-    return MarketModel(s0=cfg.get("s0", float), sigma=cfg.get("sigma", float),
-                       mu=cfg.get("mu", float), T=cfg.get("T", float))
+def _read_config(path: str) -> dict[str, str]:
+    """The key=value lines of the config file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    entries = {}
+    for ln, line in enumerate(lines, 1):
+        if line and not line.startswith("#"):
+            k, eq, v = line.partition("=")
+            if not eq:
+                raise ConfigError(f"config line {ln} is not key=value: "
+                                  f"{line!r}")
+            entries[k.strip()] = v.strip()
+    return entries
+
+
+def _parse(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The command and its row's raw values: the defaults, then the config
+    file, then the command-line keys, each over the last."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise ConfigError(f"the first argument must be a command, one of "
+                          f"{', '.join(_COMMANDS)}: got {argv[:1]}")
+    command, row = argv[0], _COMMANDS[argv[0]][1]
+    keys, tokens = {}, iter(argv[1:])
+    for tok in tokens:
+        if not tok.startswith("--"):
+            raise ConfigError(f"unexpected argument {tok!r}")
+        key, eq, val = tok[2:].partition("=")
+        if not eq and (val := next(tokens, None)) is None:
+            raise ConfigError(f"--{key} is missing a value")
+        keys[key] = val
+    path = keys.pop("config", None)
+    raw = {**row, **(_read_config(path) if path is not None else {}), **keys}
+    for key in raw:
+        if key not in row:
+            raise ConfigError(f"{command} reads no key {key!r}; its keys are "
+                              f"{', '.join(sorted(row))}")
+    return command, raw
+
+
+def _model(cfg: dict) -> MarketModel:
+    return MarketModel(**{k: cfg[k] for k in _MODEL})
 
 
 #: the keys of each payoff kind's constructor, in its argument order
@@ -118,176 +128,139 @@ _PAYOFF_KEYS = {"call": ("strike",), "put": ("strike",), "binary": ("strike",),
                 "affine": ("c0", "c1")}
 
 
-def _payoff(cfg: ExperimentConfig) -> po.Payoff:
-    kind = cfg.get("payoff")
+def _payoff(cfg: dict) -> po.Payoff:
+    kind = cfg["payoff"]
     if kind == "chaos":
         return po.Payoff.chaos(_expansion(cfg))
     if kind not in _PAYOFF_KEYS:
         raise ConfigError(f"config key 'payoff' has unknown kind {kind!r}")
-    return getattr(po.Payoff, kind)(*(cfg.get(k, float)
-                                      for k in _PAYOFF_KEYS[kind]))
+    return getattr(po.Payoff, kind)(*(cfg[k] for k in _PAYOFF_KEYS[kind]))
 
 
-def _expansion(cfg: ExperimentConfig) -> ch.ChaosExpansion:
-    kind = cfg.get("chaos_kind")
-    order = cfg.get("chaos_order", int)
+def _expansion(cfg: dict) -> ch.ChaosExpansion:
+    kind, order = cfg["chaos_kind"], cfg["chaos_order"]
     if kind == "indicator":
-        return ch.indicator_expansion(cfg.get("chaos_center", float), order)
+        return ch.indicator_expansion(cfg["chaos_center"], order)
     if kind == "exp_call":
-        return ch.exp_call_expansion(math.exp(-0.5), 1.0,
-                                     cfg.get("chaos_strike", float), order)
+        return ch.exp_call_expansion(math.exp(-0.5), 1.0, cfg["chaos_strike"],
+                                     order)
     raise ConfigError(f"config key 'chaos_kind' has unknown kind {kind!r}")
 
 
-def _emit_summary(cfg: ExperimentConfig, payload: dict) -> None:
+def _emit_summary(cfg: dict, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    with open_output(cfg.get("out") + ".summary") as fh:
+    with open_output(cfg["out"] + ".summary") as fh:
         fh.write(text + "\n")
 
 
-def cmd_price(cfg: ExperimentConfig) -> None:
-    model = _model(cfg)
-    p = _payoff(cfg)
-    t_list = cfg.get_list("t_list")
-    s_list = cfg.get_list("s_list")
-    rows = [[repr(t), repr(s), repr(po.price(p, model, t, s)),
-             repr(po.delta(p, model, t, s)), repr(po.gamma(p, model, t, s))]
-            for t in t_list for s in s_list]
-    write_csv(cfg.get("out"), cfg.echo_lines(),
-              ["t", "s", "price", "delta", "gamma"], rows)
+def cmd_price(cfg: dict, header: list[str]) -> None:
+    model, p = _model(cfg), _payoff(cfg)
+    rows = []
+    for t in cfg["t_list"]:
+        for s in cfg["s_list"]:
+            with np.errstate(all="ignore"):
+                v = [f(p, model, t, s) for f in (po.price, po.delta, po.gamma)]
+            if not all(map(math.isfinite, v)):
+                raise QuadratureError(f"the price, delta and gamma at t={t!r},"
+                                      f" s={s!r} are not all finite: {v}")
+            rows.append([repr(t), repr(s), *map(repr, v)])
+    write_csv(cfg["out"], header, ["t", "s", "price", "delta", "gamma"], rows)
 
 
-def cmd_hedge_sweep(cfg: ExperimentConfig) -> None:
+def cmd_hedge_sweep(cfg: dict, header: list[str]) -> None:
     model = _model(cfg)
-    p = _payoff(cfg)
-    res = rf.sweep(p, model, cfg.get("net_theta", float),
-                   cfg.get_list("n_list", int), cfg.get("m", int),
-                   cfg.get("seed", int), measure=cfg.get("measure"),
-                   threads=cfg.get("threads", int))
-    rf.sweep_to_csv(cfg.get("out"), res, header_lines=cfg.echo_lines())
+    res = rf.sweep(_payoff(cfg), model, cfg["net_theta"],
+                   cfg["n_list"], cfg["m"], cfg["seed"],
+                   measure=cfg["measure"], threads=cfg["threads"])
+    rf.sweep_to_csv(cfg["out"], res, header_lines=header)
     _emit_summary(cfg, {**json.loads(rf.fit_summary(res.fit)), **res.tables})
 
 
-def cmd_smoothness(cfg: ExperimentConfig) -> None:
-    model = _model(cfg)
-    p = _payoff(cfg)
-    grid = sm.default_t_grid(model, cfg.get("depth", int))
+def cmd_smoothness(cfg: dict, header: list[str]) -> None:
+    model, p = _model(cfg), _payoff(cfg)
+    grid = sm.default_t_grid(model, cfg["depth"])
     c = sm._criteria_curves(p, model, grid)
-    curve = c["decay"]
-    est = sm.estimate_theta_sup(curve)
-    write_csv(cfg.get("out"), cfg.echo_lines(),
+    est = sm.estimate_theta_sup(c["decay"])
+    cols = zip(grid, model.T - grid, c["decay"].D, c["grad"], c["hess"])
+    write_csv(cfg["out"], header,
               ["t", "T_minus_t", "decay", "grad_sq", "hess_sq"],
-              ([repr(float(t)), repr(float(model.T - t)), repr(float(d)),
-                repr(float(g)), repr(float(h))]
-               for t, d, g, h in zip(grid, curve.D, c["grad"], c["hess"])))
+              ([repr(float(x)) for x in row] for row in cols))
     _emit_summary(cfg, {"theta_hat": est.theta_hat, "slope": est.slope,
                         "residual_rms": est.residual_rms})
 
 
-def cmd_chaos(cfg: ExperimentConfig) -> None:
+def cmd_chaos(cfg: dict, header: list[str]) -> None:
     e = _expansion(cfg)
-    theta = cfg.get("theta", float)
+    theta = cfg["theta"]
     tg, phi, verdict = ch.besov_criterion(e, theta)
-    limit = cfg.get("coeff_limit", int)
-    if limit < 0:
-        raise ConfigError("coeff_limit must be >= 0")
     d12, fat = ch.d12_norm(e)
-    write_csv(cfg.get("out"), cfg.echo_lines(), ["t", "phi"],
+    write_csv(cfg["out"], header, ["t", "phi"],
               ([repr(float(t)), repr(float(v))] for t, v in zip(tg, phi)))
-    write_csv(cfg.get("out") + ".coeffs.csv", cfg.echo_lines(), ["k", "alpha"],
-              ([k, repr(float(a))] for k, a in enumerate(e.alpha[:limit])))
+    write_csv(cfg["out"] + ".coeffs.csv", header, ["k", "alpha"],
+              ([k, repr(float(a))]
+               for k, a in enumerate(e.alpha[:_COEFF_ROWS])))
     _emit_summary(cfg, {"besov_verdict": verdict, "theta": theta,
                         "d12_truncated": d12, "d12_fat_tail": bool(fat)})
 
 
-def cmd_weaklimit(cfg: ExperimentConfig) -> None:
-    model = _model(cfg)
-    p = _payoff(cfg)
-    theta = cfg.get("net_theta", float)
-    n = cfg.get("n", int)
-    m = cfg.get("m", int)
-    seed = cfg.get("seed", int)
+def cmd_weaklimit(cfg: dict, header: list[str]) -> None:
+    model, p = _model(cfg), _payoff(cfg)
+    theta, n, m, seed = cfg["net_theta"], cfg["n"], cfg["m"], cfg["seed"]
     clock = wl.clock_A(p, model, theta, m, child_seed(seed, 1),
-                       time_order=cfg.get("time_order", int),
-                       threads=cfg.get("threads", int))
+                       threads=cfg["threads"])
     mixed = wl.mixed_normal_sample(clock, child_seed(seed, 2))
     net = make_theta_net(n, theta, model.T)
-    errs = hg.tracking_error_terminal(
-        p, model, net, m, child_seed(seed, 3), measure=cfg.get("measure"),
-        threads=cfg.get("threads", int)).terminal_errors
-    scaled = math.sqrt(n) * errs
-    wl.clock_to_csv(cfg.get("out"), clock, header_lines=cfg.echo_lines())
-    write_csv(cfg.get("out") + ".cmp.csv", cfg.echo_lines(),
-              ["sample_source", "value"],
+    scaled = math.sqrt(n) * hg.tracking_error_terminal(
+        p, model, net, m, child_seed(seed, 3), measure=cfg["measure"],
+        threads=cfg["threads"]).terminal_errors
+    wl.clock_to_csv(cfg["out"], clock, header_lines=header)
+    write_csv(cfg["out"] + ".cmp.csv", header, ["sample_source", "value"],
               [["rescaled_error", repr(float(v))] for v in scaled]
               + [["mixed_normal", repr(float(v))] for v in mixed])
-    _emit_summary(cfg, {
-        "ks": wl.ks_distance(scaled, mixed),
-        "mean_A": float(clock.A_values.mean()),
-        "var_mixed": float(mixed.var()),
-        "flagged_fraction": clock.flagged_fraction,
-    })
+    _emit_summary(cfg, {"ks": wl.ks_distance(scaled, mixed),
+                        "mean_A": float(clock.A_values.mean()),
+                        "var_mixed": float(mixed.var()),
+                        "flagged_fraction": clock.flagged_fraction})
 
 
-def cmd_zreg(cfg: ExperimentConfig) -> None:
-    model = _model(cfg)
-    p = _payoff(cfg)
-    theta = cfg.get("net_theta", float)
+def cmd_zreg(cfg: dict, header: list[str]) -> None:
+    model, p = _model(cfg), _payoff(cfg)
     rows = []
-    for n in cfg.get_list("n_list", int):
-        e = hg.z_regularity(p, model, make_theta_net(n, theta, model.T))
+    for n in cfg["n_list"]:
+        e = hg.z_regularity(p, model,
+                            make_theta_net(n, cfg["net_theta"], model.T))
         rows.append([n, repr(float(e)), repr(float(n * e))])
-    write_csv(cfg.get("out"), cfg.echo_lines(),
-              ["n", "z_regularity", "n_times_e"], rows)
+    write_csv(cfg["out"], header, ["n", "z_regularity", "n_times_e"], rows)
 
 
-#: each command's function, and the defaults of the keys only it reads
+#: each command's function, and every key it reads with its default
 _COMMANDS = {
-    "price": (cmd_price, {"t_list": "0.0,0.5", "s_list": "0.5,1.0,1.5"}),
-    "hedge-sweep": (cmd_hedge_sweep, {"net_theta": "1.0", "m": "10000",
+    "price": (cmd_price, {**_MODEL, **_PAYOFF, **_OUT, "t_list": "0.0,0.5",
+                          "s_list": "0.5,1.0,1.5"}),
+    "hedge-sweep": (cmd_hedge_sweep, {**_MODEL, **_PAYOFF, **_PATHS, **_OUT,
+                                      "net_theta": "1.0", "m": "10000",
                                       "n_list": "8,16,32,64,128"}),
-    "smoothness": (cmd_smoothness, {"depth": "20"}),
-    "chaos": (cmd_chaos, {"theta": "0.5", "coeff_limit": "1024"}),
-    "weaklimit": (cmd_weaklimit, {"net_theta": "1.0", "n": "256",
-                                  "m": "20000", "time_order": "4"}),
-    "zreg": (cmd_zreg, {"net_theta": "1.0", "n_list": "8,16,32,64"}),
+    "smoothness": (cmd_smoothness, {**_MODEL, **_PAYOFF, **_OUT,
+                                    "depth": str(sm.T_GRID_DEPTH)}),
+    "chaos": (cmd_chaos, {**_CHAOS, **_OUT, "theta": "0.5"}),
+    "weaklimit": (cmd_weaklimit, {**_MODEL, **_PAYOFF, **_PATHS, **_OUT,
+                                  "net_theta": "1.0", "n": "256",
+                                  "m": "20000"}),
+    "zreg": (cmd_zreg, {**_MODEL, **_PAYOFF, **_OUT, "net_theta": "1.0",
+                        "n_list": "8,16,32,64"}),
 }
 
 
-def _parse_overrides(tokens: list[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--"):
-            raise ConfigError(f"unexpected argument {tok!r}")
-        key = tok[2:]
-        if "=" in key:
-            key, val = key.split("=", 1)
-        else:
-            if i + 1 >= len(tokens):
-                raise ConfigError(f"override --{key} is missing a value")
-            val = tokens[i + 1]
-            i += 1
-        out[key] = val
-        i += 1
-    return out
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fracsmooth",
-        description="Batch experiments: pricing, hedging error rates, "
-                    "smoothness diagnostics, chaos criteria, weak limits.")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", default=None,
-                        help="flat key=value config file")
-    args, rest = parser.parse_known_args(argv)
     try:
-        overrides = _parse_overrides(rest)
-        cfg = _load_config(args.command, args.config, overrides)
-        _COMMANDS[args.command][0](cfg)
+        command, raw = _parse(sys.argv[1:] if argv is None else list(argv))
+        cfg = {k: _cast(k, v) for k, v in raw.items()}
+        # the version and every key but ``out``, so that the bytes
+        # written do not depend on where they are written
+        header = [f"fracsmooth_version={__version__}"]
+        header += [f"{k}={v}" for k, v in sorted(raw.items()) if k != "out"]
+        _COMMANDS[command][0](cfg, header)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

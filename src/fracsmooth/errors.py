@@ -18,7 +18,7 @@ class SimulationError(FracsmoothError):
 
 
 class DegenerateCurveError(FracsmoothError):
-    """A diagnostic curve is identically zero (constant payoff)."""
+    """A diagnostic curve is zero where a rate is fitted to it."""
 
 
 class DegeneratePathsError(FracsmoothError):

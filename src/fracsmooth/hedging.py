@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import payoffs as po
-from .errors import ConfigError, DegeneratePathsError, QuadratureError
+from .errors import (ConfigError, DegeneratePathsError, QuadratureError,
+                     SimulationError)
 from .model import MarketModel, _check_grid, _walk, map_blocks
 from .payoffs import Payoff
 from .timenets import TimeNet
@@ -53,8 +54,8 @@ class L2ErrorEstimate:
     m: int
 
     def __post_init__(self):
-        if self.l2_error < 0.0 or self.stderr < 0.0:
-            raise ConfigError("estimate moments must be non-negative")
+        if not all(0.0 <= x < math.inf for x in (self.l2_error, self.stderr)):
+            raise SimulationError("estimate moments must be finite and >= 0")
 
 
 def _log_range(model: MarketModel) -> tuple[float, float]:
@@ -173,7 +174,8 @@ def _interleave(a, b):
 def _delta_slope(p: Payoff, model: MarketModel, t: float, xi, a: float):
     """The delta at the nodes xi of scale a and its xi-slope
     gamma s a cosh(xi), from one engine call."""
-    s = np.exp(math.log(p.strike) + a * np.sinh(xi))
+    with np.errstate(over="ignore"):
+        s = np.exp(math.log(p.strike) + a * np.sinh(xi))
     v = po._valuate(p, model, t, s, ("delta", "gamma"))
     return v["delta"], v["gamma"] * s * (a * np.cosh(xi))
 
@@ -320,30 +322,35 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
         s, s_old = np.full(count, model.s0), np.empty(count)
         acc, dvec, ds = np.zeros(count), np.zeros(count), np.empty(count)
         col = 0
-        for j, x in _walk(model, grid, seed, start, count, drift):
-            if j > 0:
-                s, s_old = s_old, s
-                np.exp(x, out=s)
-                np.subtract(s, s_old, out=ds)
-                ds *= dvec
-                acc += ds
-            if is_eval[j]:
-                proc[start:start + count, col] = (
-                    po.price(p, model, grid[j], s) - h0 - acc)
-                col += 1
-            if is_node[j] and j < nt - 1:
-                # the evaluators read x, which stays finite where S
-                # underflows, so a zero spot is rejected here
-                if not s.all():
-                    raise ConfigError("a simulated spot underflowed to 0: "
-                                      "price argument s must be > 0")
-                dvec = dfns[j](x, s, dvec)
-        terminal[start:start + count] = po.payoff_eval(p, s) - h0 - acc
+        # errstate is per thread: set here; overflowing paths are refused
+        with np.errstate(all="ignore"):
+            for j, x in _walk(model, grid, seed, start, count, drift):
+                if j > 0:
+                    s, s_old = s_old, s
+                    np.exp(x, out=s)
+                    np.subtract(s, s_old, out=ds)
+                    ds *= dvec
+                    acc += ds
+                if is_eval[j]:
+                    proc[start:start + count, col] = (
+                        po.price(p, model, grid[j], s) - h0 - acc)
+                    col += 1
+                if is_node[j] and j < nt - 1:
+                    # the evaluators read x, which stays finite where S
+                    # underflows, so a zero spot is rejected here
+                    if not s.all():
+                        raise ConfigError("a simulated spot underflowed to "
+                                          "0: price argument s must be > 0")
+                    dvec = dfns[j](x, s, dvec)
+            terminal[start:start + count] = po.payoff_eval(p, s) - h0 - acc
         return bool(np.any(np.abs(s - model.s0) > still))
 
     if not any(map_blocks(block, m, threads=threads)):
         raise DegeneratePathsError("no simulated spot moves from s0: paths "
                                    "at this sigma hedge nothing")
+    if not np.all(np.isfinite(terminal)):
+        raise SimulationError("a simulated tracking error is not finite: "
+                              "the paths overflow a float")
     return TrackingErrorSample(terminal_errors=terminal, process_values=proc)
 
 
@@ -377,9 +384,10 @@ def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
     if m < 2:
         raise ConfigError("need m >= 2 paths for a standard error")
     sample = _run(p, model, net, m, seed, measure, None, threads, _deltas)
-    sq = sample.terminal_errors ** 2
-    msq = float(sq.mean())
-    se = float(sq.std(ddof=1)) / math.sqrt(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = sample.terminal_errors ** 2
+        msq = float(sq.mean())
+        se = float(sq.std(ddof=1)) / math.sqrt(m)
     return L2ErrorEstimate(n=net.n, l2_error=math.sqrt(max(msq, 0.0)),
                            stderr=se, m=m)
 

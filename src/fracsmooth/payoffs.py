@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, roots_jacobi
 
 from .chaos import ChaosExpansion, hermite_series
 from .errors import ConfigError, DegeneratePathsError, QuadratureError
 from .model import MarketModel
-from .quadrature import gauss_normal_nodes, lognormal_grid
+from .quadrature import (_SQRT_2PI, gauss_normal_nodes, legendre_panels,
+                         lognormal_grid)
 
 __all__ = [
     "Payoff",
@@ -51,7 +51,6 @@ _TAU_FLOOR = 1e-12
 #: smallest volatility pricing accepts: far below it sigma^2 tau
 #: underflows and the closed-form Greeks overflow or turn NaN
 _SIGMA_DEGENERATE = 1e-100
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 _CLOSED_FORM = frozenset({"call", "put", "binary", "affine"})
 _KINDS = frozenset({"call", "put", "binary", "power_holder", "affine", "chaos"})
@@ -119,7 +118,7 @@ class Payoff:
 def payoff_eval(p: Payoff, s):
     """h(s) per kind; the binary uses the closed-right convention h(K)=1."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
+    if not np.all(s_arr > 0.0):
         raise ConfigError("payoff argument s must be > 0")
     if p.kind == "call":
         out = np.maximum(s_arr - p.strike, 0.0)
@@ -159,7 +158,9 @@ def _resolve(model: MarketModel, t: float, greek: bool) -> tuple[float, float]:
 
 
 def _d12(v: float, s, strike: float):
-    d1 = (np.log(s / strike) + 0.5 * v * v) / v
+    # s / strike may overflow or underflow: d1 is then +-inf, its limit
+    with np.errstate(all="ignore"):
+        d1 = (np.log(s / strike) + 0.5 * v * v) / v
     return d1, d1 - v
 
 
@@ -206,7 +207,7 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s,
     checked against its own ``(rtol, atol)`` from ``_TOLS``.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s <= 0.0):
+    if not np.all(s > 0.0):
         raise ConfigError("price argument s must be > 0")
     want = set(want)
     v, var = _resolve(model, t, greek=bool(want & {"delta", "gamma"}))
@@ -284,10 +285,8 @@ def _jacobi01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=64)
 def _unit_panels(n: int, end: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule for int_1^end f(y) dy / sqrt(2 pi), unit panels."""
-    gx, gw = leggauss(n)
-    left = np.arange(1.0, end)
-    y = (left[:, None] + 0.5 * (1.0 + gx)).ravel()
-    w = np.tile(0.5 * gw / _SQRT_2PI, left.size)
+    y, w = legendre_panels(np.arange(1.0, end + 1), n)
+    y, w = y.ravel(), w.ravel() / _SQRT_2PI
     y.flags.writeable = w.flags.writeable = False
     return y, w
 
@@ -508,10 +507,8 @@ def _closed_form(p, v, var, s, q):
         if q == "m2":
             c0, c1, ev2 = np.float64(p.c0), np.float64(p.c1), _exp_var(var)
             with np.errstate(over="ignore", invalid="ignore"):
-                m2 = c0 ** 2 + 2.0 * c0 * c1 * s + c1 ** 2 * s * s * ev2
-            if np.all(np.isfinite(m2)):
-                return m2
-            raise ConfigError("the affine payoff's E[h^2] overflows a float")
+                return _finite_m2(p, c0 ** 2 + 2.0 * c0 * c1 * s
+                                  + c1 ** 2 * s * s * ev2)
         return np.zeros_like(s)
     K = p.strike
     if q == "delta":
@@ -526,17 +523,26 @@ def _closed_form(p, v, var, s, q):
     if q == "gamma":
         # one gamma: the call and the put differ by the affine s - K
         return _phi(d1) / (s * v)
-    if p.kind == "call":
-        if q == "price":
+    if q == "price":
+        if p.kind == "call":
             return s * ndtr(d1) - K * ndtr(d2)
-        m2 = (s * s * _exp_var(v * v) * ndtr(d1 + v)
-              - 2.0 * K * s * ndtr(d1) + K * K * ndtr(d2))
-    elif q == "price":
         return K * ndtr(-d2) - s * ndtr(-d1)
-    else:
-        m2 = (K * K * ndtr(-d2) - 2.0 * K * s * ndtr(-d1)
-              + s * s * _exp_var(v * v) * ndtr(-(d1 + v)))
-    return np.maximum(m2, 0.0)
+    ev2 = _exp_var(v * v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.kind == "call":
+            m2 = (s * s * ev2 * ndtr(d1 + v)
+                  - 2.0 * K * s * ndtr(d1) + K * K * ndtr(d2))
+        else:
+            m2 = (K * K * ndtr(-d2) - 2.0 * K * s * ndtr(-d1)
+                  + s * s * ev2 * ndtr(-(d1 + v)))
+        return _finite_m2(p, np.maximum(m2, 0.0))
+
+
+def _finite_m2(p: Payoff, m2):
+    """E[h^2] of a closed-form payoff, refused where it overflows."""
+    if np.all(np.isfinite(m2)):
+        return m2
+    raise ConfigError(f"the {p.kind} payoff's E[h^2] overflows a float")
 
 
 def price(p: Payoff, model: MarketModel, t: float, s):

@@ -120,7 +120,8 @@ def lognormal_grid(mean: float, std: float,
         center, width = kink
         z = (center - mean) / std
         uc = float(ndtr(z))
-        h = max(float(np.exp(-0.5 * z * z) / _SQRT_2PI * width / std), 2.0 ** -52)
+        with np.errstate(over="ignore"):  # z * z may overflow: h is 0
+            h = max(float(np.exp(-0.5 * z * z) / _SQRT_2PI * width / std), 2.0 ** -52)
         if lo < uc < hi:
             edges.add(uc)
             while uc - h > lo or uc + h < hi:

@@ -119,8 +119,9 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
     deltas = _Tables(p, model)
     estimates = []
     for n in n_list:
-        m_n = min(4 * m, int(round(m * math.sqrt(n / n_min))))
+        # the net refuses n < 1 before n / n_min can divide by zero
         net = make_theta_net(n, theta, model.T)
+        m_n = min(4 * m, int(round(m * math.sqrt(n / n_min))))
         est = l2_tracking_error(p, model, net, m_n, child_seed(seed, n),
                                 measure=measure, threads=threads,
                                 _deltas=deltas)

@@ -13,13 +13,12 @@ the deepest octaves of T - t, the only ones that can make them infinite.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import payoffs as po
-from .errors import ConfigError, DegenerateCurveError
+from .errors import ConfigError, DegenerateCurveError, QuadratureError
 from .model import MarketModel
 from .payoffs import Payoff
 from .quadrature import legendre_panels
@@ -27,6 +26,7 @@ from .quadrature import legendre_panels
 __all__ = [
     "DecayCurve",
     "ThetaEstimate",
+    "T_GRID_DEPTH",
     "default_t_grid",
     "conditional_l2_decay",
     "estimate_theta_sup",
@@ -38,6 +38,8 @@ __all__ = [
 
 #: octave ratio below which truncated-integral increments count as decaying
 RATIO_FINITE = 0.95
+#: octaves of T - t on the t grid of the growth criteria and ``smoothness``
+T_GRID_DEPTH = 20
 #: octaves of T - t in the integral criteria, Gauss-Legendre nodes in each
 _OCTAVES = 18
 _OCTAVE_ORDER = 8
@@ -62,7 +64,7 @@ class ThetaEstimate:
     residual_rms: float
 
 
-def default_t_grid(model: MarketModel, depth: int = 20) -> np.ndarray:
+def default_t_grid(model: MarketModel, depth: int) -> np.ndarray:
     """Geometric grid T - t_j = T 2^-j, j = 0..depth (t_0 = 0)."""
     j = np.arange(depth + 1)
     return model.T - model.T * 2.0 ** -j.astype(float)
@@ -78,19 +80,25 @@ def _criteria_at(p: Payoff, model: MarketModel, t: float,
     ``want``, from one ``_outer_grid`` of ln S_t and one engine call.
 
     decay: Var(h(S_T) | S_t);  grad: (s dH/ds)^2;
-    hess: (s^2 d2H/ds2 + s dH/ds)^2 (log coordinates).
+    hess: (s^2 d2H/ds2 + s dH/ds)^2 (log coordinates).  A value that is
+    not finite raises ``QuadratureError``.
     """
     x, w = po._outer_grid(p, model, t)
     s = np.exp(x)
-    v = po._valuate(p, model, t, s, {q for c in want for q in _NEEDS[c]})
-    f = {}
-    if "decay" in want:
-        f["decay"] = v["var"]
-    if "grad" in want:
-        f["grad"] = (s * v["delta"]) ** 2
-    if "hess" in want:
-        f["hess"] = (s * s * v["gamma"] + s * v["delta"]) ** 2
-    return {c: float(w @ y) for c, y in f.items()}
+    with np.errstate(all="ignore"):
+        v = po._valuate(p, model, t, s, {q for c in want for q in _NEEDS[c]})
+        f = {}
+        if "decay" in want:
+            f["decay"] = v["var"]
+        if "grad" in want:
+            f["grad"] = (s * v["delta"]) ** 2
+        if "hess" in want:
+            f["hess"] = (s * s * v["gamma"] + s * v["delta"]) ** 2
+        out = {c: float(w @ y) for c, y in f.items()}
+    for c, val in out.items():
+        if not math.isfinite(val):
+            raise QuadratureError(f"the {c} criterion at t={t!r} is {val}")
+    return out
 
 
 def _criteria_curves(p: Payoff, model: MarketModel, t_grid,
@@ -110,11 +118,7 @@ def _criteria_curves(p: Payoff, model: MarketModel, t_grid,
         for c, val in _criteria_at(p, model, float(t), want).items():
             out[c][i] = val
     if "decay" in out:
-        var = out["decay"]
-        for t, val in zip(t_grid, var):
-            if val < -1e-10:
-                warnings.warn(f"negative decay value {val:.3e} clamped at t={t:.6g}")
-        out["decay"] = DecayCurve(t_grid=t_grid, D=np.sqrt(np.maximum(var, 0.0)),
+        out["decay"] = DecayCurve(t_grid=t_grid, D=np.sqrt(out["decay"]),
                                   model=model)
     return out
 
@@ -139,9 +143,10 @@ def estimate_theta_sup(curve: DecayCurve) -> ThetaEstimate:
     u = curve.model.T - curve.t_grid
     if curve.t_grid.size < 8 or u.max() / u.min() < 1e3:
         raise ConfigError("need >= 8 points spanning 3 decades of T-t")
-    if np.all(curve.D == 0.0):
-        raise DegenerateCurveError(
-            "decay curve is identically zero: infinitely smooth payoff")
+    if not np.all(curve.D[2:-2] > 0.0):
+        raise DegenerateCurveError("decay curve is zero where its rate is "
+                                   "fitted: a constant payoff, or a decay "
+                                   "below the float range")
     slope, rms = _loglog_slope(u, curve.D)
     theta = min(1.0, 2.0 * slope)
     return ThetaEstimate(theta_hat=theta, slope=slope, residual_rms=rms)
@@ -217,9 +222,9 @@ def growth_criteria_exponents(p: Payoff, model: MarketModel) -> dict[str, float]
 
     decay: slope of log D^2;  grad: 1 + slope of log E|grad u|^2;
     hess: 2 + slope of log E|D^2 u|^2 -- all against log(T-t) and
-    clamped into (0, 1], on the default t grid.
+    clamped into (0, 1], on the t grid of depth ``T_GRID_DEPTH``.
     """
-    grid = default_t_grid(model)
+    grid = default_t_grid(model, T_GRID_DEPTH)
     u = model.T - grid
     c = _criteria_curves(p, model, grid)
     s_d, _ = _loglog_slope(u, np.maximum(c["decay"].D ** 2, 1e-300))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import payoffs as po
 from ._output import write_csv
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .model import (MarketModel, STREAM_AUX, _walk, gaussian_increments,
                     map_blocks)
 from .payoffs import Payoff
@@ -32,8 +32,10 @@ __all__ = [
     "clock_to_csv",
 ]
 
-#: octaves of 1 - t simulated by clock_A before the tail extrapolation
+#: octaves of 1 - t simulated by clock_A before the tail extrapolation,
+#: and the Gauss-Legendre order in each
 _CLOCK_DEPTH = 24
+_CLOCK_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -42,18 +44,18 @@ class ClockSample:
     flagged_fraction: float
 
 
-def _clock_grid(time_order: int):
+def _clock_grid(order: int):
     """Gauss-Legendre nodes per octave of 1-t in increasing t, their
     weights, and the octave j of u = 1-t in [2^-j-1, 2^-j] of each."""
     # panels in increasing u, so the reversed nodes increase in t
     u, w = legendre_panels(np.ldexp(1.0, np.arange(-_CLOCK_DEPTH, 1)),
-                           time_order)
+                           order)
     return (1.0 - u.ravel()[::-1], w.ravel()[::-1],
-            np.repeat(np.arange(_CLOCK_DEPTH), time_order))
+            np.repeat(np.arange(_CLOCK_DEPTH), order))
 
 
 def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
-            time_order: int = 4, threads: int = 1) -> ClockSample:
+            threads: int = 1) -> ClockSample:
     """Simulate the clock integral per path, with an extrapolated tail.
 
     Each path block walks ln S over the grid on the thread pool and adds
@@ -66,29 +68,31 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
         raise ConfigError("clock simulation requires the T=1 normalization")
     if not (0.0 < theta <= 1.0):
         raise ConfigError("theta must lie in (0, 1]")
-    if time_order < 1:
-        raise ConfigError("time_order must be >= 1")
     if m < 1:
         raise ConfigError("path count m must be >= 1")
-    times, w, octv = _clock_grid(time_order)
-    wt = w * (1.0 - times) ** (1.0 - theta) / (2.0 * theta)
+    times, w, octv = _clock_grid(_CLOCK_ORDER)
 
     def block(start, count):
         inc = np.zeros((count, _CLOCK_DEPTH))
-        for k, x in _walk(model, times, seed, start, count, 0.0):
-            s = np.exp(x)
-            g = np.asarray(po.gamma(p, model, float(times[k]), s))
-            inc[:, octv[k]] += wt[k] * (s * s * g) ** 2
+        # errstate is per thread: set again here, on the pool thread
+        with np.errstate(all="ignore"):
+            for k, x in _walk(model, times, seed, start, count, 0.0):
+                s = np.exp(x)
+                g = np.asarray(po.gamma(p, model, float(times[k]), s))
+                inc[:, octv[k]] += wt[k] * (s * s * g) ** 2
         return inc
 
-    inc = np.concatenate(map_blocks(block, m, threads=threads))
-    last, prev = inc[:, -1], inc[:, -2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an A that is not finite (as at theta near 0) is refused below
+    with np.errstate(all="ignore"):
+        wt = w * (1.0 - times) ** (1.0 - theta) / (2.0 * theta)
+        inc = np.concatenate(map_blocks(block, m, threads=threads))
+        last, prev = inc[:, -1], inc[:, -2]
         r = np.where(prev > 0.0, last / prev, 0.0)
-    flagged = float(np.mean((r >= 1.0) & (last > 0.0)))
-    r = np.clip(r, 0.0, 0.95)
-    tail = last * r / (1.0 - r)
-    a = inc.sum(axis=1) + tail
+        flagged = float(np.mean((r >= 1.0) & (last > 0.0)))
+        r = np.clip(r, 0.0, 0.95)
+        a = inc.sum(axis=1) + last * r / (1.0 - r)
+    if not np.all(np.isfinite(a)):
+        raise SimulationError("the clock values A are not all finite")
     return ClockSample(A_values=a, flagged_fraction=flagged)
 
 

@@ -1,11 +1,16 @@
 import csv
+import inspect
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from fracsmooth.cli import _COMMANDS, main
+from fracsmooth.cli import _COMMANDS, _cast, main
+from fracsmooth.hedging import tracking_error_terminal
+from fracsmooth.ratefit import sweep
+from fracsmooth.smoothness import T_GRID_DEPTH
+from fracsmooth.weaklimit import clock_A
 
 
 def _read_csv(path):
@@ -128,16 +133,17 @@ def test_smoothness_command(tmp_path, capsys):
 def test_chaos_command(tmp_path, capsys):
     out = tmp_path / "ch.csv"
     rc = main(["chaos", "--chaos_kind", "indicator", "--chaos_center", "0.5",
-               "--chaos_order", "256", "--theta", "0.3", "--coeff_limit",
-               "16", "--out", str(out)])
+               "--chaos_order", "2048", "--theta", "0.3", "--out", str(out)])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["besov_verdict"] in ("bounded", "unbounded")
     assert payload["d12_fat_tail"] is True
     _, rows = _read_csv(out)
     assert rows[0] == ["t", "phi"]
+    # the first 1,024 of the 2,049 coefficients
     _, crows = _read_csv(str(out) + ".coeffs.csv")
-    assert crows[0] == ["k", "alpha"] and len(crows) == 17
+    assert crows[0] == ["k", "alpha"] and len(crows) == 1025
+    assert crows[-1][0] == "1023"
 
 
 def test_weaklimit_command(tmp_path, capsys):
@@ -191,6 +197,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     ["price", "--payoff", "power_holder", "--strike", "inf"],
     ["chaos", "--chaos_center", "nan"],
     ["chaos", "--chaos_kind", "exp_call", "--chaos_strike", "inf"],
+    # keys that no command reads are refused, not ignored
     ["weaklimit", "--payoff", "binary", "--time_order", "0"],
     ["chaos", "--coeff_limit", "-5"],
     ["zreg", "--n_list", ""],
@@ -210,19 +217,146 @@ def test_header_echoes_defaults_used(tmp_path):
     assert "# n_list=8,16,32,64" in comments
     assert "# net_theta=1.0" in comments
     assert [r[0] for r in rows[1:]] == ["8", "16", "32", "64"]
-    # each command's header lists every key of its own defaults, and no
-    # key that only other commands read
+    # each command's header lists exactly the keys of its row but the
+    # output path, in order
     quick = {"hedge-sweep": ["--payoff", "binary", "--m", "200"],
              "smoothness": ["--payoff", "binary", "--depth", "10"],
              "chaos": ["--chaos_order", "64"],
              "weaklimit": ["--payoff", "binary", "--n", "8", "--m", "200"],
              "zreg": ["--payoff", "binary", "--n_list", "8,16"]}
-    command_keys = {k for _, own in _COMMANDS.values() for k in own}
-    for command, (_, own) in _COMMANDS.items():
+    for command, (_, row) in _COMMANDS.items():
         out = tmp_path / f"{command}.csv"
         assert main([command, *quick.get(command, ()), "--out", str(out)]) == 0
-        keys = {c[2:].split("=", 1)[0] for c in _read_csv(out)[0]}
-        assert keys & command_keys == set(own), command
+        keys = [c[2:].split("=", 1)[0] for c in _read_csv(out)[0]]
+        assert keys == ["fracsmooth_version", *sorted(set(row) - {"out"})]
+
+
+def test_rows_hold_the_library_defaults():
+    # the library functions the commands call default to the row values,
+    # which the acceptance tests rely on
+    for fn in (sweep, clock_A, tracking_error_terminal):
+        params = inspect.signature(fn).parameters
+        for key in {"measure", "threads"} & set(params):
+            for command in ("hedge-sweep", "weaklimit"):
+                row = _COMMANDS[command][1]
+                assert _cast(key, row[key]) == params[key].default
+    assert _COMMANDS["smoothness"][1]["depth"] == str(T_GRID_DEPTH)
+
+
+@pytest.mark.parametrize("argv", [
+    ["zreg", "--payoff", "binary", "--n_lst", "8,16"],
+    ["bogus"],
+    [],
+    ["price", "--config"],
+    ["chaos", "--payoff", "call"],
+    ["price", "--seed", "3"],
+], ids=lambda a: " ".join(a) or "no command")
+def test_unread_key_or_unknown_command_exits_config(argv, tmp_path, capsys,
+                                                    monkeypatch):
+    # the command comes first, and it reads only the keys of its row,
+    # each with a value; anything else is refused before any value is
+    # computed, and main returns 2 where a parser would raise SystemExit
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_file_key_the_command_does_not_read_is_refused(tmp_path,
+                                                               capsys):
+    # a config file shared by price and chaos holds a key chaos does not
+    # read: chaos refuses it as it refuses the same key on the command line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("chaos_order=64\nstrike=2.0\n")
+    assert main(["chaos", "--config", str(cfg),
+                 "--out", str(tmp_path / "ch.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: chaos reads no key 'strike'; its keys are "
+        "chaos_center, chaos_kind, chaos_order, chaos_strike, out, theta\n")
+    out = tmp_path / "px.csv"
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "# strike=2.0" in _read_csv(out)[0]
+
+
+def test_list_that_is_not_integers_is_named(tmp_path, capsys):
+    assert main(["zreg", "--n_list", "8,x",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: config key 'n_list' is not an integer list: '8,x'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # s * s underflows in the binary gamma
+    pytest.param(["price", "--payoff", "binary", "--s_list", "1e-200",
+                  "--t_list", "0.5"], id="price-binary"),
+    # the binary is scale-invariant, but its gamma is not finite there
+    pytest.param(["smoothness", "--payoff", "binary", "--s0", "1e-200",
+                  "--strike", "1e-200", "--depth", "10"],
+                 id="smoothness-binary"),
+    pytest.param(["weaklimit", "--n", "16", "--m", "50", "--payoff",
+                  "binary", "--s0", "1e-300", "--strike", "1e-300"],
+                 id="weaklimit-binary"),
+    pytest.param(["weaklimit", "--n", "16", "--m", "50", "--payoff", "chaos",
+                  "--s0", "1e-300", "--chaos_order", "8"],
+                 id="weaklimit-chaos")])
+def test_values_that_are_not_finite_exit_numerical(argv, tmp_path, capsys):
+    # a NaN never leaves a run that exits 0, and the floating-point
+    # warnings that made it are not printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, rc, category", [
+    # n = 0 in a sweep divided by zero (a traceback)
+    pytest.param(["hedge-sweep", "--n_list", "0,8,16,32,64", "--m", "50"],
+                 2, "config", id="sweep-n-0"),
+    # a historical drift whose paths overflow a float wrote NaN errors
+    pytest.param(["weaklimit", "--n", "1", "--m", "5", "--measure",
+                  "historical", "--mu", "1.34e154"], 3, "numerical",
+                 id="weaklimit-paths-overflow"),
+    # K * K overflows in the call's E[h^2]
+    pytest.param(["zreg", "--strike", "1e300", "--n_list", "2,16"],
+                 2, "config", id="zreg-call-m2-overflow"),
+    # a decay curve that underflows to 0 late fitted a NaN slope
+    pytest.param(["smoothness", "--depth", "10", "--strike", "742.2",
+                  "--T", "0.458"], 2, "degenerate",
+                 id="smoothness-decay-underflow"),
+    # s / K overflows in d1, whose limit +inf is right
+    pytest.param(["hedge-sweep", "--m", "61", "--n_list", "13,34,33,40,54",
+                  "--strike", "1e-310"], 2, "degenerate",
+                 id="sweep-d1-overflow"),
+    # a NaN spot passed the s <= 0 test and was priced 0
+    pytest.param(["price", "--payoff", "power_holder", "--s_list", "nan",
+                  "--t_list", "0.5"], 2, "config", id="price-nan-spot"),
+    # delta-table spots beyond the float range overflowed their exp
+    pytest.param(["hedge-sweep", "--payoff", "power_holder", "--m", "38",
+                  "--n_list", "11,47,49,54,60,62", "--s0", "0.95",
+                  "--mu", "1.34e154"], 3, "numerical",
+                 id="sweep-table-spot-overflow"),
+    # clock weights that overflow at a net theta near 0
+    pytest.param(["weaklimit", "--m", "2", "--n", "1",
+                  "--net_theta", "5e-324"], 3, "numerical",
+                 id="weaklimit-weight-overflow"),
+    # z * z overflows in the kink width of a lognormal grid
+    pytest.param(["zreg", "--n_list", "26", "--T", "1e-310",
+                  "--strike", "692.4"], 2, "degenerate",
+                 id="zreg-kink-width-overflow")])
+def test_contract_breaches_exit_with_one_error_line(argv, rc, category,
+                                                    tmp_path, capsys):
+    # breaches of the CLI contract found by tests/test_cli_contract.py:
+    # each exited 0 with a NaN in its output, raised a traceback, or
+    # printed a floating-point warning before its error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}:") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_outputs_do_not_depend_on_output_directory(tmp_path):
