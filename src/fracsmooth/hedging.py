@@ -13,6 +13,7 @@ left to average over one quadrature grid of ln S per net interval.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -58,14 +59,12 @@ class L2ErrorEstimate:
             raise SimulationError("estimate moments must be finite and >= 0")
 
 
-def _log_range(model: MarketModel) -> tuple[float, float]:
-    """ln-price interval covering the paths of both measures out to 10 sd."""
-    x0 = math.log(model.s0)
-    drifts = [0.0, model.mu]
+def _log_range(model: MarketModel, drift: float) -> tuple[float, float]:
+    """ln-price interval covering paths of log-drift ``drift`` - sigma^2 / 2
+    out to 10 sd."""
+    mean = math.log(model.s0) + (drift - 0.5 * model.sigma ** 2) * model.T
     span = 10.0 * model.sigma * math.sqrt(model.T)
-    lo = x0 + min((d - 0.5 * model.sigma ** 2) * model.T for d in drifts) - span
-    hi = x0 + max((d - 0.5 * model.sigma ** 2) * model.T for d in drifts) + span
-    return lo, hi
+    return mean - span, mean + span
 
 
 #: power-Holder delta tables: nodes about _TABLE_STEP apart in
@@ -78,8 +77,9 @@ _TABLE_RTOL = 1e-4
 _TABLE_REFINE = 3
 
 
-def _holder_nodes(p: Payoff, model: MarketModel, t: float):
-    """The power-Holder delta table's nodes xi at time t, and its a.
+def _holder_nodes(p: Payoff, model: MarketModel, t: float, drift: float):
+    """The power-Holder delta table's nodes xi at time t, and its a, for
+    paths simulated with ``drift``.
 
     With kernel sd v = sigma sqrt(T - t) the delta varies on the scale v
     near the kink ln K and like |x - ln K|^(theta - 1) beyond it, so the
@@ -93,7 +93,7 @@ def _holder_nodes(p: Payoff, model: MarketModel, t: float):
     v, _ = po._resolve(model, t, greek=True)
     a = v / (8.0 * _TABLE_STEP)
     lk = math.log(p.strike)
-    lo, hi = (math.asinh((x - lk) / a) for x in _log_range(model))
+    lo, hi = (math.asinh((x - lk) / a) for x in _log_range(model, drift))
     cells = 2 * max(math.ceil((hi - lo) / (2.0 * _TABLE_STEP)), 1)
     return np.linspace(lo, hi, cells + 1), a
 
@@ -180,7 +180,7 @@ def _delta_slope(p: Payoff, model: MarketModel, t: float, xi, a: float):
     return v["delta"], v["gamma"] * s * (a * np.cosh(xi))
 
 
-def _holder_table(p: Payoff, model: MarketModel, t: float):
+def _holder_table(p: Payoff, model: MarketModel, t: float, drift: float):
     """The delta table at t: nodes xi, deltas, xi-slopes, the scale a of
     ``_holder_nodes`` and the estimated error over ``_TABLE_RTOL``; None
     when the xi range is empty, as where the paths' ln-price range
@@ -193,7 +193,7 @@ def _holder_table(p: Payoff, model: MarketModel, t: float):
     then, or at once for an estimate that is not finite,
     ``QuadratureError`` is raised.
     """
-    xi, a = _holder_nodes(p, model, t)
+    xi, a = _holder_nodes(p, model, t, drift)
     if xi[0] == xi[-1]:
         return None
     vals, slopes = _delta_slope(p, model, t, xi, a)
@@ -215,7 +215,7 @@ def _holder_table(p: Payoff, model: MarketModel, t: float):
 
 class _Tables(dict):
     """t -> delta evaluator ``fn(x, s, out)`` at ln-spots x = ln s, for one
-    (payoff, model).
+    (payoff, model) and paths simulated with log-drift ``drift`` - sigma^2/2.
 
     The binary and call deltas are computed from x by
     ``payoffs._log_delta`` into the buffer ``out``, with the time and
@@ -223,10 +223,11 @@ class _Tables(dict):
     power-Holder payoff is tabulated once per t by ``_holder_table``,
     whose error is estimated and held within ``_TABLE_RTOL``, and
     interpolated by ``_hermite_lookup`` into ``out``; a spot beyond the
-    table's ``_log_range`` is valued by ``payoffs.delta``.  Other payoffs,
-    and the power-Holder payoff at a t with no table, are valued at s by
-    ``payoffs.delta``.  Nested nets share their nodes bit for bit, so one
-    instance reused across nets builds each time's evaluator only once.
+    table's ``_log_range``, which spans the paths of ``drift`` alone, is
+    valued by ``payoffs.delta``.  Other payoffs, and the power-Holder
+    payoff at a t with no table, are valued at s by ``payoffs.delta``.
+    One instance serves every net of a walk (``_run``), which asks for
+    the evaluator of each node of the nets' union once.
 
     For the power-Holder payoff ``health`` reports the worst table's
     estimated error over the tolerance and the count of spots valued
@@ -234,9 +235,9 @@ class _Tables(dict):
     the same at any thread count.
     """
 
-    def __init__(self, p: Payoff, model: MarketModel):
+    def __init__(self, p: Payoff, model: MarketModel, drift: float):
         super().__init__()
-        self.p, self.model = p, model
+        self.p, self.model, self.drift = p, model, drift
         self.error_ratio = 0.0
         self.off_table = 0
         self._lock = threading.Lock()
@@ -249,7 +250,8 @@ class _Tables(dict):
 
     def __missing__(self, t: float):
         p, model = self.p, self.model
-        table = p.kind == "power_holder" and _holder_table(p, model, t)
+        table = (p.kind == "power_holder"
+                 and _holder_table(p, model, t, self.drift))
         if p.kind in ("binary", "call"):
             v, _ = po._resolve(model, t, greek=True)
             lk = math.log(p.strike)
@@ -260,7 +262,7 @@ class _Tables(dict):
             xi, vals, slopes, a, ratio = table
             self.error_ratio = max(self.error_ratio, ratio)
             lookup = _hermite_lookup(xi, vals, slopes, math.log(p.strike), a)
-            lo, hi = _log_range(model)
+            lo, hi = _log_range(model, self.drift)
 
             def fn(x, s, out):
                 xc = np.clip(x, lo, hi)
@@ -275,26 +277,34 @@ class _Tables(dict):
         return fn
 
 
-def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
-         measure: str, eval_times, threads: int,
-         deltas: _Tables | None = None) -> TrackingErrorSample:
-    """Simulate the hedge on the union of the net and ``eval_times``.
+def _run(deltas: _Tables, runs, seed: int, eval_times,
+         threads: int) -> list[TrackingErrorSample]:
+    """Simulate the hedges of the nets in ``runs``, a list of (net, m), on
+    one walk: one sample per net, in the order of ``runs``.
 
-    Each path block reads x = ln S from ``model._walk`` and takes one
-    exp per step into a preallocated S, whose change, times the delta
-    held, accumulates the hedge gains.  Deltas at the net's nodes
-    come from the evaluators of ``deltas`` (built per t, shared across
-    calls), which read x and write into the block's delta buffer.
-    Paths whose terminal S all lie within the rounding of exp(ln s0) of
-    s0 hedge nothing and raise ``DegeneratePathsError``.
+    The walk steps ln S on the union of the nets' nodes and
+    ``eval_times`` for max m paths of ``seed``, under the drift of
+    ``deltas``, and net k reads only the first m_k of those paths.  Each
+    path block reads x = ln S from ``model._walk`` and takes one exp per
+    step into a preallocated S.  At each node of the union, the
+    evaluator of ``deltas`` writes the delta of the widest net holding
+    that node into its buffer, and every other net holding it copies its
+    share.  Each net keeps its own accumulator, the S at its last node or
+    eval time and the delta it holds; at each of its nodes and eval times
+    it adds the change of S since the last one, times that delta, to its
+    gains.  A single net is the one-element case, so the finest of nested
+    nets, whose nodes are the union and which reads every path, gets the
+    bits of a run of its own.  The block layout depends on max m alone,
+    so the samples are the same at any thread count.  A net whose paths'
+    terminal S all lie within the rounding of exp(ln s0) of s0 hedges
+    nothing and raises ``DegeneratePathsError``.
     """
-    if abs(net.T - model.T) > 1e-12:
-        raise ConfigError("net maturity must match the model maturity")
-    if m < 1:
-        raise ConfigError("path count m must be >= 1")
-    if deltas is None:
-        deltas = _Tables(p, model)
-    drift = model.drift(measure)
+    p, model = deltas.p, deltas.model
+    for net, m in runs:
+        if abs(net.T - model.T) > 1e-12:
+            raise ConfigError("net maturity must match the model maturity")
+        if m < 1:
+            raise ConfigError("path count m must be >= 1")
 
     if eval_times is None:
         ev = np.empty(0)
@@ -302,63 +312,90 @@ def _run(p: Payoff, model: MarketModel, net: TimeNet, m: int, seed: int,
         ev = _check_grid(model, eval_times)
         if ev[-1] >= model.T:
             raise ConfigError("eval_times must lie in [0, T)")
-    grid = np.union1d(net.nodes, ev)
-    is_node = np.isin(grid, net.nodes)
-    is_eval = np.isin(grid, ev)
+    grid = functools.reduce(np.union1d, (net.nodes for net, _ in runs), ev)
     nt = grid.size
+    is_eval = np.isin(grid, ev)
+    is_node = [np.isin(grid, net.nodes) for net, _ in runs]
+    # per step j: the nets that rebalance there (the last node T never
+    # needs a delta), and the nets that book their gains there
+    holders = [[k for k, on in enumerate(is_node) if on[j] and j < nt - 1]
+               for j in range(nt)]
+    stops = [[k for k, on in enumerate(is_node) if on[j] or is_eval[j]]
+             for j in range(nt)]
 
     h0 = po.price(p, model, 0.0, model.s0)
-    # risk-neutral delta evaluators at every net rebalancing time; the
-    # last node T never needs a delta
-    dfns = {j: deltas[grid[j]] for j in range(nt - 1) if is_node[j]}
+    # risk-neutral delta evaluators at every rebalancing time of a net
+    dfns = {j: deltas[grid[j]] for j in range(nt) if holders[j]}
 
-    terminal = np.empty(m)
-    proc = np.empty((m, ev.size)) if ev.size else None
+    ms = [m for _, m in runs]
+    terminal = [np.empty(m) for m in ms]
+    proc = [np.empty((m, ev.size)) if ev.size else None for m in ms]
     # how far exp(ln s0) rounds from s0: a spot no farther has not moved
     still = (2.0 * np.finfo(float).eps * model.s0
              * (1.0 + abs(math.log(model.s0))))
 
     def block(start, count):
-        s, s_old = np.full(count, model.s0), np.empty(count)
-        acc, dvec, ds = np.zeros(count), np.zeros(count), np.empty(count)
+        # the paths of the block that each net reads: a prefix, maybe none
+        reads = [min(max(m - start, 0), count) for m in ms]
+        s, ds = np.full(count, model.s0), np.empty(count)
+        last = [np.full(c, model.s0) for c in reads]
+        acc = [np.zeros(c) for c in reads]
+        held = [np.zeros(c) for c in reads]
         col = 0
         # errstate is per thread: set here; overflowing paths are refused
         with np.errstate(all="ignore"):
-            for j, x in _walk(model, grid, seed, start, count, drift):
+            for j, x in _walk(model, grid, seed, start, count, deltas.drift):
                 if j > 0:
-                    s, s_old = s_old, s
                     np.exp(x, out=s)
-                    np.subtract(s, s_old, out=ds)
-                    ds *= dvec
-                    acc += ds
+                    for k in stops[j]:
+                        c = reads[k]
+                        if c:
+                            d = np.subtract(s[:c], last[k], out=ds[:c])
+                            d *= held[k]
+                            acc[k] += d
+                            last[k][...] = s[:c]
                 if is_eval[j]:
-                    proc[start:start + count, col] = (
-                        po.price(p, model, grid[j], s) - h0 - acc)
+                    v = po.price(p, model, grid[j], s) - h0
+                    for k, c in enumerate(reads):
+                        proc[k][start:start + c, col] = v[:c] - acc[k]
                     col += 1
-                if is_node[j] and j < nt - 1:
+                hold = [k for k in holders[j] if reads[k]]
+                if hold:
+                    w = max(hold, key=reads.__getitem__)
+                    c = reads[w]
                     # the evaluators read x, which stays finite where S
                     # underflows, so a zero spot is rejected here
-                    if not s.all():
+                    if not s[:c].all():
                         raise ConfigError("a simulated spot underflowed to "
                                           "0: price argument s must be > 0")
-                    dvec = dfns[j](x, s, dvec)
-            terminal[start:start + count] = po.payoff_eval(p, s) - h0 - acc
-        return bool(np.any(np.abs(s - model.s0) > still))
+                    d = held[w] = dfns[j](x[:c], s[:c], held[w])
+                    for k in hold:
+                        if k != w:
+                            held[k][...] = d[:reads[k]]
+            pay = po.payoff_eval(p, s) - h0
+            for k, c in enumerate(reads):
+                terminal[k][start:start + c] = pay[:c] - acc[k]
+        moved = np.abs(s - model.s0) > still
+        return [bool(np.any(moved[:c])) for c in reads]
 
-    if not any(map_blocks(block, m, threads=threads)):
-        raise DegeneratePathsError("no simulated spot moves from s0: paths "
-                                   "at this sigma hedge nothing")
-    if not np.all(np.isfinite(terminal)):
-        raise SimulationError("a simulated tracking error is not finite: "
-                              "the paths overflow a float")
-    return TrackingErrorSample(terminal_errors=terminal, process_values=proc)
+    moved = map_blocks(block, max(ms), threads=threads)
+    for k, errors in enumerate(terminal):
+        if not any(b[k] for b in moved):
+            raise DegeneratePathsError("no simulated spot moves from s0: "
+                                       "paths at this sigma hedge nothing")
+        if not np.all(np.isfinite(errors)):
+            raise SimulationError("a simulated tracking error is not "
+                                  "finite: the paths overflow a float")
+    return [TrackingErrorSample(terminal_errors=e, process_values=c)
+            for e, c in zip(terminal, proc)]
 
 
 def tracking_error_terminal(p: Payoff, model: MarketModel, net: TimeNet,
                             m: int, seed: int, measure: str = "martingale",
                             threads: int = 1) -> TrackingErrorSample:
     """Per-path terminal tracking errors C_T on the given net."""
-    return _run(p, model, net, m, seed, measure, None, threads)
+    deltas = _Tables(p, model, model.drift(measure))
+    return _run(deltas, [(net, m)], seed, None, threads)[0]
 
 
 def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
@@ -370,26 +407,33 @@ def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
     ``eval_times`` must be finite, strictly increasing and in [0, T);
     column k of ``process_values`` holds C at ``eval_times[k]``.
     """
-    return _run(p, model, net, m, seed, measure, eval_times, threads)
+    deltas = _Tables(p, model, model.drift(measure))
+    return _run(deltas, [(net, m)], seed, eval_times, threads)[0]
+
+
+def _l2_estimates(deltas: _Tables, runs, seed: int,
+                  threads: int) -> list[L2ErrorEstimate]:
+    """One ``L2ErrorEstimate`` per (net, m) of ``runs``, from one walk."""
+    if any(m < 2 for _, m in runs):
+        raise ConfigError("need m >= 2 paths for a standard error")
+    out = []
+    for (net, m), sample in zip(runs, _run(deltas, runs, seed, None,
+                                           threads)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = sample.terminal_errors ** 2
+            msq = float(sq.mean())
+            se = float(sq.std(ddof=1)) / math.sqrt(m)
+        out.append(L2ErrorEstimate(n=net.n, l2_error=math.sqrt(max(msq, 0.0)),
+                                   stderr=se, m=m))
+    return out
 
 
 def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
                       seed: int, measure: str = "martingale",
-                      threads: int = 1, *,
-                      _deltas: _Tables | None = None) -> L2ErrorEstimate:
-    """|| C_T ||_{L2} with the standard error of the mean square.
-
-    ``_deltas`` is private: ``ratefit.sweep`` shares one across its nets.
-    """
-    if m < 2:
-        raise ConfigError("need m >= 2 paths for a standard error")
-    sample = _run(p, model, net, m, seed, measure, None, threads, _deltas)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = sample.terminal_errors ** 2
-        msq = float(sq.mean())
-        se = float(sq.std(ddof=1)) / math.sqrt(m)
-    return L2ErrorEstimate(n=net.n, l2_error=math.sqrt(max(msq, 0.0)),
-                           stderr=se, m=m)
+                      threads: int = 1) -> L2ErrorEstimate:
+    """|| C_T ||_{L2} with the standard error of the mean square."""
+    deltas = _Tables(p, model, model.drift(measure))
+    return _l2_estimates(deltas, [(net, m)], seed, threads)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Weighted log-log regression of the error against the interval count n,
 plus the sweep driver that simulates the errors across a geometric list
-of n values with per-n derived seeds and path counts.
+of n values on one walk: one seed, ``child_seed(seed, n_max)``, paths
+stepped on the union of the nets' nodes, and net n reading the first m_n
+of them, so the errors at different n are correlated.  Coupling the nets
+on one Brownian path is the idea of Giles, "Multilevel Monte Carlo path
+simulation" (Operations Research 2008).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from ._output import write_csv
 from .errors import ConfigError, ExactHedgeError
-from .hedging import _Tables, l2_tracking_error
+from .hedging import _l2_estimates, _Tables
 from .model import MarketModel, child_seed
 from .payoffs import Payoff, second_moment
 from .timenets import make_theta_net
@@ -105,27 +109,29 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
           threads: int = 1) -> SweepResult:
     """Estimate L2 errors over n_list and fit the rate exponent.
 
-    Per-n path counts scale like sqrt(n / n_min) capped at 4 m, per-n
-    seeds derive from the master seed, and the fit drops the smallest n
-    (documented pre-asymptotic transient).  All nets share one set of
-    delta tables, so a node common to several nets is tabulated once.
-    Raises ``ExactHedgeError`` when every error is round-off relative to
-    the payoff's L2 norm sqrt E[h(S_T)^2], since no rate can be fitted.
+    Per-n path counts m_n scale like sqrt(n / n_min) capped at 4 m, and
+    the fit drops the smallest n (documented pre-asymptotic transient).
+    All nets hedge on one walk (``hedging._run``) of max m_n paths with
+    seed ``child_seed(seed, n_max)``, stepped on the union of their nodes
+    (the finest net, when the nets are nested), so each delta is
+    evaluated once per node of the union; net n reads the first m_n
+    paths.  The finest net's estimate is thus that of
+    ``l2_tracking_error`` on it alone, and the errors at different n are
+    correlated: they share paths.  Raises ``ExactHedgeError`` when every
+    error is round-off relative to the payoff's L2 norm
+    sqrt E[h(S_T)^2], since no rate can be fitted.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 5:
         raise ConfigError("sweep needs at least 5 n values (one is dropped)")
     n_min = n_list[0]
-    deltas = _Tables(p, model)
-    estimates = []
-    for n in n_list:
-        # the net refuses n < 1 before n / n_min can divide by zero
-        net = make_theta_net(n, theta, model.T)
-        m_n = min(4 * m, int(round(m * math.sqrt(n / n_min))))
-        est = l2_tracking_error(p, model, net, m_n, child_seed(seed, n),
-                                measure=measure, threads=threads,
-                                _deltas=deltas)
-        estimates.append(est)
+    # the net refuses n < 1 before n / n_min can divide by zero
+    runs = [(make_theta_net(n, theta, model.T),
+             min(4 * m, int(round(m * math.sqrt(n / n_min)))))
+            for n in n_list]
+    deltas = _Tables(p, model, model.drift(measure))
+    estimates = _l2_estimates(deltas, runs, child_seed(seed, n_list[-1]),
+                              threads)
     scale = math.sqrt(second_moment(p, model, 0.0, model.s0))
     if all(e.l2_error <= _ROUNDOFF_REL * scale for e in estimates):
         raise ExactHedgeError(

@@ -333,10 +333,12 @@ def test_values_that_are_not_finite_exit_numerical(argv, tmp_path, capsys):
     # a NaN spot passed the s <= 0 test and was priced 0
     pytest.param(["price", "--payoff", "power_holder", "--s_list", "nan",
                   "--t_list", "0.5"], 2, "config", id="price-nan-spot"),
-    # delta-table spots beyond the float range overflowed their exp
+    # delta-table spots beyond the float range overflowed their exp (the
+    # tables span the simulated measure's paths, so the drift is used)
     pytest.param(["hedge-sweep", "--payoff", "power_holder", "--m", "38",
                   "--n_list", "11,47,49,54,60,62", "--s0", "0.95",
-                  "--mu", "1.34e154"], 3, "numerical",
+                  "--mu", "1.34e154", "--measure", "historical"], 3,
+                 "numerical",
                  id="sweep-table-spot-overflow"),
     # clock weights that overflow at a net theta near 0
     pytest.param(["weaklimit", "--m", "2", "--n", "1",
@@ -416,6 +418,23 @@ def test_exit_code_degenerate_errors(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: degenerate:")
     assert not any(tmp_path.iterdir())
+
+
+def test_martingale_sweep_does_not_read_the_historical_drift(tmp_path):
+    # the delta tables span the paths of the simulated measure alone, so
+    # a martingale power-Holder sweep at mu 1000 writes the rows and the
+    # summary of mu 0, where its tables once spanned the historical paths
+    # too, failed to build and exited 3
+    got = []
+    for mu in ("0", "1000"):
+        out = tmp_path / f"mu{mu}.csv"
+        assert main(["hedge-sweep", "--payoff", "power_holder", "--m", "38",
+                     "--n_list", "4,8,16,32,64", "--mu", mu,
+                     "--out", str(out)]) == 0
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("# mu=")]
+        got.append((rows, (tmp_path / f"mu{mu}.csv.summary").read_text()))
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -112,7 +113,7 @@ def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
     p = Payoff(kind=kind, strike=strike)
     m = MarketModel(s0=1.0, sigma=sigma, T=1.0)
     spots = s * np.array([0.5, 1.0, 2.0])
-    got = _Tables(p, m)[t](np.log(spots), spots, np.empty(3))
+    got = _Tables(p, m, 0.0)[t](np.log(spots), spots, np.empty(3))
     np.testing.assert_array_equal(got, po.delta(p, m, t, spots))
     if kind == "binary":
         v = sigma * math.sqrt(1.0 - t)
@@ -126,9 +127,9 @@ def test_power_holder_with_no_table_range_is_valued_by_the_engine():
     # range round to ln K: there is no table, and each spot's delta is
     # the engine's
     p, m = Payoff.power_holder(1e200, 0.5), MarketModel(1e200, 1e-20)
-    assert _holder_table(p, m, 0.0) is None
+    assert _holder_table(p, m, 0.0, 0.0) is None
     spots = 1e200 * np.array([1.0 - 1e-15, 1.0, 1.0 + 1e-15])
-    got = _Tables(p, m)[0.0](np.log(spots), spots, np.empty(3))
+    got = _Tables(p, m, 0.0)[0.0](np.log(spots), spots, np.empty(3))
     np.testing.assert_array_equal(got, po.delta(p, m, 0.0, spots))
 
 
@@ -136,7 +137,7 @@ def _table_ref(p, m, t):
     """The table at t as scipy's cubic Hermite in xi: ``(xi, vals, ref,
     from_xi)`` with ``ref(q)`` the spline at the xi of ln-spots q and
     ``from_xi(u)`` the ln-spot ln K + a sinh(u) of xi = u."""
-    xi, vals, slopes, a, _ = _holder_table(p, m, t)
+    xi, vals, slopes, a, _ = _holder_table(p, m, t, 0.0)
     lk = math.log(p.strike)
     spline = CubicHermiteSpline(xi, vals, slopes)
 
@@ -160,7 +161,7 @@ def test_power_holder_lookup_is_cubic_hermite_in_xi(sigma, strike, s0, t,
     p = Payoff.power_holder(strike, holder)
     m = MarketModel(s0=s0, sigma=sigma, T=1.0)
     xi, vals, ref, from_xi = _table_ref(p, m, t)
-    lo, hi = hedging._log_range(m)
+    lo, hi = hedging._log_range(m, 0.0)
     assert (xi.size - 1) % 2 == 0
     np.testing.assert_allclose(np.diff(xi), (xi[-1] - xi[0]) / (xi.size - 1),
                                rtol=1e-9)
@@ -170,7 +171,7 @@ def test_power_holder_lookup_is_cubic_hermite_in_xi(sigma, strike, s0, t,
     q = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
                         [lo, hi], rng.uniform(lo, hi, 400)])
     q = np.clip(q, lo, hi)
-    tables = _Tables(p, m)
+    tables = _Tables(p, m, 0.0)
     got = tables[t](q, np.exp(q), np.empty(q.size))
     np.testing.assert_allclose(got, ref(q), rtol=1e-12,
                                atol=1e-13 * np.abs(vals).max())
@@ -190,7 +191,7 @@ def test_power_holder_evaluator_is_cubic_hermite(t):
                         from_xi(0.5 * (xi[1:] + xi[:-1])),
                         rng.uniform(x[0], x[-1], 4000)])
     q = q[(q >= x[0]) & (q <= x[-1])]
-    fn = _Tables(p, MODEL)[t]
+    fn = _Tables(p, MODEL, 0.0)[t]
     got = fn(q, np.exp(q), np.empty(q.size))
     atol = 1e-13 * np.abs(vals).max()
     np.testing.assert_allclose(got, ref(q), rtol=1e-12, atol=atol)
@@ -204,11 +205,11 @@ def test_power_holder_evaluator_values_off_table_spots():
     p = Payoff.power_holder(1.0, 0.25)
     t = 0.5
     _, _, ref, _ = _table_ref(p, MODEL, t)
-    lo, hi = hedging._log_range(MODEL)
+    lo, hi = hedging._log_range(MODEL, 0.0)
     off = np.array([lo - 2.0, np.nextafter(lo, -np.inf),
                     np.nextafter(hi, np.inf), hi + 2.0])
     q = np.concatenate([off[:2], [0.0], off[2:]])
-    tables = _Tables(p, MODEL)
+    tables = _Tables(p, MODEL, 0.0)
     got = tables[t](q, np.exp(q), np.empty(q.size))
     is_off = np.arange(q.size) != 2
     np.testing.assert_array_equal(got[is_off],
@@ -223,7 +224,7 @@ def test_off_table_count_is_exact_across_threads():
     # is updated under a lock: more threads than cores, switching every
     # few microseconds, lose no update
     p = Payoff.power_holder(1.0, 0.25)
-    tables = _Tables(p, MODEL)
+    tables = _Tables(p, MODEL, 0.0)
     fn = tables[0.5]
     q = np.array([-40.0, 0.0, 40.0])
     old = sys.getswitchinterval()
@@ -248,10 +249,10 @@ def test_power_holder_table_error_within_tolerance(holder, theta, n):
     # last three tables of a net, where the delta is steepest; relative
     # to max(|delta|, 1), as the table's own check measures it
     p = Payoff.power_holder(1.0, holder)
-    tables = _Tables(p, MODEL)
+    tables = _Tables(p, MODEL, 0.0)
     worst = 0.0
     for t in make_theta_net(n, theta, 1.0).nodes[-4:-1]:
-        xi, a = _holder_nodes(p, MODEL, t)
+        xi, a = _holder_nodes(p, MODEL, t, 0.0)
         q = a * np.sinh(0.5 * (xi[1:] + xi[:-1]))   # ln K = 0
         got = tables[t](q, np.exp(q), np.empty(q.size))
         ref = po.delta(p, MODEL, t, np.exp(q))
@@ -268,7 +269,7 @@ def test_table_error_estimate_tracks_midpoint_error(holder):
     p = Payoff.power_holder(1.0, holder)
     for tau in (1.0, 1.0 / 128.0, 3e-5, 512.0 ** -2.5):
         t = 1.0 - tau
-        xi, vals, slopes, a, ratio = _holder_table(p, MODEL, t)
+        xi, vals, slopes, a, ratio = _holder_table(p, MODEL, t, 0.0)
         mid = 0.5 * (xi[1:] + xi[:-1])
         ref = po.delta(p, MODEL, t, np.exp(a * np.sinh(mid)))
         got = CubicHermiteSpline(xi, vals, slopes)(mid)
@@ -282,8 +283,8 @@ def test_table_beyond_tolerance_refines_then_raises(monkeypatch):
     # calling the engine only at the new midpoints, and raises once the
     # refinements run out
     p = Payoff.power_holder(1.0, 0.25)
-    xi0, _ = _holder_nodes(p, MODEL, 0.5)
-    xi, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
+    xi0, _ = _holder_nodes(p, MODEL, 0.5, 0.0)
+    xi, _, _, _, ratio = _holder_table(p, MODEL, 0.5, 0.0)
     assert xi.size == xi0.size and ratio <= 1.0
     calls = []
     valuate = po._valuate
@@ -295,12 +296,12 @@ def test_table_beyond_tolerance_refines_then_raises(monkeypatch):
     monkeypatch.setattr(po, "_valuate", counting)
     monkeypatch.setattr(hedging, "_TABLE_RTOL",
                         0.1 * ratio * hedging._TABLE_RTOL)
-    xi, _, _, _, ratio = _holder_table(p, MODEL, 0.5)
+    xi, _, _, _, ratio = _holder_table(p, MODEL, 0.5, 0.0)
     assert xi.size == 2 * xi0.size - 1 and ratio <= 1.0
     assert calls == [xi0.size, xi0.size - 1]
     monkeypatch.setattr(hedging, "_TABLE_RTOL", 1e-30)
     with pytest.raises(QuadratureError, match="delta table"):
-        _Tables(p, MODEL)[0.5]
+        _Tables(p, MODEL, 0.0)[0.5]
     # a cubic that overflows on a cell narrower than the check's is refused
     with pytest.raises(QuadratureError, match="not finite"):
         _hermite_lookup(np.array([0.0, 1e-300, 1.0]),
@@ -492,3 +493,33 @@ def test_sweep_shares_delta_tables_across_nested_nets(monkeypatch):
           50, 1)
     assert len(times) == 128
     assert len(set(times)) == 128
+
+
+@pytest.mark.parametrize("ns, theta", [([8, 16, 32, 64], 1.0),
+                                       ([6, 8, 12, 16, 24], 0.5)],
+                         ids=["nested", "non-nested"])
+def test_nets_hedge_on_one_walk(ns, theta, monkeypatch):
+    # every net of a walk reads the first m_k paths of one path matrix on
+    # the union of the nets' nodes, at its own nodes: a reference built
+    # from that matrix, with the loop's operations in the loop's order,
+    # gives the same bits.  64-path blocks put each coarse net's last
+    # path inside a block, and leave the last blocks to the finer nets
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+    p, seed = Payoff.binary(1.0), 5
+    runs = [(make_theta_net(n, theta, 1.0), 101 + 47 * k)
+            for k, n in enumerate(ns)]
+    got = hedging._run(_Tables(p, MODEL, 0.0), runs, seed, None, 2)
+    grid = functools.reduce(np.union1d, [net.nodes for net, _ in runs])
+    xs = np.array([x.copy() for _, x in model._walk(
+        MODEL, grid, seed, 0, max(m for _, m in runs), 0.0)])
+    ss = np.exp(xs)
+    deltas, h0 = _Tables(p, MODEL, 0.0), po.price(p, MODEL, 0.0, 1.0)
+    for (net, m), sample in zip(runs, got):
+        at = np.searchsorted(grid, net.nodes)
+        np.testing.assert_array_equal(grid[at], net.nodes)
+        acc = np.zeros(m)
+        for a, b in zip(at[:-1], at[1:]):
+            held = deltas[grid[a]](xs[a, :m], ss[a, :m], np.empty(m))
+            acc += (ss[b, :m] - ss[a, :m]) * held
+        ref = po.payoff_eval(p, ss[-1, :m]) - h0 - acc
+        np.testing.assert_array_equal(sample.terminal_errors, ref)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from fracsmooth import model
 from fracsmooth.errors import ConfigError, ExactHedgeError
-from fracsmooth.model import MarketModel
+from fracsmooth.hedging import l2_tracking_error
+from fracsmooth.model import MarketModel, child_seed
 from fracsmooth.payoffs import Payoff
 from fracsmooth.ratefit import fit_rate, fit_summary, sweep, sweep_to_csv
+from fracsmooth.timenets import make_theta_net
 
 MODEL = MarketModel(s0=1.0, sigma=1.0, mu=0.0, T=1.0)
 
@@ -97,6 +99,42 @@ def test_sweep_csv_identical_across_threads_on_many_blocks(
         sweep_to_csv(path, sweep(p, MODEL, theta, [4, 8, 16, 32, 64], 300,
                                  21, threads=threads))
         out.append(path.read_bytes())
+    assert out[0] == out[1] == out[2]
+
+
+def test_finest_net_estimate_is_its_own_run():
+    # the sweep walks once, with seed child_seed(seed, n_max), on the
+    # finest of its nested nets, which reads every path of the walk: its
+    # estimate is that of the net run on its own, bit for bit
+    p = Payoff.call(1.0)
+    res = sweep(p, MODEL, 0.4, [8, 16, 32, 64, 128], 500, 3, threads=2)
+    fine = res.estimates[-1]
+    ref = l2_tracking_error(p, MODEL, make_theta_net(128, 0.4, 1.0), fine.m,
+                            child_seed(3, 128))
+    assert (fine.l2_error, fine.stderr) == (ref.l2_error, ref.stderr)
+
+
+@pytest.mark.parametrize("p, theta", [(Payoff.binary(1.0), 0.4),
+                                      (Payoff.power_holder(1.0, 0.25), 1.0)],
+                         ids=["binary", "power_holder"])
+def test_non_nested_sweep_identical_across_threads_at_block_boundaries(
+        p, theta, tmp_path, monkeypatch):
+    # the walk steps the union of nets that are not nested (6, 12 and 24
+    # against 8, 16 and 32); with 64-path blocks the coarsest net's last
+    # path falls inside a block and it reads none of the last blocks, and
+    # the bytes stay the same at any thread count
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+    n_list, m = [6, 8, 12, 16, 24, 32], 100
+    out = []
+    for threads in (1, 2, 3):
+        res = sweep(p, MODEL, theta, n_list, m, 21, threads=threads)
+        path = tmp_path / f"sweep{threads}.csv"
+        sweep_to_csv(path, res)
+        out.append(path.read_bytes())
+    spans = model.map_blocks(lambda start, count: (start, count),
+                             res.estimates[-1].m)
+    assert any(start < m < start + count for start, count in spans)
+    assert any(start >= m for start, _ in spans)
     assert out[0] == out[1] == out[2]
 
 
