@@ -1,13 +1,14 @@
 """Market model and reproducible geometric Brownian motion simulation.
 
-Random numbers come from a counter-based Philox stream keyed by
-``(seed, stream, step)``; the path index selects the position inside the
-stream, so blocks of paths run independently (and in parallel) with
-bit-identical output for any worker count.  ``map_blocks`` splits m
-paths into the smallest even number of equal blocks of at most
-``BLOCK_PATHS`` paths, a layout that depends on m alone, so two workers
-get equal shares of every Monte Carlo run.  ``_walk`` is the one stepping
-of ln S in a block, and of its callers only ``simulate_gbm`` stores paths.
+Random numbers come from one SFC64 stream per ``(seed, stream, step,
+start)``, drawn as normals by numpy's ziggurat: each block of paths
+has its own stream at each step, so blocks run independently (and in
+parallel) with bit-identical output for any worker count.
+``map_blocks`` splits m paths into the smallest even number of blocks
+of at most ``BLOCK_PATHS`` paths, sizes differing by at most 1, a layout
+that depends on m alone, so two workers get equal shares of every Monte
+Carlo run.  ``_walk`` is the one stepping of ln S in a block, and of
+its callers only ``simulate_gbm`` stores paths.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from numpy.random import SFC64, Generator, SeedSequence
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 
 __all__ = [
     "MarketModel",
@@ -32,10 +32,9 @@ __all__ = [
     "BLOCK_PATHS",
 ]
 
-#: most paths per work block; a multiple of 4 (and at least 8) so that
-#: blocks align with Philox counters.  Blocks of 4,096 paths ran 2x
-#: slower from per-call overhead, and at 8,192 two threads spend 23%
-#: more CPU on interpreter-lock handoffs
+#: most paths per work block.  Blocks of 4,096 paths ran 2x slower from
+#: per-call overhead, and at 8,192 two threads spend 23% more CPU on
+#: interpreter-lock handoffs
 BLOCK_PATHS = 1 << 15
 
 #: sub-stream tags for statistically independent draws under one seed
@@ -87,21 +86,13 @@ def child_seed(master: int, tag: int) -> int:
 
 
 def gaussian_increments(seed: int, step: int, start: int, count: int,
-                        stream: int = STREAM_PATHS) -> np.ndarray:
-    """Standard normals for paths ``start..start+count`` at one time step.
-
-    ``start`` must be a multiple of 4 (a Philox counter boundary) so that
-    any block decomposition reproduces the single-stream output.
+                        stream: int = STREAM_PATHS, out=None) -> np.ndarray:
+    """Standard normals for the block of ``count`` paths from ``start``
+    at one time step, into ``out`` when given: the first ``count`` of
+    the ziggurat stream of SFC64 seeded by ``(seed, stream, step, start)``.
     """
-    if start % 4:
-        raise SimulationError("path offset must be a multiple of 4")
-    key = np.array([seed, (stream << 48) | step], dtype=np.uint64)
-    bg = Philox(key=key)
-    if start:
-        bg.advance(start // 4)
-    u = Generator(bg).random(count)
-    np.maximum(u, 2.0 ** -60, out=u)
-    return ndtri(u, out=u)
+    gen = Generator(SFC64(SeedSequence([seed, stream, step, start])))
+    return gen.standard_normal(count, out=out)
 
 
 def _usable_cores() -> int:
@@ -114,15 +105,14 @@ def _usable_cores() -> int:
 def map_blocks(fn, m: int, threads: int = 1) -> list:
     """Apply ``fn(start, count)`` over the path blocks of m paths, in order.
 
-    The blocks are the smallest even number of at most ``BLOCK_PATHS``
-    paths each (one block for m <= 4).  They hold whole Philox counters
-    of 4 paths, spread as evenly as they go, and the last block also
-    takes the last m % 4 paths, so sizes differ by at most 4.  The
+    The blocks are the smallest even number (one for m = 1) of at most
+    ``BLOCK_PATHS`` paths each, with sizes that differ by at most 1.  The
     layout depends on m alone, never on ``threads``, so any parallel run
     reproduces the serial result bit for bit.  Equal blocks in an even
     number keep both of two workers busy to the end: full-size blocks
     and a short last one would take 160,000 paths in three rounds of
-    32,768 on two workers, where six blocks of 26,668 take 2 x 80,000.
+    32,768 on two workers, where six blocks of 26,666 or 26,667 take
+    2 x 80,000.
     The pool has ``min(threads, usable cores)`` workers: more threads
     than cores only trade the interpreter lock back and forth (at
     threads 8 on 2 cores a power-Holder sweep took 17.8 s wall and
@@ -130,16 +120,9 @@ def map_blocks(fn, m: int, threads: int = 1) -> list:
     """
     if threads < 1:
         raise ConfigError("thread count must be >= 1")
-    nb = max(-(-m // BLOCK_PATHS), 1)
-    if m > 4:
-        nb += nb % 2
-    quads, extra = divmod(m // 4, nb)
-    counts = [4 * (quads + (i < extra)) for i in range(nb)]
-    counts[-1] += m % 4
-    spans, start = [], 0
-    for c in counts:
-        spans.append((start, c))
-        start += c
+    nb = 2 * -(-m // (2 * BLOCK_PATHS)) if m > 1 else 1
+    q, r = divmod(m, nb)
+    spans = [(i * q + min(i, r), q + (i < r)) for i in range(nb)]
     workers = min(threads, _usable_cores())
     if workers <= 1 or len(spans) == 1:
         return [fn(s, c) for s, c in spans]
@@ -167,10 +150,11 @@ def _walk(model: MarketModel, times: np.ndarray, seed: int, start: int,
     where ``times[j] > 0``.  Read x before asking for the next step."""
     sigma = model.sigma
     x = np.full(count, math.log(model.s0))
+    z = np.empty(count)
     t0 = 0.0
     for j, t in enumerate(times):
         if t > 0.0:
-            z = gaussian_increments(seed, j, start, count)
+            gaussian_increments(seed, j, start, count, out=z)
             z *= sigma * math.sqrt(t - t0)
             z += (drift - 0.5 * sigma * sigma) * (t - t0)
             x += z

@@ -51,6 +51,15 @@ class RateFit:
             raise ConfigError("fitted slope must be finite")
 
 
+def _check_ns(ns) -> None:
+    """Refuse n values that no rate can be fitted to."""
+    ns = sorted(set(ns))
+    if len(ns) < 4:
+        raise ConfigError("need at least 4 distinct n values")
+    if ns[-1] < 4 * ns[0]:
+        raise ConfigError("n values must span at least 2 octaves")
+
+
 def fit_rate(pairs) -> RateFit:
     """Fit error ~ C n^slope from (n, l2_error, stderr_of_mean_square).
 
@@ -59,11 +68,7 @@ def fit_rate(pairs) -> RateFit:
     smallest positive weight present (exact synthetic inputs fit too).
     """
     pairs = [(int(n), float(e), float(se)) for n, e, se in pairs]
-    ns = sorted({n for n, _, _ in pairs})
-    if len(ns) < 4:
-        raise ConfigError("need at least 4 distinct n values")
-    if ns[-1] < 4 * ns[0]:
-        raise ConfigError("n values must span at least 2 octaves")
+    _check_ns(n for n, _, _ in pairs)
     errors = np.array([e for _, e, _ in pairs])
     if np.all(errors == 0.0):
         raise ExactHedgeError("all errors vanish: the hedge is exact")
@@ -124,6 +129,8 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 5:
         raise ConfigError("sweep needs at least 5 n values (one is dropped)")
+    # the fit drops n_min: refuse what it would refuse before the walk
+    _check_ns(n_list[1:])
     n_min = n_list[0]
     # the net refuses n < 1 before n / n_min can divide by zero
     runs = [(make_theta_net(n, theta, model.T),

@@ -326,8 +326,10 @@ def test_values_that_are_not_finite_exit_numerical(argv, tmp_path, capsys):
     pytest.param(["smoothness", "--depth", "10", "--strike", "742.2",
                   "--T", "0.458"], 2, "degenerate",
                  id="smoothness-decay-underflow"),
-    # s / K overflows in d1, whose limit +inf is right
-    pytest.param(["hedge-sweep", "--m", "61", "--n_list", "13,34,33,40,54",
+    # s / K overflows in d1, whose limit +inf is right (each sweep here
+    # has an n_list that the fit accepts, so the run reaches the walk)
+    pytest.param(["hedge-sweep", "--m", "61", "--n_list",
+                  "13,34,33,40,54,136",
                   "--strike", "1e-310"], 2, "degenerate",
                  id="sweep-d1-overflow"),
     # a NaN spot passed the s <= 0 test and was priced 0
@@ -336,7 +338,7 @@ def test_values_that_are_not_finite_exit_numerical(argv, tmp_path, capsys):
     # delta-table spots beyond the float range overflowed their exp (the
     # tables span the simulated measure's paths, so the drift is used)
     pytest.param(["hedge-sweep", "--payoff", "power_holder", "--m", "38",
-                  "--n_list", "11,47,49,54,60,62", "--s0", "0.95",
+                  "--n_list", "11,47,49,54,60,62,188", "--s0", "0.95",
                   "--mu", "1.34e154", "--measure", "historical"], 3,
                  "numerical",
                  id="sweep-table-spot-overflow"),

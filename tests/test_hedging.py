@@ -501,7 +501,8 @@ def test_sweep_shares_delta_tables_across_nested_nets(monkeypatch):
 def test_nets_hedge_on_one_walk(ns, theta, monkeypatch):
     # every net of a walk reads the first m_k paths of one path matrix on
     # the union of the nets' nodes, at its own nodes: a reference built
-    # from that matrix, with the loop's operations in the loop's order,
+    # from that matrix, walked block by block over map_blocks' spans of
+    # the largest m, with the loop's operations in the loop's order,
     # gives the same bits.  64-path blocks put each coarse net's last
     # path inside a block, and leave the last blocks to the finer nets
     monkeypatch.setattr(model, "BLOCK_PATHS", 64)
@@ -510,8 +511,10 @@ def test_nets_hedge_on_one_walk(ns, theta, monkeypatch):
             for k, n in enumerate(ns)]
     got = hedging._run(_Tables(p, MODEL, 0.0), runs, seed, None, 2)
     grid = functools.reduce(np.union1d, [net.nodes for net, _ in runs])
-    xs = np.array([x.copy() for _, x in model._walk(
-        MODEL, grid, seed, 0, max(m for _, m in runs), 0.0)])
+    xs = np.concatenate(model.map_blocks(
+        lambda s, c: np.array([x.copy() for _, x in model._walk(
+            MODEL, grid, seed, s, c, 0.0)]),
+        max(m for _, m in runs)), axis=1)
     ss = np.exp(xs)
     deltas, h0 = _Tables(p, MODEL, 0.0), po.price(p, MODEL, 0.0, 1.0)
     for (net, m), sample in zip(runs, got):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import SFC64, Generator, SeedSequence
 
 from fracsmooth import model as model_mod
-from fracsmooth.errors import ConfigError, SimulationError
+from fracsmooth.errors import ConfigError
 from fracsmooth.model import (BLOCK_PATHS, MarketModel, STREAM_AUX, _walk,
                               child_seed, gaussian_increments, map_blocks,
                               simulate_gbm)
@@ -47,43 +48,104 @@ def test_child_seed_spread():
     assert child_seed(42, 7) != child_seed(43, 7)
 
 
+def test_gaussian_increments_key_contract():
+    # one key's draws are numpy's ziggurat normals from SFC64 seeded by
+    # the key, whether returned or drawn into the caller's buffer
+    ref = Generator(SFC64(SeedSequence([9, 0, 3, 16]))).standard_normal(32)
+    np.testing.assert_array_equal(gaussian_increments(9, 3, 16, 32), ref)
+    buf = np.empty(32)
+    assert gaussian_increments(9, 3, 16, 32, out=buf) is buf
+    np.testing.assert_array_equal(buf, ref)
+    aux = Generator(SFC64(SeedSequence([9, 1, 0, 0]))).standard_normal(5)
+    np.testing.assert_array_equal(
+        gaussian_increments(9, 0, 0, 5, stream=STREAM_AUX), aux)
+
+
 def test_gaussian_increments_block_decomposition():
-    whole = gaussian_increments(9, 3, 0, 64)
-    parts = np.concatenate([gaussian_increments(9, 3, 0, 16),
-                            gaussian_increments(9, 3, 16, 32),
-                            gaussian_increments(9, 3, 48, 16)])
-    np.testing.assert_array_equal(whole, parts)
+    # a run's draws at one step are its blocks' own streams, laid end to
+    # end, at any thread count; a shorter count of a key is a prefix
+    m = 2 * BLOCK_PATHS + 7
+    blocks = map_blocks(lambda s, c: gaussian_increments(9, 3, s, c), m)
+    assert len(blocks) == 4
+    whole = np.concatenate(blocks)
+    parts = map_blocks(lambda s, c: gaussian_increments(9, 3, s, c), m,
+                       threads=3)
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
+    spans = map_blocks(lambda s, c: (s, c), m)
+    for (s, _), block in zip(spans, blocks):
+        np.testing.assert_array_equal(gaussian_increments(9, 3, s, 17),
+                                      block[:17])
 
 
 def test_gaussian_increments_streams_and_steps_differ():
     a = gaussian_increments(9, 0, 0, 32)
     b = gaussian_increments(9, 1, 0, 32)
     c = gaussian_increments(9, 0, 0, 32, stream=STREAM_AUX)
+    d = gaussian_increments(9, 0, 32, 32)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # two blocks at one step are two streams, not one shifted
+    assert not np.isin(d, gaussian_increments(9, 0, 0, 4096)).any()
 
 
-def test_gaussian_increments_offset_alignment():
-    with pytest.raises(SimulationError):
-        gaussian_increments(9, 0, 2, 8)
+def test_gaussian_increments_law_across_blocks_and_steps():
+    # 2^20 draws of one seed: 8 steps of 4 blocks.  Mean, variance and
+    # excess kurtosis of the pool, and the correlation of every pair of
+    # blocks at one step and of every pair of steps in one block, each
+    # within 5 standard errors (one of these 163 normal z-scores passes
+    # 5 with probability under 1e-4)
+    count = 1 << 15
+    z = np.array([[gaussian_increments(2024, j, b * count, count)
+                   for b in range(4)] for j in range(8)])
+    n = z.size
+    assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+    kurt = (z ** 4).mean() / z.var() ** 2 - 3.0
+    assert abs(kurt) <= 5.0 * math.sqrt(24.0 / n)
+    pairs = [(z[j, a], z[j, b]) for j in range(8)
+             for a in range(4) for b in range(a + 1, 4)]
+    pairs += [(z[i, b], z[j, b]) for b in range(4)
+              for i in range(8) for j in range(i + 1, 8)]
+    assert len(pairs) == 48 + 112
+    for u, v in pairs:
+        assert abs(np.corrcoef(u, v)[0, 1]) <= 5.0 / math.sqrt(count)
 
 
 def test_map_blocks_order_and_cover():
-    # the smallest even number of near-equal blocks, each at a Philox
-    # counter boundary, covering [0, m) in order, whatever the threads
-    for m in (1, 5, BLOCK_PATHS, BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 5):
+    # the smallest even number of blocks, sizes differing by at most 1,
+    # covering [0, m) in order, whatever the threads
+    for m in (1, 2, 5, BLOCK_PATHS, BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 5):
         seen = []
         map_blocks(lambda s, c: seen.append((s, c)), m)
         starts, counts = zip(*seen)
         assert starts[0] == 0 and sum(counts) == m
         assert all(s + c == nxt for (s, c), nxt in zip(seen, starts[1:]))
-        assert all(s % 4 == 0 for s in starts)
         assert max(counts) <= BLOCK_PATHS
-        assert max(counts) - min(counts) <= 4
-        if m > 4:
+        assert max(counts) - min(counts) <= 1
+        if m > 1:
             assert len(seen) % 2 == 0
             assert len(seen) - 2 < m / BLOCK_PATHS
         assert map_blocks(lambda s, c: (s, c), m, threads=3) == seen
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(1, 5000), block=st.integers(2, 300),
+       threads=st.integers(2, 4))
+def test_map_blocks_spans_tile_the_paths_property(m, block, threads):
+    # at any block size the spans tile [0, m) in order, in the smallest
+    # even number of blocks, sizes within 1 of each other, at any threads
+    saved, model_mod.BLOCK_PATHS = model_mod.BLOCK_PATHS, block
+    try:
+        spans = map_blocks(lambda s, c: (s, c), m)
+        threaded = map_blocks(lambda s, c: (s, c), m, threads=threads)
+    finally:
+        model_mod.BLOCK_PATHS = saved
+    assert [i for s, c in spans for i in range(s, s + c)] == list(range(m))
+    counts = [c for _, c in spans]
+    assert max(counts) <= block and max(counts) - min(counts) <= 1
+    if m > 1:
+        assert len(spans) % 2 == 0 and len(spans) - 2 < m / block
+    assert threaded == spans
 
 
 def test_map_blocks_rejects_thread_count_below_one():
@@ -134,20 +196,30 @@ def test_simulate_gbm_thread_invariance():
 @pytest.mark.parametrize("times", [[0.0, 0.25, 1.0], [0.3, 0.7]])
 def test_walk_moves_by_step_j_draws(times):
     # ln S at times[j] is ln s0 plus the steps up to j, step j drawing
-    # from Philox step j; a time 0 takes no step and no draws
+    # from the block's own key (seed, step j, start); a time 0 takes no
+    # step and no draws
     model = MarketModel(s0=1.5, sigma=0.4, mu=0.2)
-    x = np.full(8, math.log(1.5))
-    t0, walked = 0.0, []
-    for j, t in enumerate(times):
-        if t > 0.0:
-            z = gaussian_increments(3, j, 4, 8)
-            x = x + (0.4 * math.sqrt(t - t0) * z + (0.2 - 0.08) * (t - t0))
-        walked.append(x)
-        t0 = t
+
+    def walked(start, count):
+        x = np.full(count, math.log(1.5))
+        t0, out = 0.0, []
+        for j, t in enumerate(times):
+            if t > 0.0:
+                z = gaussian_increments(3, j, start, count)
+                x = x + (0.4 * math.sqrt(t - t0) * z + (0.2 - 0.08) * (t - t0))
+            out.append(x)
+            t0 = t
+        return np.array(out)
+
     got = [x.copy() for _, x in _walk(model, np.array(times), 3, 4, 8, 0.2)]
-    np.testing.assert_allclose(got, walked, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got, walked(4, 8), rtol=0, atol=1e-14)
+    # simulate_gbm's rows are the walks of map_blocks' spans of 12 paths
     paths = simulate_gbm(model, times, 12, 3, measure="historical")
-    np.testing.assert_array_equal(paths[4:12], np.exp(got).T)
+    for s, c in map_blocks(lambda s, c: (s, c), 12):
+        ref = [x.copy() for _, x in _walk(model, np.array(times), 3, s, c,
+                                          0.2)]
+        np.testing.assert_allclose(ref, walked(s, c), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(paths[s:s + c], np.exp(ref).T)
 
 
 def test_simulate_gbm_lognormal_law():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsmooth import model
+from fracsmooth import hedging, model
 from fracsmooth.errors import ConfigError, ExactHedgeError
 from fracsmooth.hedging import l2_tracking_error
 from fracsmooth.model import MarketModel, child_seed
@@ -57,6 +57,21 @@ def test_fit_summary_fields():
 def test_sweep_needs_five_points():
     with pytest.raises(ConfigError):
         sweep(Payoff.call(1.0), MODEL, 1.0, [8, 16, 32, 64], 100, 0)
+
+
+@pytest.mark.parametrize("n_list, message", [
+    ([128, 192, 256, 384, 448], "span at least 2 octaves"),
+    ([4, 8, 8, 16, 32, 32], "at least 4 distinct")])
+def test_sweep_refuses_an_unfittable_n_list_before_the_walk(
+        n_list, message, monkeypatch):
+    # the fit drops n_min, and what it would refuse of the rest is
+    # refused before a single path is simulated
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(hedging, "_run", walk)
+    with pytest.raises(ConfigError, match=message):
+        sweep(Payoff.call(1.0), MODEL, 1.0, n_list, 20_000, 0)
 
 
 def test_sweep_small_run_and_csv(tmp_path):

@@ -44,15 +44,17 @@ def test_clock_positive_and_deterministic():
 
 @pytest.mark.parametrize("m", [1, 6, BLOCK_PATHS + 3])
 def test_mixed_normal_sample_thread_invariant(m):
-    # xi is the seed's AUX stream, bit for bit the same when it is drawn
-    # in map_blocks blocks on a thread pool
+    # xi is one draw of the seed's AUX stream at step 0 and start 0, so
+    # no block layout or thread count enters it, and the first k of an
+    # m-path sample are those of a k-path one
     clock = ClockSample(A_values=np.linspace(0.5, 2.0, m), flagged_fraction=0.0)
-    blocks = model.map_blocks(
-        lambda s, c: gaussian_increments(31, 0, s, c, stream=STREAM_AUX),
-        m, threads=3)
-    xi = np.concatenate(blocks)
-    np.testing.assert_array_equal(mixed_normal_sample(clock, 31),
-                                  np.sqrt(clock.A_values) * xi)
+    xi = gaussian_increments(31, 0, 0, m, stream=STREAM_AUX)
+    mixed = mixed_normal_sample(clock, 31)
+    np.testing.assert_array_equal(mixed, np.sqrt(clock.A_values) * xi)
+    head = ClockSample(A_values=clock.A_values[:1], flagged_fraction=0.0)
+    assert mixed_normal_sample(head, 31)[0] == mixed[0]
+    # and it is not the paths' stream of the same seed
+    assert not np.array_equal(xi, gaussian_increments(31, 0, 0, m))
 
 
 def _clock_grid_by_lists(time_order):
