@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,93 +212,76 @@ def _holder_table(p: Payoff, model: MarketModel, t: float, drift: float):
         f"its tolerance {_TABLE_RTOL:g}")
 
 
-class _Tables(dict):
-    """t -> delta evaluator ``fn(x, s, out)`` at ln-spots x = ln s, for one
-    (payoff, model) and paths simulated with log-drift ``drift`` - sigma^2/2.
+def _delta_evaluator(p: Payoff, model: MarketModel, drift: float,
+                     t: float):
+    """``(fn, ratio)``: the risk-neutral delta evaluator at t for paths of
+    log-drift ``drift`` - sigma^2/2, and its table's estimated error over
+    ``_TABLE_RTOL`` (0 with no table).  ``fn(x, s, out)`` writes into out
+    the deltas at ln-spots x = ln s and returns how many it valued beyond
+    its table.
 
-    The binary and call deltas are computed from x by
-    ``payoffs._log_delta`` into the buffer ``out``, with the time and
-    volatility checked once, when the evaluator is built.  The
-    power-Holder payoff is tabulated once per t by ``_holder_table``,
-    whose error is estimated and held within ``_TABLE_RTOL``, and
-    interpolated by ``_hermite_lookup`` into ``out``; a spot beyond the
-    table's ``_log_range``, which spans the paths of ``drift`` alone, is
-    valued by ``payoffs.delta``.  Other payoffs, and the power-Holder
-    payoff at a t with no table, are valued at s by ``payoffs.delta``.
-    One instance serves every net of a walk (``_run``), which asks for
-    the evaluator of each node of the nets' union once.
-
-    For the power-Holder payoff ``health`` reports the worst table's
-    estimated error over the tolerance and the count of spots valued
-    beyond the tables; both are sums or maxima of deterministic values,
-    the same at any thread count.
+    The binary and call deltas come from x by ``payoffs._log_delta``,
+    with t and the volatility checked once, here.  The power-Holder
+    delta is ``_holder_table``'s, interpolated by ``_hermite_lookup``; a
+    spot beyond the table's ``_log_range``, which spans the paths of
+    ``drift`` alone, and every spot of other payoffs or of a t with no
+    table, is valued at s by ``payoffs.delta``.
     """
+    if p.kind in ("binary", "call"):
+        v, _ = po._resolve(model, t, greek=True)
+        lk = math.log(p.strike)
 
-    def __init__(self, p: Payoff, model: MarketModel, drift: float):
-        super().__init__()
-        self.p, self.model, self.drift = p, model, drift
-        self.error_ratio = 0.0
-        self.off_table = 0
-        self._lock = threading.Lock()
+        def fn(x, s, out):
+            po._log_delta(p.kind, x, lk, v, out)
+            return 0
+        return fn, 0.0
+    table = p.kind == "power_holder" and _holder_table(p, model, t, drift)
+    if not table:
+        def fn(x, s, out):
+            out[...] = po.delta(p, model, t, s)
+            return 0
+        return fn, 0.0
+    xi, vals, slopes, a, ratio = table
+    lookup = _hermite_lookup(xi, vals, slopes, math.log(p.strike), a)
+    lo, hi = _log_range(model, drift)
 
-    def health(self) -> dict:
-        if self.p.kind != "power_holder":
-            return {}
-        return {"table_error_ratio": self.error_ratio,
-                "off_table_spots": self.off_table}
-
-    def __missing__(self, t: float):
-        p, model = self.p, self.model
-        table = (p.kind == "power_holder"
-                 and _holder_table(p, model, t, self.drift))
-        if p.kind in ("binary", "call"):
-            v, _ = po._resolve(model, t, greek=True)
-            lk = math.log(p.strike)
-            fn = lambda x, s, out: po._log_delta(p.kind, x, lk, v, out)
-        elif not table:
-            fn = lambda x, s, out: po.delta(p, model, t, s)
-        else:
-            xi, vals, slopes, a, ratio = table
-            self.error_ratio = max(self.error_ratio, ratio)
-            lookup = _hermite_lookup(xi, vals, slopes, math.log(p.strike), a)
-            lo, hi = _log_range(model, self.drift)
-
-            def fn(x, s, out):
-                xc = np.clip(x, lo, hi)
-                off = xc != x
-                lookup(xc, out)
-                if off.any():
-                    out[off] = po.delta(p, model, t, s[off])
-                    with self._lock:
-                        self.off_table += int(np.count_nonzero(off))
-                return out
-        self[t] = fn
-        return fn
+    def fn(x, s, out):
+        xc = np.clip(x, lo, hi)
+        off = xc != x
+        lookup(xc, out)
+        n = int(np.count_nonzero(off))
+        if n:
+            out[off] = po.delta(p, model, t, s[off])
+        return n
+    return fn, ratio
 
 
-def _run(deltas: _Tables, runs, seed: int, eval_times,
-         threads: int) -> list[TrackingErrorSample]:
+def _run(p: Payoff, model: MarketModel, measure: str, runs, seed: int,
+         eval_times, threads: int):
     """Simulate the hedges of the nets in ``runs``, a list of (net, m), on
-    one walk: one sample per net, in the order of ``runs``.
+    one walk: one sample per net, in the order of ``runs``, and the
+    evaluators' health, which for the power-Holder payoff alone holds the
+    worst ``table_error_ratio`` and the blocks' sum of ``off_table_spots``.
 
     The walk steps ln S on the union of the nets' nodes and
     ``eval_times`` for max m paths of ``seed``, under the drift of
-    ``deltas``, and net k reads only the first m_k of those paths.  Each
+    ``measure``, and net k reads only the first m_k of those paths.  Each
     path block reads x = ln S from ``model._walk`` and takes one exp per
-    step into a preallocated S.  At each node of the union, the
-    evaluator of ``deltas`` writes the delta of the widest net holding
-    that node into its buffer, and every other net holding it copies its
-    share.  Each net keeps its own accumulator, the S at its last node or
-    eval time and the delta it holds; at each of its nodes and eval times
-    it adds the change of S since the last one, times that delta, to its
-    gains.  A single net is the one-element case, so the finest of nested
-    nets, whose nodes are the union and which reads every path, gets the
-    bits of a run of its own.  The block layout depends on max m alone,
-    so the samples are the same at any thread count.  A net whose paths'
-    terminal S all lie within the rounding of exp(ln s0) of s0 hedges
-    nothing and raises ``DegeneratePathsError``.
+    step into a preallocated S.  At each node where a net rebalances, the
+    node's ``_delta_evaluator``, built before the walk, writes the delta
+    of the widest net holding that node into its buffer, and every other
+    net holding it copies its share.  Each net keeps its own accumulator,
+    the S at its last node or eval time and the delta it holds; at each
+    of its nodes and eval times it adds the change of S since the last
+    one, times that delta, to its gains.  A single net is the one-element
+    case, so the finest of nested nets, whose nodes are the union and
+    which reads every path, gets the bits of a run of its own.  The block
+    layout depends on max m alone, so the samples are the same at any
+    thread count.  A net whose paths' terminal S all lie within the
+    rounding of exp(ln s0) of s0 hedges nothing and raises
+    ``DegeneratePathsError``.
     """
-    p, model = deltas.p, deltas.model
+    drift = model.drift(measure)
     for net, m in runs:
         if abs(net.T - model.T) > 1e-12:
             raise ConfigError("net maturity must match the model maturity")
@@ -324,8 +306,10 @@ def _run(deltas: _Tables, runs, seed: int, eval_times,
              for j in range(nt)]
 
     h0 = po.price(p, model, 0.0, model.s0)
-    # risk-neutral delta evaluators at every rebalancing time of a net
-    dfns = {j: deltas[grid[j]] for j in range(nt) if holders[j]}
+    # risk-neutral delta evaluators at every rebalancing time of a net,
+    # with their tables' error ratios
+    dfns = {j: _delta_evaluator(p, model, drift, grid[j])
+            for j in range(nt) if holders[j]}
 
     ms = [m for _, m in runs]
     terminal = [np.empty(m) for m in ms]
@@ -341,10 +325,10 @@ def _run(deltas: _Tables, runs, seed: int, eval_times,
         last = [np.full(c, model.s0) for c in reads]
         acc = [np.zeros(c) for c in reads]
         held = [np.zeros(c) for c in reads]
-        col = 0
+        col, off = 0, 0
         # errstate is per thread: set here; overflowing paths are refused
         with np.errstate(all="ignore"):
-            for j, x in _walk(model, grid, seed, start, count, deltas.drift):
+            for j, x in _walk(model, grid, seed, start, count, drift):
                 if j > 0:
                     np.exp(x, out=s)
                     for k in stops[j]:
@@ -368,34 +352,36 @@ def _run(deltas: _Tables, runs, seed: int, eval_times,
                     if not s[:c].all():
                         raise ConfigError("a simulated spot underflowed to "
                                           "0: price argument s must be > 0")
-                    d = held[w] = dfns[j](x[:c], s[:c], held[w])
+                    off += dfns[j][0](x[:c], s[:c], held[w])
                     for k in hold:
                         if k != w:
-                            held[k][...] = d[:reads[k]]
+                            held[k][...] = held[w][:reads[k]]
             pay = po.payoff_eval(p, s) - h0
             for k, c in enumerate(reads):
                 terminal[k][start:start + c] = pay[:c] - acc[k]
         moved = np.abs(s - model.s0) > still
-        return [bool(np.any(moved[:c])) for c in reads]
+        return [bool(np.any(moved[:c])) for c in reads], off
 
-    moved = map_blocks(block, max(ms), threads=threads)
+    blocks = map_blocks(block, max(ms), threads=threads)
     for k, errors in enumerate(terminal):
-        if not any(b[k] for b in moved):
+        if not any(moved[k] for moved, _ in blocks):
             raise DegeneratePathsError("no simulated spot moves from s0: "
                                        "paths at this sigma hedge nothing")
         if not np.all(np.isfinite(errors)):
             raise SimulationError("a simulated tracking error is not "
                                   "finite: the paths overflow a float")
+    health = {} if p.kind != "power_holder" else {
+        "table_error_ratio": max([0.0, *(r for _, r in dfns.values())]),
+        "off_table_spots": sum(off for _, off in blocks)}
     return [TrackingErrorSample(terminal_errors=e, process_values=c)
-            for e, c in zip(terminal, proc)]
+            for e, c in zip(terminal, proc)], health
 
 
 def tracking_error_terminal(p: Payoff, model: MarketModel, net: TimeNet,
                             m: int, seed: int, measure: str = "martingale",
                             threads: int = 1) -> TrackingErrorSample:
     """Per-path terminal tracking errors C_T on the given net."""
-    deltas = _Tables(p, model, model.drift(measure))
-    return _run(deltas, [(net, m)], seed, None, threads)[0]
+    return _run(p, model, measure, [(net, m)], seed, None, threads)[0][0]
 
 
 def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
@@ -407,33 +393,33 @@ def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
     ``eval_times`` must be finite, strictly increasing and in [0, T);
     column k of ``process_values`` holds C at ``eval_times[k]``.
     """
-    deltas = _Tables(p, model, model.drift(measure))
-    return _run(deltas, [(net, m)], seed, eval_times, threads)[0]
+    return _run(p, model, measure, [(net, m)], seed, eval_times,
+                threads)[0][0]
 
 
-def _l2_estimates(deltas: _Tables, runs, seed: int,
-                  threads: int) -> list[L2ErrorEstimate]:
-    """One ``L2ErrorEstimate`` per (net, m) of ``runs``, from one walk."""
+def _l2_estimates(p: Payoff, model: MarketModel, measure: str, runs,
+                  seed: int, threads: int):
+    """One ``L2ErrorEstimate`` per (net, m) of ``runs``, from one walk,
+    and the health of its delta evaluators (``_run``)."""
     if any(m < 2 for _, m in runs):
         raise ConfigError("need m >= 2 paths for a standard error")
+    samples, health = _run(p, model, measure, runs, seed, None, threads)
     out = []
-    for (net, m), sample in zip(runs, _run(deltas, runs, seed, None,
-                                           threads)):
+    for (net, m), sample in zip(runs, samples):
         with np.errstate(over="ignore", invalid="ignore"):
             sq = sample.terminal_errors ** 2
             msq = float(sq.mean())
             se = float(sq.std(ddof=1)) / math.sqrt(m)
         out.append(L2ErrorEstimate(n=net.n, l2_error=math.sqrt(max(msq, 0.0)),
                                    stderr=se, m=m))
-    return out
+    return out, health
 
 
 def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
                       seed: int, measure: str = "martingale",
                       threads: int = 1) -> L2ErrorEstimate:
     """|| C_T ||_{L2} with the standard error of the mean square."""
-    deltas = _Tables(p, model, model.drift(measure))
-    return _l2_estimates(deltas, [(net, m)], seed, threads)[0]
+    return _l2_estimates(p, model, measure, [(net, m)], seed, threads)[0][0]
 
 
 # ---------------------------------------------------------------------------

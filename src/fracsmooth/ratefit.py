@@ -19,7 +19,7 @@ import numpy as np
 
 from ._output import write_csv
 from .errors import ConfigError, ExactHedgeError
-from .hedging import _l2_estimates, _Tables
+from .hedging import _l2_estimates
 from .model import MarketModel, child_seed
 from .payoffs import Payoff, second_moment
 from .timenets import make_theta_net
@@ -102,7 +102,7 @@ def fit_rate(pairs) -> RateFit:
 @dataclass(frozen=True)
 class SweepResult:
     """The per-n estimates, their rate fit and the delta tables' health
-    (``_Tables.health``: empty but for the power-Holder payoff)."""
+    (from ``hedging._run``: empty but for the power-Holder payoff)."""
 
     estimates: tuple
     fit: RateFit
@@ -136,17 +136,15 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
     runs = [(make_theta_net(n, theta, model.T),
              min(4 * m, int(round(m * math.sqrt(n / n_min)))))
             for n in n_list]
-    deltas = _Tables(p, model, model.drift(measure))
-    estimates = _l2_estimates(deltas, runs, child_seed(seed, n_list[-1]),
-                              threads)
+    estimates, health = _l2_estimates(p, model, measure, runs,
+                                      child_seed(seed, n_list[-1]), threads)
     scale = math.sqrt(second_moment(p, model, 0.0, model.s0))
     if all(e.l2_error <= _ROUNDOFF_REL * scale for e in estimates):
         raise ExactHedgeError(
             f"every L2 error is round-off (at most {_ROUNDOFF_REL:g} of the "
             f"payoff's L2 norm {scale:.6g}): the hedge is exact")
     fit = fit_rate([(e.n, e.l2_error, e.stderr) for e in estimates[1:]])
-    return SweepResult(estimates=tuple(estimates), fit=fit,
-                       tables=deltas.health())
+    return SweepResult(estimates=tuple(estimates), fit=fit, tables=health)
 
 
 def sweep_to_csv(path, result: SweepResult, header_lines=()) -> None:

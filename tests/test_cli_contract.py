@@ -60,6 +60,27 @@ def _mostly(inside, edges):
         lambda k: inside if k else st.sampled_from(edges))
 
 
+def _n_run(n_min, ratios):
+    """n_min, then each n the last one times the next ratio, rounded up,
+    for as long as it stays within 64."""
+    ns = [n_min]
+    for r in ratios:
+        n = math.ceil(ns[-1] * r)
+        if n > 64:
+            break
+        ns.append(n)
+    return ns
+
+
+#: a sweep's n_list: n_min, which the fit drops, then a geometric run
+#: with ratios from sqrt(2) to 2, so that every such list has the 4
+#: distinct n over 2 octaves that the fit needs, and the run reaches the
+#: walk unless another key is refused
+_N_RUNS = st.builds(_n_run, st.integers(1, 4),
+                    st.lists(st.floats(math.sqrt(2.0), 2.0), min_size=5,
+                             max_size=5)).map(lambda ns: [str(n) for n in ns])
+
+
 def _scalar(key):
     """The values of ``key`` inside its range, and its boundary values."""
     if key in _WORDS:
@@ -74,9 +95,9 @@ def _value(command, key):
     inside, edges = _scalar(key)
     if not isinstance(_CASTS[key], list):
         return _mostly(inside, edges)
-    # a sweep fits a rate to at least 5 distinct n
-    lo, hi = (5, 6) if command == "hedge-sweep" else (1, 3)
-    lists = st.lists(inside, min_size=lo, max_size=hi, unique=True)
+    if key == "n_list" and command == "hedge-sweep":
+        return _mostly(_N_RUNS, [[e] for e in edges]).map(",".join)
+    lists = st.lists(inside, min_size=1, max_size=3, unique=True)
     return _mostly(lists, [[e] for e in edges]).map(",".join)
 
 

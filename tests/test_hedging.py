@@ -1,7 +1,5 @@
 import functools
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,9 +13,9 @@ from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
 from fracsmooth.errors import ConfigError, QuadratureError
 from fracsmooth import hedging
-from fracsmooth.hedging import (_hermite_lookup, _holder_nodes, _holder_table,
-                                _Tables, l2_tracking_error,
-                                tracking_error_process,
+from fracsmooth.hedging import (_delta_evaluator, _hermite_lookup,
+                                _holder_nodes, _holder_table, _l2_estimates,
+                                l2_tracking_error, tracking_error_process,
                                 tracking_error_terminal, z_regularity)
 from fracsmooth.model import MarketModel
 from fracsmooth.payoffs import Payoff
@@ -102,6 +100,14 @@ def test_process_identical_across_threads_on_many_blocks(monkeypatch):
                                       runs[0].terminal_errors)
 
 
+def _deltas(p, m, t, x, s):
+    """The hedging loop's deltas at t, ln-spots x and spots s, for paths
+    without drift, and the count it valued beyond its table."""
+    out = np.empty(np.size(x))
+    off = _delta_evaluator(p, m, 0.0, t)[0](x, s, out)
+    return out, off
+
+
 @settings(max_examples=60)
 @given(kind=st.sampled_from(["binary", "call"]), s=st.floats(1e-3, 1e3),
        strike=st.floats(0.05, 20.0), sigma=st.floats(0.01, 5.0),
@@ -113,8 +119,9 @@ def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
     p = Payoff(kind=kind, strike=strike)
     m = MarketModel(s0=1.0, sigma=sigma, T=1.0)
     spots = s * np.array([0.5, 1.0, 2.0])
-    got = _Tables(p, m, 0.0)[t](np.log(spots), spots, np.empty(3))
+    got, off = _deltas(p, m, t, np.log(spots), spots)
     np.testing.assert_array_equal(got, po.delta(p, m, t, spots))
+    assert off == 0
     if kind == "binary":
         v = sigma * math.sqrt(1.0 - t)
         d2 = (np.log(spots / strike) - 0.5 * v * v) / v
@@ -129,8 +136,10 @@ def test_power_holder_with_no_table_range_is_valued_by_the_engine():
     p, m = Payoff.power_holder(1e200, 0.5), MarketModel(1e200, 1e-20)
     assert _holder_table(p, m, 0.0, 0.0) is None
     spots = 1e200 * np.array([1.0 - 1e-15, 1.0, 1.0 + 1e-15])
-    got = _Tables(p, m, 0.0)[0.0](np.log(spots), spots, np.empty(3))
+    got, off = _deltas(p, m, 0.0, np.log(spots), spots)
     np.testing.assert_array_equal(got, po.delta(p, m, 0.0, spots))
+    assert off == 0
+    assert _delta_evaluator(p, m, 0.0, 0.0)[1] == 0.0
 
 
 def _table_ref(p, m, t):
@@ -171,11 +180,10 @@ def test_power_holder_lookup_is_cubic_hermite_in_xi(sigma, strike, s0, t,
     q = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
                         [lo, hi], rng.uniform(lo, hi, 400)])
     q = np.clip(q, lo, hi)
-    tables = _Tables(p, m, 0.0)
-    got = tables[t](q, np.exp(q), np.empty(q.size))
+    got, off = _deltas(p, m, t, q, np.exp(q))
     np.testing.assert_allclose(got, ref(q), rtol=1e-12,
                                atol=1e-13 * np.abs(vals).max())
-    assert tables.health()["off_table_spots"] == 0
+    assert off == 0
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 127.0 / 128.0, 1.0 - 2.0 ** -10])
@@ -191,11 +199,10 @@ def test_power_holder_evaluator_is_cubic_hermite(t):
                         from_xi(0.5 * (xi[1:] + xi[:-1])),
                         rng.uniform(x[0], x[-1], 4000)])
     q = q[(q >= x[0]) & (q <= x[-1])]
-    fn = _Tables(p, MODEL, 0.0)[t]
-    got = fn(q, np.exp(q), np.empty(q.size))
+    got, _ = _deltas(p, MODEL, t, q, np.exp(q))
     atol = 1e-13 * np.abs(vals).max()
     np.testing.assert_allclose(got, ref(q), rtol=1e-12, atol=atol)
-    np.testing.assert_allclose(fn(x, np.exp(x), np.empty(x.size)), vals,
+    np.testing.assert_allclose(_deltas(p, MODEL, t, x, np.exp(x))[0], vals,
                                rtol=1e-12, atol=atol)
 
 
@@ -209,36 +216,41 @@ def test_power_holder_evaluator_values_off_table_spots():
     off = np.array([lo - 2.0, np.nextafter(lo, -np.inf),
                     np.nextafter(hi, np.inf), hi + 2.0])
     q = np.concatenate([off[:2], [0.0], off[2:]])
-    tables = _Tables(p, MODEL, 0.0)
-    got = tables[t](q, np.exp(q), np.empty(q.size))
+    got, count = _deltas(p, MODEL, t, q, np.exp(q))
     is_off = np.arange(q.size) != 2
     np.testing.assert_array_equal(got[is_off],
                                   po.delta(p, MODEL, t, np.exp(off)))
     assert got[2] == pytest.approx(float(ref(0.0)), rel=1e-12)
     assert got[0] != got[1] and got[-1] != got[-2]
-    assert tables.health()["off_table_spots"] == 4
+    assert count == 4
 
 
-def test_off_table_count_is_exact_across_threads():
-    # block workers share one evaluator, so the count of off-table spots
-    # is updated under a lock: more threads than cores, switching every
-    # few microseconds, lose no update
-    p = Payoff.power_holder(1.0, 0.25)
-    tables = _Tables(p, MODEL, 0.0)
-    fn = tables[0.5]
-    q = np.array([-40.0, 0.0, 40.0])
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(8) as pool:
-            futures = [pool.submit(lambda: [fn(q, np.exp(q), np.empty(3))
-                                            for _ in range(200)])
-                       for _ in range(16)]
-            for f in futures:
-                f.result(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert tables.health()["off_table_spots"] == 16 * 200 * 2
+def test_off_table_count_is_exact_across_threads(monkeypatch):
+    # each block counts the spots it values beyond the tables and the
+    # walk sums the counts: with the tables' ln-price range narrowed to
+    # +-0.5 sd, the count is the same at threads 1 to 3 over 8 blocks,
+    # and it is the number of the walk's ln-spots beyond that range at
+    # the nodes where the net rebalances
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+
+    def narrow(m, drift):
+        mean = math.log(m.s0) + (drift - 0.5 * m.sigma ** 2) * m.T
+        span = 0.5 * m.sigma * math.sqrt(m.T)
+        return mean - span, mean + span
+
+    monkeypatch.setattr(hedging, "_log_range", narrow)
+    p, seed = Payoff.power_holder(1.0, 0.25), 3
+    net = make_theta_net(8, 1.0, 1.0)
+    counts = [_l2_estimates(p, MODEL, "martingale", [(net, 500)], seed,
+                            threads)[1]["off_table_spots"]
+              for threads in (1, 2, 3)]
+    xs = np.concatenate(model.map_blocks(
+        lambda s, c: np.array([x.copy() for _, x in model._walk(
+            MODEL, net.nodes, seed, s, c, 0.0)]), 500), axis=1)
+    lo, hi = narrow(MODEL, 0.0)
+    want = int(np.count_nonzero((xs[:-1] < lo) | (xs[:-1] > hi)))
+    assert want > 500
+    assert counts == [want] * 3
 
 
 @pytest.mark.parametrize("holder, theta, n", [(0.25, 0.4, 512),
@@ -249,12 +261,11 @@ def test_power_holder_table_error_within_tolerance(holder, theta, n):
     # last three tables of a net, where the delta is steepest; relative
     # to max(|delta|, 1), as the table's own check measures it
     p = Payoff.power_holder(1.0, holder)
-    tables = _Tables(p, MODEL, 0.0)
     worst = 0.0
     for t in make_theta_net(n, theta, 1.0).nodes[-4:-1]:
         xi, a = _holder_nodes(p, MODEL, t, 0.0)
         q = a * np.sinh(0.5 * (xi[1:] + xi[:-1]))   # ln K = 0
-        got = tables[t](q, np.exp(q), np.empty(q.size))
+        got, _ = _deltas(p, MODEL, t, q, np.exp(q))
         ref = po.delta(p, MODEL, t, np.exp(q))
         worst = max(worst, float(np.max(np.abs(got - ref)
                                         / np.maximum(np.abs(ref), 1.0))))
@@ -301,7 +312,7 @@ def test_table_beyond_tolerance_refines_then_raises(monkeypatch):
     assert calls == [xi0.size, xi0.size - 1]
     monkeypatch.setattr(hedging, "_TABLE_RTOL", 1e-30)
     with pytest.raises(QuadratureError, match="delta table"):
-        _Tables(p, MODEL, 0.0)[0.5]
+        _delta_evaluator(p, MODEL, 0.0, 0.5)
     # a cubic that overflows on a cell narrower than the check's is refused
     with pytest.raises(QuadratureError, match="not finite"):
         _hermite_lookup(np.array([0.0, 1e-300, 1.0]),
@@ -337,6 +348,19 @@ def test_z_regularity_matches_monte_carlo_binary():
     sq = tracking_error_terminal(p, MODEL, net, m, 17).terminal_errors ** 2
     se = sq.std(ddof=1) / math.sqrt(m)
     assert abs(sq.mean() - quad) < 3.0 * se
+
+
+@settings(max_examples=100)
+@given(kind=st.sampled_from(["call", "put", "binary"]), n=st.integers(2, 32),
+       theta=st.floats(0.3, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_monte_carlo_mean_square_is_z_regularity(kind, n, theta, seed):
+    # under the martingale measure E[C_T^2] is z_regularity exactly, so
+    # the walk's mean square on the same net lies within 5 of its
+    # standard errors of the quadrature
+    p, net = getattr(Payoff, kind)(1.0), make_theta_net(n, theta, 1.0)
+    est = l2_tracking_error(p, MODEL, net, 4000, seed, threads=2)
+    quad = z_regularity(p, MODEL, net)
+    assert abs(est.l2_error ** 2 - quad) <= 5.0 * est.stderr, (est, quad)
 
 
 def test_z_regularity_affine_vanishes():
@@ -509,20 +533,21 @@ def test_nets_hedge_on_one_walk(ns, theta, monkeypatch):
     p, seed = Payoff.binary(1.0), 5
     runs = [(make_theta_net(n, theta, 1.0), 101 + 47 * k)
             for k, n in enumerate(ns)]
-    got = hedging._run(_Tables(p, MODEL, 0.0), runs, seed, None, 2)
+    got, health = hedging._run(p, MODEL, "martingale", runs, seed, None, 2)
+    assert health == {}
     grid = functools.reduce(np.union1d, [net.nodes for net, _ in runs])
     xs = np.concatenate(model.map_blocks(
         lambda s, c: np.array([x.copy() for _, x in model._walk(
             MODEL, grid, seed, s, c, 0.0)]),
         max(m for _, m in runs)), axis=1)
     ss = np.exp(xs)
-    deltas, h0 = _Tables(p, MODEL, 0.0), po.price(p, MODEL, 0.0, 1.0)
+    h0 = po.price(p, MODEL, 0.0, 1.0)
     for (net, m), sample in zip(runs, got):
         at = np.searchsorted(grid, net.nodes)
         np.testing.assert_array_equal(grid[at], net.nodes)
         acc = np.zeros(m)
         for a, b in zip(at[:-1], at[1:]):
-            held = deltas[grid[a]](xs[a, :m], ss[a, :m], np.empty(m))
+            held, _ = _deltas(p, MODEL, grid[a], xs[a, :m], ss[a, :m])
             acc += (ss[b, :m] - ss[a, :m]) * held
         ref = po.payoff_eval(p, ss[-1, :m]) - h0 - acc
         np.testing.assert_array_equal(sample.terminal_errors, ref)
