@@ -256,37 +256,34 @@ def _delta_evaluator(p: Payoff, model: MarketModel, drift: float,
     return fn, ratio
 
 
-def _run(p: Payoff, model: MarketModel, measure: str, runs, seed: int,
-         eval_times, threads: int):
-    """Simulate the hedges of the nets in ``runs``, a list of (net, m), on
-    one walk: one sample per net, in the order of ``runs``, and the
-    evaluators' health, which for the power-Holder payoff alone holds the
-    worst ``table_error_ratio`` and the blocks' sum of ``off_table_spots``.
+def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
+         seed: int, eval_times, threads: int):
+    """Simulate the hedges of ``nets`` on one walk of m paths: one sample
+    per net, in the order of ``nets``, and the evaluators' health, which
+    for the power-Holder payoff alone holds the worst
+    ``table_error_ratio`` and the blocks' sum of ``off_table_spots``.
 
     The walk steps ln S on the union of the nets' nodes and
-    ``eval_times`` for max m paths of ``seed``, under the drift of
-    ``measure``, and net k reads only the first m_k of those paths.  Each
-    path block reads x = ln S from ``model._walk`` and takes one exp per
-    step into a preallocated S.  At each node where a net rebalances, the
-    node's ``_delta_evaluator``, built before the walk, writes the delta
-    of the widest net holding that node into its buffer, and every other
-    net holding it copies its share.  Each net keeps its own accumulator,
-    the S at its last node or eval time and the delta it holds; at each
-    of its nodes and eval times it adds the change of S since the last
-    one, times that delta, to its gains.  A single net is the one-element
-    case, so the finest of nested nets, whose nodes are the union and
-    which reads every path, gets the bits of a run of its own.  The block
-    layout depends on max m alone, so the samples are the same at any
-    thread count.  A net whose paths' terminal S all lie within the
-    rounding of exp(ln s0) of s0 hedges nothing and raises
-    ``DegeneratePathsError``.
+    ``eval_times`` for the m paths of ``seed``, under the drift of
+    ``measure``, and every net reads all m paths.  Each path block reads
+    x = ln S from ``model._walk`` and takes one exp per step into a
+    preallocated S.  At each node where nets rebalance, the node's
+    ``_delta_evaluator``, built before the walk, writes the delta into
+    the first holder's buffer, and every other holder copies it.  Each
+    net keeps its own accumulator, the S at its last node or eval time
+    and the delta it holds; at each of its nodes and eval times it adds
+    the change of S since the last one, times that delta, to its gains.
+    A single net is the one-element case, so the finest of nested nets,
+    whose nodes are the union, gets the bits of a run of its own.  The
+    block layout depends on m alone, so the samples are the same at any
+    thread count.  Paths whose terminal S all lie within the rounding of
+    exp(ln s0) of s0 hedge nothing and raise ``DegeneratePathsError``.
     """
     drift = model.drift(measure)
-    for net, m in runs:
-        if abs(net.T - model.T) > 1e-12:
-            raise ConfigError("net maturity must match the model maturity")
-        if m < 1:
-            raise ConfigError("path count m must be >= 1")
+    if any(abs(net.T - model.T) > 1e-12 for net in nets):
+        raise ConfigError("net maturity must match the model maturity")
+    if m < 1:
+        raise ConfigError("path count m must be >= 1")
 
     if eval_times is None:
         ev = np.empty(0)
@@ -294,10 +291,10 @@ def _run(p: Payoff, model: MarketModel, measure: str, runs, seed: int,
         ev = _check_grid(model, eval_times)
         if ev[-1] >= model.T:
             raise ConfigError("eval_times must lie in [0, T)")
-    grid = functools.reduce(np.union1d, (net.nodes for net, _ in runs), ev)
+    grid = functools.reduce(np.union1d, (net.nodes for net in nets), ev)
     nt = grid.size
     is_eval = np.isin(grid, ev)
-    is_node = [np.isin(grid, net.nodes) for net, _ in runs]
+    is_node = [np.isin(grid, net.nodes) for net in nets]
     # per step j: the nets that rebalance there (the last node T never
     # needs a delta), and the nets that book their gains there
     holders = [[k for k, on in enumerate(is_node) if on[j] and j < nt - 1]
@@ -311,20 +308,17 @@ def _run(p: Payoff, model: MarketModel, measure: str, runs, seed: int,
     dfns = {j: _delta_evaluator(p, model, drift, grid[j])
             for j in range(nt) if holders[j]}
 
-    ms = [m for _, m in runs]
-    terminal = [np.empty(m) for m in ms]
-    proc = [np.empty((m, ev.size)) if ev.size else None for m in ms]
+    terminal = [np.empty(m) for _ in nets]
+    proc = [np.empty((m, ev.size)) if ev.size else None for _ in nets]
     # how far exp(ln s0) rounds from s0: a spot no farther has not moved
     still = (2.0 * np.finfo(float).eps * model.s0
              * (1.0 + abs(math.log(model.s0))))
 
     def block(start, count):
-        # the paths of the block that each net reads: a prefix, maybe none
-        reads = [min(max(m - start, 0), count) for m in ms]
         s, ds = np.full(count, model.s0), np.empty(count)
-        last = [np.full(c, model.s0) for c in reads]
-        acc = [np.zeros(c) for c in reads]
-        held = [np.zeros(c) for c in reads]
+        last = [np.full(count, model.s0) for _ in nets]
+        acc = [np.zeros(count) for _ in nets]
+        held = [np.zeros(count) for _ in nets]
         col, off = 0, 0
         # errstate is per thread: set here; overflowing paths are refused
         with np.errstate(all="ignore"):
@@ -332,44 +326,37 @@ def _run(p: Payoff, model: MarketModel, measure: str, runs, seed: int,
                 if j > 0:
                     np.exp(x, out=s)
                     for k in stops[j]:
-                        c = reads[k]
-                        if c:
-                            d = np.subtract(s[:c], last[k], out=ds[:c])
-                            d *= held[k]
-                            acc[k] += d
-                            last[k][...] = s[:c]
+                        d = np.subtract(s, last[k], out=ds)
+                        d *= held[k]
+                        acc[k] += d
+                        last[k][...] = s
                 if is_eval[j]:
                     v = po.price(p, model, grid[j], s) - h0
-                    for k, c in enumerate(reads):
-                        proc[k][start:start + c, col] = v[:c] - acc[k]
+                    for values, gains in zip(proc, acc):
+                        values[start:start + count, col] = v - gains
                     col += 1
-                hold = [k for k in holders[j] if reads[k]]
-                if hold:
-                    w = max(hold, key=reads.__getitem__)
-                    c = reads[w]
+                if holders[j]:
+                    first, *rest = holders[j]
                     # the evaluators read x, which stays finite where S
                     # underflows, so a zero spot is rejected here
-                    if not s[:c].all():
+                    if not s.all():
                         raise ConfigError("a simulated spot underflowed to "
                                           "0: price argument s must be > 0")
-                    off += dfns[j][0](x[:c], s[:c], held[w])
-                    for k in hold:
-                        if k != w:
-                            held[k][...] = held[w][:reads[k]]
+                    off += dfns[j][0](x, s, held[first])
+                    for k in rest:
+                        held[k][...] = held[first]
             pay = po.payoff_eval(p, s) - h0
-            for k, c in enumerate(reads):
-                terminal[k][start:start + c] = pay[:c] - acc[k]
-        moved = np.abs(s - model.s0) > still
-        return [bool(np.any(moved[:c])) for c in reads], off
+            for errors, gains in zip(terminal, acc):
+                errors[start:start + count] = pay - gains
+        return bool(np.any(np.abs(s - model.s0) > still)), off
 
-    blocks = map_blocks(block, max(ms), threads=threads)
-    for k, errors in enumerate(terminal):
-        if not any(moved[k] for moved, _ in blocks):
-            raise DegeneratePathsError("no simulated spot moves from s0: "
-                                       "paths at this sigma hedge nothing")
-        if not np.all(np.isfinite(errors)):
-            raise SimulationError("a simulated tracking error is not "
-                                  "finite: the paths overflow a float")
+    blocks = map_blocks(block, m, threads=threads)
+    if not any(moved for moved, _ in blocks):
+        raise DegeneratePathsError("no simulated spot moves from s0: "
+                                   "paths at this sigma hedge nothing")
+    if not all(np.all(np.isfinite(errors)) for errors in terminal):
+        raise SimulationError("a simulated tracking error is not "
+                              "finite: the paths overflow a float")
     health = {} if p.kind != "power_holder" else {
         "table_error_ratio": max([0.0, *(r for _, r in dfns.values())]),
         "off_table_spots": sum(off for _, off in blocks)}
@@ -381,7 +368,7 @@ def tracking_error_terminal(p: Payoff, model: MarketModel, net: TimeNet,
                             m: int, seed: int, measure: str = "martingale",
                             threads: int = 1) -> TrackingErrorSample:
     """Per-path terminal tracking errors C_T on the given net."""
-    return _run(p, model, measure, [(net, m)], seed, None, threads)[0][0]
+    return _run(p, model, measure, [net], m, seed, None, threads)[0][0]
 
 
 def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
@@ -393,19 +380,19 @@ def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
     ``eval_times`` must be finite, strictly increasing and in [0, T);
     column k of ``process_values`` holds C at ``eval_times[k]``.
     """
-    return _run(p, model, measure, [(net, m)], seed, eval_times,
+    return _run(p, model, measure, [net], m, seed, eval_times,
                 threads)[0][0]
 
 
-def _l2_estimates(p: Payoff, model: MarketModel, measure: str, runs,
-                  seed: int, threads: int):
-    """One ``L2ErrorEstimate`` per (net, m) of ``runs``, from one walk,
-    and the health of its delta evaluators (``_run``)."""
-    if any(m < 2 for _, m in runs):
+def _l2_estimates(p: Payoff, model: MarketModel, measure: str, nets,
+                  m: int, seed: int, threads: int):
+    """One ``L2ErrorEstimate`` per net of ``nets``, from one walk of m
+    paths, and the health of its delta evaluators (``_run``)."""
+    if m < 2:
         raise ConfigError("need m >= 2 paths for a standard error")
-    samples, health = _run(p, model, measure, runs, seed, None, threads)
+    samples, health = _run(p, model, measure, nets, m, seed, None, threads)
     out = []
-    for (net, m), sample in zip(runs, samples):
+    for net, sample in zip(nets, samples):
         with np.errstate(over="ignore", invalid="ignore"):
             sq = sample.terminal_errors ** 2
             msq = float(sq.mean())
@@ -419,7 +406,7 @@ def l2_tracking_error(p: Payoff, model: MarketModel, net: TimeNet, m: int,
                       seed: int, measure: str = "martingale",
                       threads: int = 1) -> L2ErrorEstimate:
     """|| C_T ||_{L2} with the standard error of the mean square."""
-    return _l2_estimates(p, model, measure, [(net, m)], seed, threads)[0][0]
+    return _l2_estimates(p, model, measure, [net], m, seed, threads)[0][0]
 
 
 # ---------------------------------------------------------------------------

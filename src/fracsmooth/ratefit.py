@@ -2,10 +2,10 @@
 
 Weighted log-log regression of the error against the interval count n,
 plus the sweep driver that simulates the errors across a geometric list
-of n values on one walk: one seed, ``child_seed(seed, n_max)``, paths
-stepped on the union of the nets' nodes, and net n reading the first m_n
-of them, so the errors at different n are correlated.  Coupling the nets
-on one Brownian path is the idea of Giles, "Multilevel Monte Carlo path
+of n values on one walk: M paths of one seed, ``child_seed(seed, n_max)``,
+stepped on the union of the nets' nodes, and every net reading all M of
+them, so the errors at different n are correlated.  Coupling the nets on
+one Brownian path is the idea of Giles, "Multilevel Monte Carlo path
 simulation" (Operations Research 2008).
 """
 
@@ -66,6 +66,8 @@ def fit_rate(pairs) -> RateFit:
     Weights are delta-method standard errors of log error,
     se(log e) = stderr / (2 e^2); points with zero stderr get the
     smallest positive weight present (exact synthetic inputs fit too).
+    The slope interval treats the points as independent, which a
+    sweep's points, sharing their paths, are not.
     """
     pairs = [(int(n), float(e), float(se)) for n, e, se in pairs]
     _check_ns(n for n, _, _ in pairs)
@@ -114,29 +116,29 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
           threads: int = 1) -> SweepResult:
     """Estimate L2 errors over n_list and fit the rate exponent.
 
-    Per-n path counts m_n scale like sqrt(n / n_min) capped at 4 m, and
-    the fit drops the smallest n (documented pre-asymptotic transient).
-    All nets hedge on one walk (``hedging._run``) of max m_n paths with
-    seed ``child_seed(seed, n_max)``, stepped on the union of their nodes
-    (the finest net, when the nets are nested), so each delta is
-    evaluated once per node of the union; net n reads the first m_n
-    paths.  The finest net's estimate is thus that of
-    ``l2_tracking_error`` on it alone, and the errors at different n are
-    correlated: they share paths.  Raises ``ExactHedgeError`` when every
-    error is round-off relative to the payoff's L2 norm
-    sqrt E[h(S_T)^2], since no rate can be fitted.
+    All nets hedge on one walk (``hedging._run``) of
+    M = min(4 m, round(m sqrt(n_max / n_min))) paths with seed
+    ``child_seed(seed, n_max)``, stepped on the union of their nodes (the
+    finest net, when the nets are nested), so each delta is evaluated
+    once per node of the union, and every net reads all M paths.  The
+    finest net's estimate is thus that of ``l2_tracking_error`` on it
+    alone, and the errors at different n are correlated: they share
+    paths.  The fit drops the smallest n (documented pre-asymptotic
+    transient).  Raises ``ExactHedgeError`` when every error is round-off
+    relative to the payoff's L2 norm sqrt E[h(S_T)^2], since no rate can
+    be fitted.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 5:
         raise ConfigError("sweep needs at least 5 n values (one is dropped)")
     # the fit drops n_min: refuse what it would refuse before the walk
     _check_ns(n_list[1:])
-    n_min = n_list[0]
-    # the net refuses n < 1 before n / n_min can divide by zero
-    runs = [(make_theta_net(n, theta, model.T),
-             min(4 * m, int(round(m * math.sqrt(n / n_min)))))
-            for n in n_list]
-    estimates, health = _l2_estimates(p, model, measure, runs,
+    # the net refuses n < 1 before n_max / n_min can divide by zero
+    nets = [make_theta_net(n, theta, model.T) for n in n_list]
+    if m < 2:
+        raise ConfigError("need m >= 2 paths for a standard error")
+    paths = min(4 * m, int(round(m * math.sqrt(n_list[-1] / n_list[0]))))
+    estimates, health = _l2_estimates(p, model, measure, nets, paths,
                                       child_seed(seed, n_list[-1]), threads)
     scale = math.sqrt(second_moment(p, model, 0.0, model.s0))
     if all(e.l2_error <= _ROUNDOFF_REL * scale for e in estimates):

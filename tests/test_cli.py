@@ -210,6 +210,17 @@ def test_exit_code_bad_numbers(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_sweep_of_one_path_exits_config(tmp_path, capsys):
+    # the walk's path count grows from m, yet one path of the user's has
+    # no standard error
+    rc = main(["hedge-sweep", "--payoff", "call", "--m", "1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: config: need m >= 2 paths for a standard error\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_header_echoes_defaults_used(tmp_path):
     out = tmp_path / "zr.csv"
     assert main(["zreg", "--payoff", "call", "--out", str(out)]) == 0

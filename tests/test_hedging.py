@@ -241,7 +241,7 @@ def test_off_table_count_is_exact_across_threads(monkeypatch):
     monkeypatch.setattr(hedging, "_log_range", narrow)
     p, seed = Payoff.power_holder(1.0, 0.25), 3
     net = make_theta_net(8, 1.0, 1.0)
-    counts = [_l2_estimates(p, MODEL, "martingale", [(net, 500)], seed,
+    counts = [_l2_estimates(p, MODEL, "martingale", [net], 500, seed,
                             threads)[1]["off_table_spots"]
               for threads in (1, 2, 3)]
     xs = np.concatenate(model.map_blocks(
@@ -519,35 +519,44 @@ def test_sweep_shares_delta_tables_across_nested_nets(monkeypatch):
     assert len(set(times)) == 128
 
 
-@pytest.mark.parametrize("ns, theta", [([8, 16, 32, 64], 1.0),
-                                       ([6, 8, 12, 16, 24], 0.5)],
+_NESTED = st.builds(lambda n0, k: [n0 << i for i in range(k)],
+                    st.integers(2, 3), st.integers(2, 4))
+_ANY_NS = st.lists(st.integers(2, 24), min_size=2, max_size=4, unique=True)
+
+
+@pytest.mark.parametrize("nested", [True, False],
                          ids=["nested", "non-nested"])
-def test_nets_hedge_on_one_walk(ns, theta, monkeypatch):
-    # every net of a walk reads the first m_k paths of one path matrix on
-    # the union of the nets' nodes, at its own nodes: a reference built
-    # from that matrix, walked block by block over map_blocks' spans of
-    # the largest m, with the loop's operations in the loop's order,
-    # gives the same bits.  64-path blocks put each coarse net's last
-    # path inside a block, and leave the last blocks to the finer nets
-    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+@settings(max_examples=30)
+@given(data=st.data(), theta=st.floats(0.3, 1.0), m=st.integers(2, 300))
+def test_nets_hedge_on_one_walk(nested, data, theta, m):
+    # every net of a walk reads all m paths of one path matrix on the
+    # union of the nets' nodes, at its own nodes: a reference built from
+    # that matrix, walked block by block over map_blocks' spans of m,
+    # with the loop's operations in the loop's order, gives the same
+    # bits.  The non-nested case draws any distinct n, and 64-path blocks
+    # put up to 6 blocks in the walk
+    ns = data.draw(_NESTED if nested else _ANY_NS, label="ns")
     p, seed = Payoff.binary(1.0), 5
-    runs = [(make_theta_net(n, theta, 1.0), 101 + 47 * k)
-            for k, n in enumerate(ns)]
-    got, health = hedging._run(p, MODEL, "martingale", runs, seed, None, 2)
+    nets = [make_theta_net(n, theta, 1.0) for n in ns]
+    saved, model.BLOCK_PATHS = model.BLOCK_PATHS, 64
+    try:
+        got, health = hedging._run(p, MODEL, "martingale", nets, m, seed,
+                                   None, 2)
+        grid = functools.reduce(np.union1d, [net.nodes for net in nets])
+        xs = np.concatenate(model.map_blocks(
+            lambda s, c: np.array([x.copy() for _, x in model._walk(
+                MODEL, grid, seed, s, c, 0.0)]), m), axis=1)
+    finally:
+        model.BLOCK_PATHS = saved
     assert health == {}
-    grid = functools.reduce(np.union1d, [net.nodes for net, _ in runs])
-    xs = np.concatenate(model.map_blocks(
-        lambda s, c: np.array([x.copy() for _, x in model._walk(
-            MODEL, grid, seed, s, c, 0.0)]),
-        max(m for _, m in runs)), axis=1)
     ss = np.exp(xs)
     h0 = po.price(p, MODEL, 0.0, 1.0)
-    for (net, m), sample in zip(runs, got):
+    for net, sample in zip(nets, got):
         at = np.searchsorted(grid, net.nodes)
         np.testing.assert_array_equal(grid[at], net.nodes)
         acc = np.zeros(m)
         for a, b in zip(at[:-1], at[1:]):
-            held, _ = _deltas(p, MODEL, grid[a], xs[a, :m], ss[a, :m])
-            acc += (ss[b, :m] - ss[a, :m]) * held
-        ref = po.payoff_eval(p, ss[-1, :m]) - h0 - acc
+            held, _ = _deltas(p, MODEL, grid[a], xs[a], ss[a])
+            acc += (ss[b] - ss[a]) * held
+        ref = po.payoff_eval(p, ss[-1]) - h0 - acc
         np.testing.assert_array_equal(sample.terminal_errors, ref)

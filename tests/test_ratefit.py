@@ -74,13 +74,23 @@ def test_sweep_refuses_an_unfittable_n_list_before_the_walk(
         sweep(Payoff.call(1.0), MODEL, 1.0, n_list, 20_000, 0)
 
 
+def test_sweep_refuses_one_path_before_the_walk(monkeypatch):
+    # one path has no standard error, though the walk's M = min(4 m,
+    # round(m sqrt(n_max / n_min))) would be 4 paths
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(hedging, "_run", walk)
+    with pytest.raises(ConfigError, match="need m >= 2 paths"):
+        sweep(Payoff.call(1.0), MODEL, 1.0, [8, 16, 32, 64, 128], 1, 0)
+
+
 def test_sweep_small_run_and_csv(tmp_path):
     res = sweep(Payoff.call(1.0), MODEL, 1.0, [8, 16, 32, 64, 128],
                 3000, 42, threads=4)
     assert len(res.estimates) == 5
-    # path counts grow like sqrt(n / n_min)
-    assert res.estimates[0].m == 3000
-    assert res.estimates[2].m == 6000
+    # every net reads the walk's M = min(4 m, round(m sqrt(128 / 8))) paths
+    assert [e.m for e in res.estimates] == [12_000] * 5
     assert -0.75 < res.fit.slope < -0.3
     path = tmp_path / "sweep.csv"
     sweep_to_csv(path, res, header_lines=["alpha=1"])
@@ -105,8 +115,8 @@ def test_sweep_deterministic_across_threads():
                          ids=["binary", "power_holder"])
 def test_sweep_csv_identical_across_threads_on_many_blocks(
         p, theta, tmp_path, monkeypatch):
-    # 64-path blocks put 5 to 19 blocks in every net, so a block boundary
-    # falls inside each run at any thread count
+    # 64-path blocks split the walk's 1,200 paths into 20 blocks, which
+    # each thread count runs in its own order
     monkeypatch.setattr(model, "BLOCK_PATHS", 64)
     out = []
     for threads in (1, 2, 3):
@@ -135,9 +145,9 @@ def test_finest_net_estimate_is_its_own_run():
 def test_non_nested_sweep_identical_across_threads_at_block_boundaries(
         p, theta, tmp_path, monkeypatch):
     # the walk steps the union of nets that are not nested (6, 12 and 24
-    # against 8, 16 and 32); with 64-path blocks the coarsest net's last
-    # path falls inside a block and it reads none of the last blocks, and
-    # the bytes stay the same at any thread count
+    # against 8, 16 and 32); with 64-path blocks every net reads the 4
+    # blocks of M = 231 paths, and the bytes stay the same at any thread
+    # count
     monkeypatch.setattr(model, "BLOCK_PATHS", 64)
     n_list, m = [6, 8, 12, 16, 24, 32], 100
     out = []
@@ -146,10 +156,8 @@ def test_non_nested_sweep_identical_across_threads_at_block_boundaries(
         path = tmp_path / f"sweep{threads}.csv"
         sweep_to_csv(path, res)
         out.append(path.read_bytes())
-    spans = model.map_blocks(lambda start, count: (start, count),
-                             res.estimates[-1].m)
-    assert any(start < m < start + count for start, count in spans)
-    assert any(start >= m for start, _ in spans)
+    assert [e.m for e in res.estimates] == [231] * len(n_list)
+    assert len(model.map_blocks(lambda start, count: None, 231)) == 4
     assert out[0] == out[1] == out[2]
 
 
