@@ -220,19 +220,17 @@ def _delta_evaluator(p: Payoff, model: MarketModel, drift: float,
     the deltas at ln-spots x = ln s and returns how many it valued beyond
     its table.
 
-    The binary and call deltas come from x by ``payoffs._log_delta``,
-    with t and the volatility checked once, here.  The power-Holder
-    delta is ``_holder_table``'s, interpolated by ``_hermite_lookup``; a
-    spot beyond the table's ``_log_range``, which spans the paths of
-    ``drift`` alone, and every spot of other payoffs or of a t with no
-    table, is valued at s by ``payoffs.delta``.
+    Every closed-form delta comes from x by ``payoffs._log_delta``, with
+    t and the volatility checked once, here.  The power-Holder delta is
+    ``_holder_table``'s, interpolated by ``_hermite_lookup``; a spot
+    beyond the table's ``_log_range``, which spans the paths of ``drift``
+    alone, and every spot of the chaos payoff or of a t with no table, is
+    valued at s by ``payoffs.delta``.
     """
-    if p.kind in ("binary", "call"):
+    if p.closed_form:
         v, _ = po._resolve(model, t, greek=True)
-        lk = math.log(p.strike)
-
         def fn(x, s, out):
-            po._log_delta(p.kind, x, lk, v, out)
+            po._log_delta(p, x, v, out)
             return 0
         return fn, 0.0
     table = p.kind == "power_holder" and _holder_table(p, model, t, drift)
@@ -256,6 +254,11 @@ def _delta_evaluator(p: Payoff, model: MarketModel, drift: float,
     return fn, ratio
 
 
+def _check_maturity(model: MarketModel, nets) -> None:
+    if any(abs(net.T - model.T) > 1e-12 for net in nets):
+        raise ConfigError("net maturity must match the model maturity")
+
+
 def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
          seed: int, eval_times, threads: int):
     """Simulate the hedges of ``nets`` on one walk of m paths: one sample
@@ -265,11 +268,12 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
 
     The walk steps ln S on the union of the nets' nodes and
     ``eval_times`` for the m paths of ``seed``, under the drift of
-    ``measure``, and every net reads all m paths.  Each path block reads
-    x = ln S from ``model._walk`` and takes one exp per step into a
-    preallocated S.  At each node where nets rebalance, the node's
-    ``_delta_evaluator``, built before the walk, writes the delta into
-    the first holder's buffer, and every other holder copies it.  Each
+    ``measure``, and every net reads all m paths (``model.map_blocks``
+    refuses m < 1).  Each path block reads x = ln S from ``model._walk``
+    and takes one exp per step into a preallocated S.  At each node where
+    nets rebalance, the node's ``_delta_evaluator``, built before the
+    walk, writes the delta into the first holder's buffer (from x for
+    every closed-form payoff), and every other holder copies it.  Each
     net keeps its own accumulator, the S at its last node or eval time
     and the delta it holds; at each of its nodes and eval times it adds
     the change of S since the last one, times that delta, to its gains.
@@ -280,11 +284,7 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
     exp(ln s0) of s0 hedge nothing and raise ``DegeneratePathsError``.
     """
     drift = model.drift(measure)
-    if any(abs(net.T - model.T) > 1e-12 for net in nets):
-        raise ConfigError("net maturity must match the model maturity")
-    if m < 1:
-        raise ConfigError("path count m must be >= 1")
-
+    _check_maturity(model, nets)
     if eval_times is None:
         ev = np.empty(0)
     else:
@@ -308,8 +308,9 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
     dfns = {j: _delta_evaluator(p, model, drift, grid[j])
             for j in range(nt) if holders[j]}
 
-    terminal = [np.empty(m) for _ in nets]
-    proc = [np.empty((m, ev.size)) if ev.size else None for _ in nets]
+    # map_blocks refuses m < 1 before a block writes here
+    terminal = [np.empty(max(m, 0)) for _ in nets]
+    proc = [np.empty((max(m, 0), ev.size)) if ev.size else None for _ in nets]
     # how far exp(ln s0) rounds from s0: a spot no farther has not moved
     still = (2.0 * np.finfo(float).eps * model.s0
              * (1.0 + abs(math.log(model.s0))))
@@ -435,8 +436,7 @@ def z_regularity(p: Payoff, model: MarketModel, net: TimeNet) -> float:
     at a = 0).  A chaos payoff's Var h(S_T) comes from its unchecked
     E[h^2] rule, so its result is only as accurate as ``second_moment``.
     """
-    if abs(net.T - model.T) > 1e-12:
-        raise ConfigError("net maturity must match the model maturity")
+    _check_maturity(model, [net])
     total = float(po.conditional_variance(p, model, 0.0, model.s0))
     for a, b in zip(net.nodes[:-1], net.nodes[1:]):
         g = po._exp_var(model.sigma ** 2 * (b - a))

@@ -118,6 +118,8 @@ def map_blocks(fn, m: int, threads: int = 1) -> list:
     threads 8 on 2 cores a power-Holder sweep took 17.8 s wall and
     30.1 s CPU, against 14.3 s and 25.3 s at threads 2).
     """
+    if m < 1:
+        raise ConfigError("path count m must be >= 1")
     if threads < 1:
         raise ConfigError("thread count must be >= 1")
     nb = 2 * -(-m // (2 * BLOCK_PATHS)) if m > 1 else 1
@@ -170,14 +172,12 @@ def simulate_gbm(model: MarketModel, times, m: int, seed: int,
     per path.
     """
     times = _check_grid(model, times)
-    if m < 1:
-        raise ConfigError("path count m must be >= 1")
     drift = model.drift(measure)
-    out = np.empty((m, times.size))
 
     def block(start, count):
+        out = np.empty((count, times.size))
         for j, x in _walk(model, times, seed, start, count, drift):
-            out[start:start + count, j] = np.exp(x)
+            out[:, j] = np.exp(x)
+        return out
 
-    map_blocks(block, m, threads=threads)
-    return out
+    return np.concatenate(map_blocks(block, m, threads=threads))

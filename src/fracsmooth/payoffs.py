@@ -47,7 +47,6 @@ __all__ = [
     "conditional_variance",
 ]
 
-_TAU_FLOOR = 1e-12
 #: smallest volatility pricing accepts: far below it sigma^2 tau
 #: underflows and the closed-form Greeks overflow or turn NaN
 _SIGMA_DEGENERATE = 1e-100
@@ -139,12 +138,12 @@ def payoff_eval(p: Payoff, s):
 
 def _resolve(model: MarketModel, t: float, greek: bool) -> tuple[float, float]:
     """(v, var) at valuation time t: the sd v = sigma sqrt(tau) of ln S_T
-    given S_t and its variance var = sigma^2 tau, for tau = T - t floored
-    at ``_TAU_FLOOR``.
+    given S_t and its variance var = sigma^2 tau, for tau = T - t exactly.
 
     The one place where sigma and t are checked and v and var are
     derived.  Every engine rule takes v; the affine E[h^2] and the chaos
-    route also read var.  Greeks (``greek``) need t < T.
+    route also read var.  Greeks (``greek``) need t < T, and a t < T with
+    var below the normal floats raises ``DegeneratePathsError``.
     """
     if model.sigma < _SIGMA_DEGENERATE:
         raise ConfigError(f"pricing needs sigma >= {_SIGMA_DEGENERATE:g}, "
@@ -153,8 +152,10 @@ def _resolve(model: MarketModel, t: float, greek: bool) -> tuple[float, float]:
         raise ConfigError("valuation time t must be finite and lie in [0, T]")
     if greek and t >= model.T:
         raise ConfigError("Greeks are not defined at t = T")
-    tau = max(model.T - t, _TAU_FLOOR)
-    return model.sigma * math.sqrt(tau), model.sigma ** 2 * tau
+    var = model.sigma ** 2 * (model.T - t)
+    if t < model.T and var < np.finfo(float).tiny:
+        raise DegeneratePathsError(f"the ln-price variance {var:g} underflows")
+    return model.sigma * math.sqrt(model.T - t), var
 
 
 def _d12(v: float, s, strike: float):
@@ -175,19 +176,24 @@ def _exp_var(var: float) -> float:
     return math.exp(var)
 
 
-def _log_delta(kind: str, x, lk: float, v: float, out=None):
-    """The binary's delta, or else the call's, at ln-spots ``x``.
+def _log_delta(p: Payoff, x, v: float, out=None):
+    """The delta of the closed-form payoff p at ln-spots ``x``.
 
-    ``lk`` is ln K and v the kernel sd sigma sqrt(T - t).  The hedging
-    loop carries x = ln S and passes a buffer ``out`` (never ``x``) to
-    write into; ``_closed_form`` passes ln s.  In x the binary's
-    phi(d2) / (s v) is exp(-d2^2/2 - x) / (sqrt(2 pi) v), one exp.
+    v is the kernel sd sigma sqrt(T - t).  The hedging loop passes x = ln S
+    and a buffer ``out`` (never ``x``); ``_closed_form`` passes ln s.  The
+    put's is the call's Phi(d1) less 1, the affine's c1, and in x the
+    binary's phi(d2) / (s v) is exp(-d2^2/2 - x) / (sqrt(2 pi) v).
     """
-    out = np.subtract(x, lk, out=out)
-    if kind != "binary":
+    if p.kind == "affine":
+        return np.multiply(np.ones_like(x), p.c1, out=out)
+    out = np.subtract(x, math.log(p.strike), out=out)
+    if p.kind != "binary":
         out += 0.5 * v * v
         out /= v
-        return ndtr(out, out=out)
+        ndtr(out, out=out)
+        if p.kind == "put":
+            out -= 1.0
+        return out
     out -= 0.5 * v * v
     out *= out
     out *= -0.5 / (v * v)
@@ -216,7 +222,7 @@ def _valuate(p: Payoff, model: MarketModel, t: float, s,
     if "var" in want and not exact_var:
         need |= {"m2", "price"}
     tols = {q: _TOLS[q] for q in need}
-    if t >= model.T and not p.closed_form:
+    if t >= model.T:
         h = payoff_eval(p, s)
         out = {"price": h, "m2": h ** 2}
     elif p.closed_form:
@@ -470,12 +476,11 @@ def _chaos(p, v, var, s, tols):
     <= 1, else Gauss-Hermite checked under node doubling.  E[h^2] is not
     checked under node doubling, but raises ``QuadratureError``, with no
     warning, when its sum overflows."""
-    h = lambda st: hermite_series(p.expansion.alpha, np.log(st) + 0.5)
     out = {}
     if "m2" in tols:
         st, _, w = _gh_spots(s, v, _GH_NODES)
         with np.errstate(over="ignore", invalid="ignore"):
-            out["m2"] = h(st) ** 2 @ w
+            out["m2"] = payoff_eval(p, st) ** 2 @ w
         if not np.all(np.isfinite(out["m2"])):
             raise QuadratureError("Gauss-Hermite E[h^2] of the chaos series "
                                   "is not finite")
@@ -487,7 +492,7 @@ def _chaos(p, v, var, s, tols):
 
     def rule(n):
         st, z, w = _gh_spots(s, v, n)
-        hv = h(st)
+        hv = payoff_eval(p, st)
         # kernel weights before the 1/(s^k v) of each Greek
         kern = {"price": w, "delta": w * z, "gamma": w * ((z * z - 1.0) / v - z)}
         return {q: hv @ kern[q] for q in rest}
@@ -499,11 +504,11 @@ def _chaos(p, v, var, s, tols):
 
 
 def _closed_form(p, v, var, s, q):
+    if q == "delta":
+        return _log_delta(p, np.log(s), v)
     if p.kind == "affine":
         if q == "price":
             return p.c0 + p.c1 * s
-        if q == "delta":
-            return np.full_like(s, p.c1)
         if q == "m2":
             c0, c1, ev2 = np.float64(p.c0), np.float64(p.c1), _exp_var(var)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -511,9 +516,6 @@ def _closed_form(p, v, var, s, q):
                                   + c1 ** 2 * s * s * ev2)
         return np.zeros_like(s)
     K = p.strike
-    if q == "delta":
-        d = _log_delta(p.kind, np.log(s), math.log(K), v)
-        return d - 1.0 if p.kind == "put" else d
     d1, d2 = _d12(v, s, K)
     if p.kind == "binary":
         # h^2 = h

@@ -68,8 +68,6 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
         raise ConfigError("clock simulation requires the T=1 normalization")
     if not (0.0 < theta <= 1.0):
         raise ConfigError("theta must lie in (0, 1]")
-    if m < 1:
-        raise ConfigError("path count m must be >= 1")
     times, w, octv = _clock_grid(_CLOCK_ORDER)
 
     def block(start, count):

@@ -360,7 +360,15 @@ def test_values_that_are_not_finite_exit_numerical(argv, tmp_path, capsys):
     # z * z overflows in the kink width of a lognormal grid
     pytest.param(["zreg", "--n_list", "26", "--T", "1e-310",
                   "--strike", "692.4"], 2, "degenerate",
-                 id="zreg-kink-width-overflow")])
+                 id="zreg-kink-width-overflow"),
+    # sigma^2 (T - t) below the normal floats: the binary delta warned,
+    # and a kernel sd that underflows to 0 divided by zero
+    pytest.param(["price", "--payoff", "binary", "--T", "5e-324",
+                  "--t_list", "0", "--s_list", "1"], 2, "degenerate",
+                 id="price-variance-subnormal"),
+    pytest.param(["price", "--payoff", "binary", "--sigma", "1e-100",
+                  "--T", "1e-250", "--t_list", "0", "--s_list", "1"], 2,
+                 "degenerate", id="price-variance-underflow")])
 def test_contract_breaches_exit_with_one_error_line(argv, rc, category,
                                                     tmp_path, capsys):
     # breaches of the CLI contract found by tests/test_cli_contract.py:

@@ -75,6 +75,13 @@ def test_process_values_at_eval_times():
             tracking_error_process(p, MODEL, net, 10, 0, bad)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_hedge_rejects_path_count_below_one(m):
+    net = make_theta_net(4, 1.0, 1.0)
+    with pytest.raises(ConfigError, match="path count m must be >= 1"):
+        tracking_error_terminal(Payoff.call(1.0), MODEL, net, m, 0)
+
+
 def test_thread_invariance():
     p = Payoff.binary(1.0)
     net = make_theta_net(16, 0.5, 1.0)
@@ -109,17 +116,19 @@ def _deltas(p, m, t, x, s):
 
 
 @settings(max_examples=60)
-@given(kind=st.sampled_from(["binary", "call"]), s=st.floats(1e-3, 1e3),
-       strike=st.floats(0.05, 20.0), sigma=st.floats(0.01, 5.0),
-       t=st.floats(0.0, 0.999))
+@given(kind=st.sampled_from(["binary", "call", "put", "affine"]),
+       s=st.floats(1e-3, 1e3), strike=st.floats(0.05, 20.0),
+       sigma=st.floats(0.01, 5.0), t=st.floats(0.0, 0.999))
 def test_log_delta_evaluator_is_payoffs_delta(kind, s, strike, sigma, t):
-    # the hedging loop's evaluator reads x = ln s and shares its formula
-    # with payoffs.delta, so the bits agree; the binary's one-exp form is
+    # the hedging loop's evaluator reads x = ln s alone (its spots here
+    # are NaN) and shares its formula with payoffs.delta for every
+    # closed-form kind, so the bits agree; the binary's one-exp form is
     # also checked against phi(d2) / (s v) as written in s
-    p = Payoff(kind=kind, strike=strike)
+    p = (Payoff.affine(0.5, strike) if kind == "affine"
+         else Payoff(kind=kind, strike=strike))
     m = MarketModel(s0=1.0, sigma=sigma, T=1.0)
     spots = s * np.array([0.5, 1.0, 2.0])
-    got, off = _deltas(p, m, t, np.log(spots), spots)
+    got, off = _deltas(p, m, t, np.log(spots), np.full(3, np.nan))
     np.testing.assert_array_equal(got, po.delta(p, m, t, spots))
     assert off == 0
     if kind == "binary":

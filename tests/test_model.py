@@ -155,6 +155,18 @@ def test_map_blocks_rejects_thread_count_below_one():
             map_blocks(lambda s, c: None, 10, threads=threads)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_map_blocks_rejects_path_count_below_one(m):
+    # the one path-count check of every Monte Carlo run: no block is
+    # called (it called fn(0, m)), and simulate_gbm refuses through it
+    calls = []
+    with pytest.raises(ConfigError, match="path count m must be >= 1"):
+        map_blocks(lambda s, c: calls.append((s, c)), m)
+    assert calls == []
+    with pytest.raises(ConfigError, match="path count m must be >= 1"):
+        simulate_gbm(MarketModel(s0=1.0, sigma=1.0), [0.5, 1.0], m, 0)
+
+
 def test_map_blocks_pool_stops_at_the_core_count(monkeypatch):
     # more threads than cores only contend for the interpreter lock, and
     # the block layout does not depend on threads, so neither do results

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -187,6 +188,75 @@ def test_chaos_closed_form_equals_sum_by_order(e, sigma):
             for q in want:
                 np.testing.assert_array_equal(got[q].view(np.int64),
                                               ref[q].view(np.int64))
+
+
+@pytest.mark.parametrize("p", [
+    Payoff.call(1.0), Payoff.put(1.0), Payoff.binary(1.0),
+    Payoff.power_holder(1.0, 0.25), Payoff.affine(0.5, 2.0),
+    Payoff.chaos(indicator_expansion(0.5, 64))], ids=lambda p: p.kind)
+def test_values_at_maturity_are_the_payoff(p):
+    # at t = T the law of S_T given S_t is the point mass at s, for every
+    # kind: the binary at its strike prices its payoff 1, with variance 0
+    s = np.array([0.5, 1.0, 1.5])
+    h = payoff_eval(p, s)
+    np.testing.assert_array_equal(price(p, MODEL, 1.0, s), h)
+    np.testing.assert_array_equal(second_moment(p, MODEL, 1.0, s), h * h)
+    np.testing.assert_array_equal(conditional_variance(p, MODEL, 1.0, s), 0.0)
+
+
+def test_at_the_money_call_at_tiny_maturity():
+    # T - t is taken exactly: the price is K (Phi(v/2) - Phi(-v/2)), about
+    # v / sqrt(2 pi), and the gamma 1 / (s v sqrt(2 pi)).  s Phi(d1) - K
+    # Phi(d2) cancels to the rounding of K, so at T = 1e-300 the price is
+    # held to that; a floor at T - t = 1e-12 priced 3.99e-7 at both T
+    p = Payoff.call(1.0)
+    for T in (1e-16, 1e-300):
+        model = MarketModel(1.0, 1.0, T=T)
+        v = math.sqrt(T)
+        ref = v / math.sqrt(2.0 * math.pi)
+        got = price(p, model, 0.0, 1.0)
+        assert abs(got - ref) <= (1e-6 * ref if T > 1e-20
+                                  else np.finfo(float).eps)
+        assert gamma(p, model, 0.0, 1.0) == pytest.approx(
+            1.0 / (v * math.sqrt(2.0 * math.pi)), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma, T", [(1.0, 5e-324), (1e-100, 1e-250)])
+def test_collapsed_law_before_maturity_is_refused(sigma, T):
+    # sigma^2 (T - t) below the normal floats: the binary delta's
+    # exp(-d2^2/2) / v and the gammas' divisions by v^2 overflow, so the
+    # engine refuses the t < T, while t = T is the payoff
+    p, model = Payoff.binary(1.0), MarketModel(1.0, sigma, T=T)
+    for f in (price, delta, gamma, second_moment, conditional_variance):
+        with pytest.raises(DegeneratePathsError, match="underflows"):
+            f(p, model, 0.0, 1.0)
+    assert price(p, model, T, 1.0) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["call", "put", "binary", "affine"]),
+       log_T=st.floats(-323.0, 2.0), log_sigma=st.floats(-100.0, 0.47),
+       frac=st.floats(0.0, 1.0 - 2.0 ** -52), u=st.floats(-8.0, 8.0))
+def test_closed_forms_finite_or_refused_at_any_maturity(kind, log_T,
+                                                        log_sigma, frac, u):
+    # T from 1e-323 to 100, sigma from its 1e-100 floor to 3, t < T up to
+    # T (1 - 2^-52), spots at u kernel sds from the strike and beyond it:
+    # every price, delta and gamma is finite or refused, and none warns
+    p = (Payoff.affine(0.5, 2.0) if kind == "affine"
+         else Payoff(kind=kind, strike=1.0))
+    T, sigma = 10.0 ** log_T, 10.0 ** log_sigma
+    model = MarketModel(1.0, sigma, T=T)
+    t = T * frac
+    v = sigma * math.sqrt(T - t)
+    s = np.exp([-0.7, u * v, 0.0, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (price, delta, gamma):
+            try:
+                val = f(p, model, t, s)
+            except (ConfigError, DegeneratePathsError):
+                continue
+            assert np.all(np.isfinite(val)), (f.__name__, val)
 
 
 def test_greeks_rejected_at_maturity():
@@ -435,9 +505,9 @@ def test_power_holder_greeks_far_from_kink_at_tiny_sigma(sigma):
 
 
 def test_power_holder_gamma_far_above_kink_at_tau_floor():
-    # tau sits at its 1e-12 floor, so sigma sqrt(tau) = 1e-6 and the
-    # price is the payoff up to O(1e-12); a kernel-differentiated gamma
-    # divides by v^2 = 1e-12 and was off by 1e-4 to 3e-3 here
+    # tau is about 1e-12, so sigma sqrt(tau) = 1e-6 and the price is the
+    # payoff up to O(1e-12); a kernel-differentiated gamma divides by
+    # v^2 = 1e-12 and was off by 1e-4 to 3e-3 here
     th = 0.25
     p = Payoff.power_holder(1.0, th)
     for s in (1.2, 1.43, 2.0, 5.0):
@@ -468,7 +538,7 @@ def test_degenerate_sigma_rejected():
 def test_closed_forms_finite_at_sigma_floor(p):
     model = MarketModel(s0=1.0, sigma=1e-100, T=1.0)
     s = np.array([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5])
-    # the last time sits below the tau floor of 1e-12
+    # the last time leaves tau about 1e-13, where sigma^2 tau is 1e-213
     for t in (0.0, 0.5, 1.0 - 1e-13):
         for f in (price, delta, gamma):
             assert np.all(np.isfinite(f(p, model, t, s))), (f.__name__, t)

@@ -42,14 +42,26 @@ def test_decay_grid_validation():
 
 
 def test_theta_hat_binary_and_call():
-    grid = default_t_grid(MODEL, 20)
-    est_b = estimate_theta_sup(conditional_l2_decay(Payoff.binary(1.0),
-                                                    MODEL, grid))
-    assert est_b.theta_hat == pytest.approx(0.5, abs=0.02)
-    est_c = estimate_theta_sup(conditional_l2_decay(Payoff.call(1.0),
-                                                    MODEL, grid))
-    assert 0.95 <= est_c.theta_hat <= 1.0
-    assert est_b.residual_rms < 0.05
+    # depth 50 reaches T - t = 2^-50, below 1e-12
+    for depth in (20, 50):
+        grid = default_t_grid(MODEL, depth)
+        est_b = estimate_theta_sup(conditional_l2_decay(Payoff.binary(1.0),
+                                                        MODEL, grid))
+        assert est_b.theta_hat == pytest.approx(0.5, abs=0.01 if depth == 50
+                                                else 0.02)
+        est_c = estimate_theta_sup(conditional_l2_decay(Payoff.call(1.0),
+                                                        MODEL, grid))
+        assert 0.95 <= est_c.theta_hat <= 1.0
+        assert est_b.residual_rms < 0.05 and est_c.residual_rms < 0.05
+
+
+def test_binary_decay_keeps_its_rate_near_maturity():
+    # D ~ c (T - t)^(1/4) for the binary from T - t = 2^-36 to 2^-50: T - t
+    # is taken exactly, where a floor at 1e-12 left D flat from 2^-40 on
+    u = 2.0 ** -np.arange(36.0, 51.0)
+    curve = conditional_l2_decay(Payoff.binary(1.0), MODEL, 1.0 - u)
+    slopes = np.diff(np.log(curve.D)) / np.diff(np.log(u))
+    np.testing.assert_allclose(slopes, 0.25, atol=1e-3)
 
 
 def test_theta_hat_needs_enough_points():

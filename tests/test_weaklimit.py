@@ -133,7 +133,7 @@ def test_power_holder_clock_thread_invariant(monkeypatch):
         assert run.flagged_fraction == runs[0].flagged_fraction
 
 
-@pytest.mark.parametrize("m, threads", [(0, 1), (10, 0)])
+@pytest.mark.parametrize("m, threads", [(0, 1), (-3, 1), (10, 0)])
 def test_clock_rejects_empty_sample_and_zero_threads(m, threads):
     with pytest.raises(ConfigError):
         clock_A(Payoff.call(1.0), MODEL, 1.0, m, 0, threads=threads)
