@@ -11,6 +11,7 @@ before a file is opened; each file replaces its target only once whole.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -216,8 +217,9 @@ def cmd_weaklimit(cfg: dict, header: list[str]) -> None:
         threads=cfg["threads"]).terminal_errors
     wl.clock_to_csv(cfg["out"], clock, header_lines=header)
     write_csv(cfg["out"] + ".cmp.csv", header, ["sample_source", "value"],
-              [["rescaled_error", repr(float(v))] for v in scaled]
-              + [["mixed_normal", repr(float(v))] for v in mixed])
+              itertools.chain(
+                  (["rescaled_error", repr(v)] for v in scaled.tolist()),
+                  (["mixed_normal", repr(v)] for v in mixed.tolist())))
     _emit_summary(cfg, {"ks": wl.ks_distance(scaled, mixed),
                         "mean_A": float(clock.A_values.mean()),
                         "var_mixed": float(mixed.var()),

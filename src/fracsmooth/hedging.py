@@ -260,11 +260,13 @@ def _check_maturity(model: MarketModel, nets) -> None:
 
 
 def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
-         seed: int, eval_times, threads: int):
-    """Simulate the hedges of ``nets`` on one walk of m paths: one sample
-    per net, in the order of ``nets``, and the evaluators' health, which
-    for the power-Holder payoff alone holds the worst
-    ``table_error_ratio`` and the blocks' sum of ``off_table_spots``.
+         seed: int, eval_times, threads: int, reduce):
+    """Simulate the hedges of ``nets`` on one walk of m paths, and hand
+    each path block's errors to ``reduce``: per net, in the order of
+    ``nets``, the list in block order of ``reduce(errors, values)``, and
+    the evaluators' health, which for the power-Holder payoff alone holds
+    the worst ``table_error_ratio`` and the blocks' sum of
+    ``off_table_spots``.
 
     The walk steps ln S on the union of the nets' nodes and
     ``eval_times`` for the m paths of ``seed``, under the drift of
@@ -277,11 +279,17 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
     net keeps its own accumulator, the S at its last node or eval time
     and the delta it holds; at each of its nodes and eval times it adds
     the change of S since the last one, times that delta, to its gains.
-    A single net is the one-element case, so the finest of nested nets,
-    whose nodes are the union, gets the bits of a run of its own.  The
-    block layout depends on m alone, so the samples are the same at any
-    thread count.  Paths whose terminal S all lie within the rounding of
-    exp(ln s0) of s0 hedge nothing and raise ``DegeneratePathsError``.
+    At the end of the block each accumulator becomes, in place, the net's
+    per-path C_T, which ``reduce`` receives with the block's
+    ``(count, eval_times.size)`` C_t (None without ``eval_times``) and may
+    overwrite.  So a run holds O(nets x block) memory of its own, and
+    whatever the reductions keep.  A single net is the one-element case,
+    so the finest of nested nets, whose nodes are the union, gets the
+    bits of a run of its own.  The block layout depends on m alone, so
+    the results are the same at any thread count.  Paths whose terminal S
+    all lie within the rounding of exp(ln s0) of s0 hedge nothing and
+    raise ``DegeneratePathsError``; otherwise a block whose C_T are not
+    all finite, which it does not reduce, raises ``SimulationError``.
     """
     drift = model.drift(measure)
     _check_maturity(model, nets)
@@ -307,10 +315,6 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
     # with their tables' error ratios
     dfns = {j: _delta_evaluator(p, model, drift, grid[j])
             for j in range(nt) if holders[j]}
-
-    # map_blocks refuses m < 1 before a block writes here
-    terminal = [np.empty(max(m, 0)) for _ in nets]
-    proc = [np.empty((max(m, 0), ev.size)) if ev.size else None for _ in nets]
     # how far exp(ln s0) rounds from s0: a spot no farther has not moved
     still = (2.0 * np.finfo(float).eps * model.s0
              * (1.0 + abs(math.log(model.s0))))
@@ -320,6 +324,8 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
         last = [np.full(count, model.s0) for _ in nets]
         acc = [np.zeros(count) for _ in nets]
         held = [np.zeros(count) for _ in nets]
+        proc = [np.empty((count, ev.size)) if ev.size else None
+                for _ in nets]
         col, off = 0, 0
         # errstate is per thread: set here; overflowing paths are refused
         with np.errstate(all="ignore"):
@@ -334,7 +340,7 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
                 if is_eval[j]:
                     v = po.price(p, model, grid[j], s) - h0
                     for values, gains in zip(proc, acc):
-                        values[start:start + count, col] = v - gains
+                        values[:, col] = v - gains
                     col += 1
                 if holders[j]:
                     first, *rest = holders[j]
@@ -347,29 +353,43 @@ def _run(p: Payoff, model: MarketModel, measure: str, nets, m: int,
                     for k in rest:
                         held[k][...] = held[first]
             pay = po.payoff_eval(p, s) - h0
-            for errors, gains in zip(terminal, acc):
-                errors[start:start + count] = pay - gains
-        return bool(np.any(np.abs(s - model.s0) > still)), off
+            for gains in acc:
+                np.subtract(pay, gains, out=gains)
+            moved = bool(np.any(np.abs(s - model.s0) > still))
+            if not all(np.isfinite(errors).all() for errors in acc):
+                return moved, off, None
+            return moved, off, [reduce(errors, values)
+                                for errors, values in zip(acc, proc)]
 
     blocks = map_blocks(block, m, threads=threads)
-    if not any(moved for moved, _ in blocks):
+    if not any(moved for moved, _, _ in blocks):
         raise DegeneratePathsError("no simulated spot moves from s0: "
                                    "paths at this sigma hedge nothing")
-    if not all(np.all(np.isfinite(errors)) for errors in terminal):
+    if any(done is None for _, _, done in blocks):
         raise SimulationError("a simulated tracking error is not "
                               "finite: the paths overflow a float")
     health = {} if p.kind != "power_holder" else {
         "table_error_ratio": max([0.0, *(r for _, r in dfns.values())]),
-        "off_table_spots": sum(off for _, off in blocks)}
-    return [TrackingErrorSample(terminal_errors=e, process_values=c)
-            for e, c in zip(terminal, proc)], health
+        "off_table_spots": sum(off for _, off, _ in blocks)}
+    return list(zip(*(done for _, _, done in blocks))), health
+
+
+def _samples(p: Payoff, model: MarketModel, measure: str, net: TimeNet,
+             m: int, seed: int, eval_times, threads: int):
+    """The ``TrackingErrorSample`` of one net: the blocks' rows, joined."""
+    (rows,), _ = _run(p, model, measure, [net], m, seed, eval_times,
+                      threads, lambda errors, values: (errors, values))
+    errors, values = zip(*rows)
+    return TrackingErrorSample(
+        terminal_errors=np.concatenate(errors),
+        process_values=None if eval_times is None else np.concatenate(values))
 
 
 def tracking_error_terminal(p: Payoff, model: MarketModel, net: TimeNet,
                             m: int, seed: int, measure: str = "martingale",
                             threads: int = 1) -> TrackingErrorSample:
     """Per-path terminal tracking errors C_T on the given net."""
-    return _run(p, model, measure, [net], m, seed, None, threads)[0][0]
+    return _samples(p, model, measure, net, m, seed, None, threads)
 
 
 def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
@@ -381,25 +401,50 @@ def tracking_error_process(p: Payoff, model: MarketModel, net: TimeNet,
     ``eval_times`` must be finite, strictly increasing and in [0, T);
     column k of ``process_values`` holds C at ``eval_times[k]``.
     """
-    return _run(p, model, measure, [net], m, seed, eval_times,
-                threads)[0][0]
+    return _samples(p, model, measure, net, m, seed, eval_times, threads)
+
+
+def _moments(errors, values):
+    """(count, mean, M2) of one block's squared C_T, with M2 the sum of
+    squared deviations from the block's mean; ``errors`` is overwritten.
+    Plain sums: a dot product would start OpenBLAS's own threads."""
+    sq = np.square(errors, out=errors)
+    mean = float(sq.mean())
+    sq -= mean
+    return sq.size, mean, float(np.square(sq, out=sq).sum())
+
+
+def _merge(a, b):
+    """The (count, mean, M2) of two samples joined, from theirs: the
+    pairwise update of Chan, Golub & LeVeque."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n, d = na + nb, mb - ma
+    return n, ma + d * nb / n, qa + qb + d * d * (na * nb / n)
 
 
 def _l2_estimates(p: Payoff, model: MarketModel, measure: str, nets,
                   m: int, seed: int, threads: int):
     """One ``L2ErrorEstimate`` per net of ``nets``, from one walk of m
-    paths, and the health of its delta evaluators (``_run``)."""
+    paths, and the health of its delta evaluators (``_run``).
+
+    Each path block reduces a net's squared C_T to ``_moments``, and the
+    blocks merge in block order (``_merge``), so no net ever holds an
+    m-sized array: a sweep's memory is O(nets x block), whatever m is.
+    The mean square is the merged mean, and its standard error
+    sqrt(M2 / (m - 1)) / sqrt(m).  Moments that overflow a float are
+    refused by ``L2ErrorEstimate``.
+    """
     if m < 2:
         raise ConfigError("need m >= 2 paths for a standard error")
-    samples, health = _run(p, model, measure, nets, m, seed, None, threads)
+    moments, health = _run(p, model, measure, nets, m, seed, None, threads,
+                           _moments)
     out = []
-    for net, sample in zip(nets, samples):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq = sample.terminal_errors ** 2
-            msq = float(sq.mean())
-            se = float(sq.std(ddof=1)) / math.sqrt(m)
-        out.append(L2ErrorEstimate(n=net.n, l2_error=math.sqrt(max(msq, 0.0)),
-                                   stderr=se, m=m))
+    for net, parts in zip(nets, moments):
+        _, msq, m2 = functools.reduce(_merge, parts)
+        out.append(L2ErrorEstimate(n=net.n, l2_error=math.sqrt(msq),
+                                   stderr=math.sqrt(m2 / (m - 1))
+                                   / math.sqrt(m), m=m))
     return out, health
 
 

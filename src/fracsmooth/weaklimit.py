@@ -58,8 +58,9 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
             threads: int = 1) -> ClockSample:
     """Simulate the clock integral per path, with an extrapolated tail.
 
-    Each path block walks ln S over the grid on the thread pool and adds
-    every node's weighted (S^2 gamma)^2 to that node's octave.
+    Each path block walks ln S over the grid on the thread pool, adds
+    every node's weighted (S^2 gamma)^2 to that node's octave, and sums
+    its paths' octaves to their A, so the clock holds O(m) memory.
     Octave contributions toward t=1 are extrapolated geometrically; paths
     whose last two octave increments fail to decay are flagged (their
     tails use the maximal admissible ratio) and the fraction is reported.
@@ -78,17 +79,18 @@ def clock_A(p: Payoff, model: MarketModel, theta: float, m: int, seed: int,
                 s = np.exp(x)
                 g = np.asarray(po.gamma(p, model, float(times[k]), s))
                 inc[:, octv[k]] += wt[k] * (s * s * g) ** 2
-        return inc
+            last, prev = inc[:, -1], inc[:, -2]
+            r = np.where(prev > 0.0, last / prev, 0.0)
+            flagged = int(np.count_nonzero((r >= 1.0) & (last > 0.0)))
+            r = np.clip(r, 0.0, 0.95)
+            return inc.sum(axis=1) + last * r / (1.0 - r), flagged
 
     # an A that is not finite (as at theta near 0) is refused below
     with np.errstate(all="ignore"):
         wt = w * (1.0 - times) ** (1.0 - theta) / (2.0 * theta)
-        inc = np.concatenate(map_blocks(block, m, threads=threads))
-        last, prev = inc[:, -1], inc[:, -2]
-        r = np.where(prev > 0.0, last / prev, 0.0)
-        flagged = float(np.mean((r >= 1.0) & (last > 0.0)))
-        r = np.clip(r, 0.0, 0.95)
-        a = inc.sum(axis=1) + last * r / (1.0 - r)
+    blocks = map_blocks(block, m, threads=threads)
+    a = np.concatenate([a for a, _ in blocks])
+    flagged = sum(f for _, f in blocks) / m
     if not np.all(np.isfinite(a)):
         raise SimulationError("the clock values A are not all finite")
     return ClockSample(A_values=a, flagged_fraction=flagged)
@@ -115,4 +117,4 @@ def ks_distance(x, y) -> float:
 def clock_to_csv(path, clock: ClockSample, header_lines=()) -> None:
     """CSV rows (path_id, A), after optional # comments."""
     write_csv(path, header_lines, ["path_id", "A"],
-              ([i, repr(float(a))] for i, a in enumerate(clock.A_values)))
+              ([i, repr(a)] for i, a in enumerate(clock.A_values.tolist())))

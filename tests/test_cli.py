@@ -310,7 +310,12 @@ def test_list_that_is_not_integers_is_named(tmp_path, capsys):
                  id="weaklimit-binary"),
     pytest.param(["weaklimit", "--n", "16", "--m", "50", "--payoff", "chaos",
                   "--s0", "1e-300", "--chaos_order", "8"],
-                 id="weaklimit-chaos")])
+                 id="weaklimit-chaos"),
+    # tracking errors whose squares overflow a float, and paths that do
+    pytest.param(["hedge-sweep", "--s0", "1e160", "--strike", "1e160",
+                  "--m", "200"], id="sweep-square-overflow"),
+    pytest.param(["hedge-sweep", "--m", "50", "--measure", "historical",
+                  "--mu", "1e300"], id="sweep-paths-overflow")])
 def test_values_that_are_not_finite_exit_numerical(argv, tmp_path, capsys):
     # a NaN never leaves a run that exits 0, and the floating-point
     # warnings that made it are not printed

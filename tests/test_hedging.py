@@ -11,7 +11,7 @@ from scipy.special import ndtr
 from fracsmooth import model
 from fracsmooth import payoffs as po
 from fracsmooth.chaos import indicator_expansion
-from fracsmooth.errors import ConfigError, QuadratureError
+from fracsmooth.errors import ConfigError, QuadratureError, SimulationError
 from fracsmooth import hedging
 from fracsmooth.hedging import (_delta_evaluator, _hermite_lookup,
                                 _holder_nodes, _holder_table, _l2_estimates,
@@ -105,6 +105,36 @@ def test_process_identical_across_threads_on_many_blocks(monkeypatch):
                                       runs[0].process_values)
         np.testing.assert_array_equal(r.terminal_errors,
                                       runs[0].terminal_errors)
+
+
+@pytest.mark.parametrize("p", [Payoff.call(1.0), Payoff.binary(1.0)],
+                         ids=["call", "binary"])
+@pytest.mark.parametrize("m", [2, 129, 1001])
+def test_merged_moments_are_those_of_the_whole_sample(p, m, monkeypatch):
+    # each block reduces its squared errors to (count, mean, M2), merged
+    # in block order; with 64-path blocks, 129 and 1,001 paths split into
+    # 4 and 16 blocks of unequal sizes, and the merge still gives numpy's
+    # mean and sample sd of the whole sample's squares
+    monkeypatch.setattr(model, "BLOCK_PATHS", 64)
+    net = make_theta_net(16, 0.4, 1.0)
+    est = l2_tracking_error(p, MODEL, net, m, 11, threads=2)
+    sq = tracking_error_terminal(p, MODEL, net, m, 11).terminal_errors ** 2
+    np.testing.assert_allclose(
+        [est.l2_error ** 2, est.stderr],
+        [sq.mean(), sq.std(ddof=1) / math.sqrt(m)], rtol=1e-13)
+
+
+def test_errors_that_overflow_a_float_are_refused():
+    # at s0 = K = 1e160 the errors are finite, about 1e159, but their
+    # squares overflow; under a drift of 1e300 the paths themselves do
+    net = make_theta_net(8, 1.0, 1.0)
+    big = MarketModel(s0=1e160, sigma=1.0)
+    with pytest.raises(SimulationError, match="moments must be finite"):
+        l2_tracking_error(Payoff.call(1e160), big, net, 200, 1, threads=2)
+    fast = MarketModel(s0=1.0, sigma=1.0, mu=1e300)
+    for run in (l2_tracking_error, tracking_error_terminal):
+        with pytest.raises(SimulationError, match="error is not finite"):
+            run(Payoff.call(1.0), fast, net, 200, 1, measure="historical")
 
 
 def _deltas(p, m, t, x, s):
@@ -550,7 +580,7 @@ def test_nets_hedge_on_one_walk(nested, data, theta, m):
     saved, model.BLOCK_PATHS = model.BLOCK_PATHS, 64
     try:
         got, health = hedging._run(p, MODEL, "martingale", nets, m, seed,
-                                   None, 2)
+                                   None, 2, lambda errors, values: errors)
         grid = functools.reduce(np.union1d, [net.nodes for net in nets])
         xs = np.concatenate(model.map_blocks(
             lambda s, c: np.array([x.copy() for _, x in model._walk(
@@ -560,7 +590,7 @@ def test_nets_hedge_on_one_walk(nested, data, theta, m):
     assert health == {}
     ss = np.exp(xs)
     h0 = po.price(p, MODEL, 0.0, 1.0)
-    for net, sample in zip(nets, got):
+    for net, rows in zip(nets, got):
         at = np.searchsorted(grid, net.nodes)
         np.testing.assert_array_equal(grid[at], net.nodes)
         acc = np.zeros(m)
@@ -568,4 +598,4 @@ def test_nets_hedge_on_one_walk(nested, data, theta, m):
             held, _ = _deltas(p, MODEL, grid[a], xs[a], ss[a])
             acc += (ss[b] - ss[a]) * held
         ref = po.payoff_eval(p, ss[-1]) - h0 - acc
-        np.testing.assert_array_equal(sample.terminal_errors, ref)
+        np.testing.assert_array_equal(np.concatenate(rows), ref)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ def test_finest_net_estimate_is_its_own_run():
     ref = l2_tracking_error(p, MODEL, make_theta_net(128, 0.4, 1.0), fine.m,
                             child_seed(3, 128))
     assert (fine.l2_error, fine.stderr) == (ref.l2_error, ref.stderr)
+
+
+def test_sweep_memory_does_not_grow_with_the_path_count(monkeypatch):
+    # each path block reduces its own errors to a few moments, so a sweep
+    # holds O(nets x block) memory: with 1,024-path blocks, four times the
+    # paths (M = 32,000 against 8,000) add a few tuples a block, where one
+    # M-sized array per net would add 5 x 24,000 x 8 B = 960 KB
+    monkeypatch.setattr(model, "BLOCK_PATHS", 1024)
+    p, ns = Payoff.call(1.0), [8, 16, 32, 64, 128]
+    sweep(p, MODEL, 1.0, ns, 2000, 3)
+
+    def peak(m):
+        tracemalloc.start()
+        try:
+            sweep(p, MODEL, 1.0, ns, m, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8000) - peak(2000) < 96 * 1024
 
 
 @pytest.mark.parametrize("p, theta", [(Payoff.binary(1.0), 0.4),
