@@ -36,8 +36,6 @@ __all__ = [
     "decay_from_chaos",
 ]
 
-#: coefficients per block of the indicator's scaling pass (512 kB)
-_SCALE_BLOCK = 1 << 16
 _D12_TAIL_WARN = 1e-6
 _BESOV_DEPTH = 20
 _BESOV_TAIL_TOL = 1e-3
@@ -155,15 +153,10 @@ def indicator_expansion(c: float, K: int) -> ChaosExpansion:
     m2 = float(ndtr(-c))
 
     def coefficients():
-        # H_0..H_{K-1} at c behind a slot for alpha_0, then one scaling
-        # pass by phi(c) / sqrt(k), in blocks so that no temporary grows
-        # with K (K reaches 2^21)
+        # H_0..H_{K-1} at c behind a slot for alpha_0, scaled by phi(c) / sqrt(k)
         alpha = np.fromiter(chain((0.0,), hermite_recurrence(c, K)), float, K + 1)
-        phi_c = _phi(c)
-        for i in range(1, K + 1, _SCALE_BLOCK):
-            blk = alpha[i:i + _SCALE_BLOCK]
-            blk *= phi_c
-            blk /= np.sqrt(np.arange(float(i), float(i) + blk.size))
+        alpha[1:] *= _phi(c)
+        alpha[1:] /= np.sqrt(np.arange(1.0, K + 1.0))
         alpha[0] = ndtr(-c)
         return alpha
 

@@ -401,21 +401,15 @@ def _kinked(p: Payoff, v: float, s: np.ndarray,
     above the kink (d2 > 8, where it carries less than Phi(-8) of the
     mass) ``_pathwise_rule``.  Each rule runs at two orders through
     ``_checked``.  Spots with d2 < -40 get zeros: every kernel weight is
-    under e^-800 there.  A run of equal spots, as from a caller that
-    passes copies of one spot, is valued once, so that the copies get
-    equal bits: the matrix products can give equal rows different last
-    bits.  Distinct spots keep that dependence on their row and batch
-    size: of 997 spots valued as one batch, 455 to 511 differ from the
-    same spots valued one at a time, by at most 6.6e-16 relative.
+    under e^-800 there.  The matrix products can give a spot different
+    last bits with its row and batch size: of 997 spots valued as one
+    batch, 455 to 511 differ from the same spots valued one at a time,
+    by at most 6.6e-16 relative.
     Row-independent reductions (``einsum``, or ``(kern * f).sum(1)``)
     took 2.4x and 8x the matrix product on a 1,000 x 200 kernel, so
     callers that need fixed bits fix the batches instead, as
     ``model.map_blocks`` does.
     """
-    new = np.ones(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=new[1:])
-    back = np.cumsum(new) - 1
-    s = s[new]
     d2 = (np.log(s / p.strike) - 0.5 * v * v) / v
     out = {q: np.zeros_like(s) for q in tols}
     far = d2 > _D2_NEAR
@@ -430,7 +424,7 @@ def _kinked(p: Payoff, v: float, s: np.ndarray,
                         orders, tols, f"{what} under refinement")
         for q in tols:
             out[q][spots] = vals[q]
-    return {q: val[back] for q, val in out.items()}
+    return out
 
 
 def _chaos_closed(p, v, s, want):

@@ -138,9 +138,10 @@ def sweep(p: Payoff, model: MarketModel, theta: float, n_list, m: int,
     if m < 2:
         raise ConfigError("need m >= 2 paths for a standard error")
     paths = min(4 * m, int(round(m * math.sqrt(n_list[-1] / n_list[0]))))
+    # a payoff whose E[h^2] the engine refuses is refused before the walk
+    scale = math.sqrt(second_moment(p, model, 0.0, model.s0))
     estimates, health = _l2_estimates(p, model, measure, nets, paths,
                                       child_seed(seed, n_list[-1]), threads)
-    scale = math.sqrt(second_moment(p, model, 0.0, model.s0))
     if all(e.l2_error <= _ROUNDOFF_REL * scale for e in estimates):
         raise ExactHedgeError(
             f"every L2 error is round-off (at most {_ROUNDOFF_REL:g} of the "

@@ -18,16 +18,25 @@ __all__ = ["TimeNet", "make_theta_net"]
 
 @dataclass(frozen=True)
 class TimeNet:
+    """Rebalancing nodes 0 = t_0 < ... < t_n = T; n and T are read off them."""
+
     nodes: np.ndarray
-    n: int
-    T: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        if nodes[0] != 0.0 or nodes[-1] != self.T:
-            raise ConfigError("net must start at 0 and end at T")
+        object.__setattr__(self, "nodes", nodes)
+        if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0:
+            raise ConfigError("a net needs two or more nodes, the first at 0")
         if np.any(np.diff(nodes) <= 0.0):
             raise ConfigError("net nodes must be strictly increasing")
+
+    @property
+    def n(self) -> int:
+        return self.nodes.size - 1
+
+    @property
+    def T(self) -> float:
+        return float(self.nodes[-1])
 
 
 def make_theta_net(n: int, theta: float, T: float) -> TimeNet:
@@ -44,4 +53,4 @@ def make_theta_net(n: int, theta: float, T: float) -> TimeNet:
     nodes = T * (1.0 - frac ** (1.0 / theta))
     nodes[0] = 0.0
     nodes[-1] = T
-    return TimeNet(nodes=nodes, n=n, T=T)
+    return TimeNet(nodes=nodes)

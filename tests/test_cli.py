@@ -311,8 +311,9 @@ def test_list_that_is_not_integers_is_named(tmp_path, capsys):
     pytest.param(["weaklimit", "--n", "16", "--m", "50", "--payoff", "chaos",
                   "--s0", "1e-300", "--chaos_order", "8"],
                  id="weaklimit-chaos"),
-    # tracking errors whose squares overflow a float, and paths that do
-    pytest.param(["hedge-sweep", "--s0", "1e160", "--strike", "1e160",
+    # tracking errors whose squares overflow a float (the payoff's E[h^2]
+    # does not), and paths that do
+    pytest.param(["hedge-sweep", "--s0", "5e153", "--strike", "5e153",
                   "--m", "200"], id="sweep-square-overflow"),
     pytest.param(["hedge-sweep", "--m", "50", "--measure", "historical",
                   "--mu", "1e300"], id="sweep-paths-overflow")])
@@ -338,6 +339,9 @@ def test_values_that_are_not_finite_exit_numerical(argv, tmp_path, capsys):
     # K * K overflows in the call's E[h^2]
     pytest.param(["zreg", "--strike", "1e300", "--n_list", "2,16"],
                  2, "config", id="zreg-call-m2-overflow"),
+    # the call's E[h^2] overflows a float: refused before the walk
+    pytest.param(["hedge-sweep", "--s0", "1e160", "--strike", "1e160",
+                  "--m", "200"], 2, "config", id="sweep-call-m2-overflow"),
     # a decay curve that underflows to 0 late fitted a NaN slope
     pytest.param(["smoothness", "--depth", "10", "--strike", "742.2",
                   "--T", "0.458"], 2, "degenerate",

@@ -346,19 +346,6 @@ def test_affine_second_moment_overflow_is_a_config_error():
         assert math.isfinite(price(p, MODEL, 0.5, s))
 
 
-def test_equal_spots_get_equal_power_holder_values():
-    # one valuation per run of equal spots: the engine's matrix products
-    # would otherwise give some copies different last bits, and a batch
-    # of copies of s0 would not reproduce the value at s0 alone
-    p = Payoff.power_holder(1.0, 0.5)
-    want = ("price", "delta", "gamma")
-    runs = po._valuate(p, MODEL, 0.0, np.array([1.0] * 4 + [2.0] * 5), want)
-    alone = po._valuate(p, MODEL, 0.0, np.full(9, 1.0), want)
-    for q in want:
-        assert np.unique(runs[q][:4]).size == np.unique(runs[q][4:]).size == 1
-        np.testing.assert_array_equal(alone[q], po._one(p, MODEL, 0.0, 1.0, q))
-
-
 def _spots_around_cutoff(t, strike=1.0):
     # spots whose kink coordinate d2 lies on both sides of |d2| = 8, where
     # the engine switches from the graded kernel rule to Gauss-Hermite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsmooth import hedging, model
+from fracsmooth import hedging, model, ratefit
 from fracsmooth.errors import ConfigError, ExactHedgeError
 from fracsmooth.hedging import l2_tracking_error
 from fracsmooth.model import MarketModel, child_seed
@@ -84,6 +84,18 @@ def test_sweep_refuses_one_path_before_the_walk(monkeypatch):
     monkeypatch.setattr(hedging, "_run", walk)
     with pytest.raises(ConfigError, match="need m >= 2 paths"):
         sweep(Payoff.call(1.0), MODEL, 1.0, [8, 16, 32, 64, 128], 1, 0)
+
+
+def test_sweep_refuses_an_overflowing_payoff_before_the_walk(monkeypatch):
+    # the payoff's L2 norm scales the round-off test after the walk, but
+    # an E[h^2] that overflows a float is refused before any path
+    def estimates(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(ratefit, "_l2_estimates", estimates)
+    with pytest.raises(ConfigError, match="overflows a float"):
+        sweep(Payoff.affine(1e300, 1.0), MODEL, 1.0, [8, 16, 32, 64, 128],
+              400_000, 0, threads=2)
 
 
 def test_sweep_small_run_and_csv(tmp_path):

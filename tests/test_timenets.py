@@ -51,9 +51,18 @@ def test_theta_net_validation():
 
 def test_timenet_node_validation():
     with pytest.raises(ConfigError):
-        TimeNet(nodes=np.array([0.1, 1.0]), n=1, T=1.0)
+        TimeNet(nodes=np.array([0.1, 1.0]))
     with pytest.raises(ConfigError):
-        TimeNet(nodes=np.array([0.0, 0.5, 0.5, 1.0]), n=3, T=1.0)
+        TimeNet(nodes=np.array([0.0, 0.5, 0.5, 1.0]))
+
+
+def test_timenet_reads_n_and_maturity_off_its_nodes():
+    # the nodes are the whole net: n and T cannot disagree with them
+    net = TimeNet(nodes=[0, 0.5, 1])
+    assert net.n == 2 and net.T == 1.0
+    assert net.nodes.dtype == float
+    with pytest.raises(ConfigError):
+        TimeNet(nodes=np.array([0.0]))
 
 
 def test_net_collapse_rejected():
